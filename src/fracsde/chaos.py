@@ -30,7 +30,6 @@ from .special import (
     VolterraKernelSpec,
     h0,
     h0_array,
-    hermite_all,
     kernel_sq_grade,
     volterra_kernel,
 )
@@ -169,28 +168,41 @@ def exact_solution_1d(a: float, b: float, alpha: float, t, B_t):
     return float(out) if out.ndim == 0 else out
 
 
-def chaos_sum_1d(a: float, b: float, alpha: float, t, B_t, N: int) -> TruncatedChaosSolution:
+def chaos_sum_1d(
+    a: float, b: float, alpha: float, t, B_t, truncation: int
+) -> TruncatedChaosSolution:
     """Truncated chaos sum via the Hermite identity.
 
     Order n contributes e^{bt} (a^n / n!) t^{n alpha} H_n(B_t t^{-alpha})
     with probabilist Hermite polynomials.  At t = 0 only order 0 survives
     (value 1).  ``t`` and ``B_t`` broadcast together, e.g. a grid row against
     a (paths, grid) array of sampled values.
+
+    The orders are filled in place by the variance-scaled Hermite recurrence
+    Q_{k+1} = a / (k+1) (B Q_k - a t^{2 alpha} Q_{k-1}), which needs neither
+    the division by t^alpha nor its powers.
     """
-    if N < 0:
+    if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    t_arr, B = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(B_t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
+    B = np.asarray(B_t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("time must be >= 0")
-    sigma = t_arr**alpha
-    safe = sigma > 0.0
-    xi = np.where(safe, B / np.where(safe, sigma, 1.0), 0.0)
-    H = hermite_all(N, xi)
-    orders_n = np.arange(N + 1, dtype=float).reshape((N + 1,) + (1,) * t_arr.ndim)
-    coef = np.array([a**k / math.factorial(k) for k in range(N + 1)]).reshape(orders_n.shape)
-    drift = np.exp(b * t_arr)
-    orders = drift * coef * sigma[None] ** orders_n * H
-    return TruncatedChaosSolution(truncation=N, orders=orders)
+    # zeroing the noise at t = 0 keeps every order above 0 exactly 0 there
+    aB = np.where(t_arr > 0.0, a * B, 0.0)
+    a2var = a * a * t_arr ** (2.0 * alpha)
+    orders = np.empty((truncation + 1,) + aB.shape)
+    orders[0] = np.exp(b * t_arr)
+    if truncation >= 1:
+        np.multiply(aB, orders[0], out=orders[1, ...])
+    correction = np.empty(aB.shape)
+    for k in range(1, truncation):
+        nxt = orders[k + 1, ...]  # a view even for scalar inputs
+        np.multiply(aB, orders[k], out=nxt)
+        np.multiply(a2var, orders[k - 1], out=correction)
+        nxt -= correction
+        nxt *= 1.0 / (k + 1)
+    return TruncatedChaosSolution(truncation=truncation, orders=orders)
 
 
 # ----------------------------------------------------------------------------
@@ -513,13 +525,13 @@ def solve_sheet_chaos_batch(
 
 
 def solve_sheet_chaos(
-    p: ModelParams, grid2d: Grid2D, field: GaussianField, N: int
+    p: ModelParams, grid2d: Grid2D, field: GaussianField, truncation: int
 ) -> TruncatedChaosSolution:
     """Truncated chaos solution of the sheet equation on one sampled field."""
     if not isinstance(field.grid, Grid2D):
         raise ValueError("field must live on a product grid")
-    orders = solve_sheet_chaos_batch(p, grid2d, field.white_noise[None], N)
-    return TruncatedChaosSolution(truncation=N, orders=orders[:, 0])
+    orders = solve_sheet_chaos_batch(p, grid2d, field.white_noise[None], truncation)
+    return TruncatedChaosSolution(truncation=truncation, orders=orders[:, 0])
 
 
 def sheet_kernel_form_gap(

@@ -96,7 +96,7 @@ def _negativity_from(settings: RunSettings) -> NegativityConfig:
 
 def _write_outputs(report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     (out_dir / "report.json").write_text(payload + "\n")
     for name, (header, rows) in sorted(report.tables.items()):
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:

@@ -121,6 +121,9 @@ class RunSettings:
             raise ValueError("epsilon must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        reals = (self.alpha, self.beta, self.a, self.b, self.T, self.epsilon)
+        if not all(v is None or math.isfinite(v) for v in reals):
+            raise ValueError("real-valued settings must be finite")
 
     def model_params(self) -> ModelParams:
         return ModelParams(HurstPair(self.alpha, self.beta), self.a, self.b, self.T)
@@ -168,10 +171,26 @@ class MetricResult:
     target: float | None = None
     detail: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # a non-finite value cannot pass; to_dict writes it as JSON null
+        if not math.isfinite(self.value):
+            object.__setattr__(self, "passed", False)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["passed"] = bool(self.passed)
-        return d
+        return _finite_or_null(d)
+
+
+def _finite_or_null(obj):
+    """Replace every non-finite float, at any depth, by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 @dataclass(frozen=True)
@@ -228,20 +247,29 @@ def _map_chunks(work: Callable, total: int, threads: int) -> list:
 
 
 def _combine_moments(partials: Sequence[tuple], seed: int) -> MonteCarloResult:
-    """Fold per-chunk (count, sum, sum of squares) into one estimate."""
-    n = sum(p[0] for p in partials)
-    s1 = math.fsum(p[1] for p in partials)
-    s2 = math.fsum(p[2] for p in partials)
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-    se = math.sqrt(var / n)
+    """Fold per-chunk (count, mean, M2) triples into one estimate.
+
+    The pairwise update of Chan, Golub & LeVeque (1979) runs in chunk
+    order, so the result does not depend on the thread count, and the
+    spread never passes through the cancelling ``sum x^2 - n mean^2``.
+    """
+    n, mean, m2 = partials[0]
+    for nb, mean_b, m2_b in partials[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    se = math.sqrt(m2 / (n - 1) / n)
     lo, hi = mean - 1.96 * se, mean + 1.96 * se
     return MonteCarloResult(mean, se, n, (lo, hi), seed)
 
 
 def _moments(samples: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk's samples."""
     flat = np.asarray(samples, dtype=float).reshape(-1)
-    return flat.size, float(flat.sum()), float(np.square(flat).sum())
+    mean = flat.mean()
+    return flat.size, float(mean), float(np.square(flat - mean).sum())
 
 
 def _within_se(value: float, target: float, se: float, k: float) -> bool:

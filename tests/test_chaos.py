@@ -35,7 +35,7 @@ from fracsde.model import (
     build_grid,
     build_grid2d,
 )
-from fracsde.special import h0, h0_array, hermite
+from fracsde.special import h0, h0_array, hermite, hermite_all
 
 
 class TestExplicitKernels:
@@ -159,9 +159,39 @@ class TestExactAndChaosSum1D:
             assert np.max(np.abs(sol.total - ref)) < 1e-8
 
     def test_time_zero_only_order_zero(self):
-        sol = chaos_sum_1d(2.0, 0.5, 0.3, 0.0, 0.0, 4)
-        assert sol.orders[0] == pytest.approx(1.0)
-        assert np.all(sol.orders[1:] == 0.0)
+        # also for noise values that are nonzero at t = 0, where the plain
+        # recurrence would give a B at order 1
+        for B in (0.0, 0.7):
+            sol = chaos_sum_1d(2.0, 0.5, 0.3, 0.0, B, 4)
+            assert sol.orders[0] == pytest.approx(1.0)
+            assert np.all(sol.orders[1:] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_recurrence_matches_hermite_table(self, alpha):
+        # oracle: e^{bt} (a^n / n!) sigma^n H_n(B / sigma) from the full table
+        def oracle(a, b, t, B, N):
+            t, B = np.broadcast_arrays(np.asarray(t, float), np.asarray(B, float))
+            sigma = t**alpha
+            xi = np.where(sigma > 0.0, B / np.where(sigma > 0.0, sigma, 1.0), 0.0)
+            n = np.arange(N + 1.0).reshape((N + 1,) + (1,) * t.ndim)
+            coef = np.array([a**k / math.factorial(k) for k in range(N + 1)])
+            return np.exp(b * t) * coef.reshape(n.shape) * sigma**n * hermite_all(N, xi)
+
+        N = 28
+        rng = np.random.default_rng(int(alpha * 10))
+        t = np.linspace(0.0, 1.0, 65)
+        batch = rng.standard_normal((16, 65)) * t**alpha
+        for a in (1.0, -1.3):
+            for b in (0.0, 0.5, -1.0):
+                for tt, B in ((t, batch), (0.7, 0.9), (1.0, -1.4)):
+                    got = chaos_sum_1d(a, b, alpha, tt, B, N).orders
+                    ref = oracle(a, b, tt, B, N)
+                    assert got.shape == ref.shape
+                    flat_got = got.reshape(N + 1, -1)
+                    flat_ref = ref.reshape(N + 1, -1)
+                    scale = np.max(np.abs(flat_ref), axis=1)
+                    err = np.max(np.abs(flat_got - flat_ref), axis=1)
+                    assert np.all(err <= 1e-12 * scale)
 
     def test_solution_container_validation(self):
         with pytest.raises(ValueError):

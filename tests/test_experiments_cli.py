@@ -259,3 +259,53 @@ class TestSimulateStatistics:
         assert csvs  # trajectory plus covariance diagnostics
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["tables"]) == {p.removesuffix(".csv") for p in csvs}
+
+
+class TestStatisticalHonesty:
+    def test_tiny_noise_standard_error_does_not_collapse(self, tmp_path):
+        # at a = 1e-8 every X_T sits within 1e-7 of 1; a sum-of-squares
+        # variance cancels to 0, the pairwise (n, mean, M2) merge does not
+        argv = [
+            "exact-vs-chaos", "--alpha", "0.3", "--a", "1e-8",
+            "--samples", "100000",
+        ]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            outs.append(out)
+        report = json.loads((outs[0] / "report.json").read_text())
+        mean = {m["name"]: m for m in report["metrics"]}["terminal_mean"]
+        assert mean["passed"] is True
+        assert 2e-11 < mean["std_error"] < 4e-11
+        r1, r2 = (
+            _strip_wall(json.loads((o / "report.json").read_text())) for o in outs
+        )
+        assert r1["parameters"].pop("threads") == 1
+        assert r2["parameters"].pop("threads") == 2
+        assert r1 == r2
+        csv_bytes = [(o / "exact_vs_chaos.csv").read_bytes() for o in outs]
+        assert csv_bytes[0] == csv_bytes[1]
+
+    def test_non_finite_metric_fails_and_is_written_as_null(self, tmp_path, capsys):
+        code = main([
+            "exact-vs-chaos", "--a", "1e80", "--samples", "100",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(
+            (tmp_path / "report.json").read_text(), parse_constant=reject
+        )
+        sup = {m["name"]: m for m in report["metrics"]}["sup_node_error"]
+        assert sup["value"] is None and sup["passed"] is False
+        assert report["passed"] is False
+
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys):
+        code = main(["operator-check", "--a", "inf", "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
