@@ -61,6 +61,6 @@ from .chaos import (
     solve_sheet_chaos,
     wick_euler_1d,
 )
-from .experiments import ExperimentReport, NegativityConfig, RunSettings
+from .experiments import ExperimentReport, RunSettings
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from .experiments import (
-    NegativityConfig,
     RunSettings,
     cmd_euler_study,
     cmd_exact_vs_chaos,
@@ -25,7 +24,6 @@ from .experiments import (
     cmd_operator_check,
     cmd_simulate,
 )
-from .model import build_grid2d
 
 __all__ = ["main", "build_settings", "parse_config_file"]
 
@@ -33,12 +31,21 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "exact-vs-chaos": cmd_exact_vs_chaos,
     "euler-study": cmd_euler_study,
-    "negativity": None,  # wrapped below, takes NegativityConfig
+    "negativity": cmd_negativity,
     "girsanov-check": cmd_girsanov_check,
     "operator-check": cmd_operator_check,
 }
 
-_SETTING_TYPES = {f.name: f for f in dc_fields(RunSettings)}
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda text: text.lower() in ("1", "true", "yes"),
+}
+# setting name -> parser of its text form, from the RunSettings annotation
+# ("int | None" parses as int); the flags and config keys derive from it
+_SETTING_PARSERS = {
+    f.name: _PARSERS[f.type.split(" | ")[0]] for f in dc_fields(RunSettings)
+}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -52,7 +59,7 @@ def parse_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _SETTING_TYPES:
+        if key not in _SETTING_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         out[key] = _convert(key, value)
     return out
@@ -61,37 +68,20 @@ def parse_config_file(path: Path) -> dict:
 def _convert(key: str, text: str):
     if text.lower() in ("none", ""):
         return None
-    if key in ("grid_n", "samples", "seed", "threads", "truncation"):
-        return int(text)
-    if key == "debug_corrupt_quadrature":
-        return text.lower() in ("1", "true", "yes")
-    return float(text)
+    return _SETTING_PARSERS[key](text)
 
 
 def build_settings(args: argparse.Namespace) -> RunSettings:
     values: dict = {}
     if args.config is not None:
         values.update(parse_config_file(Path(args.config)))
-    for name in _SETTING_TYPES:
+    for name in _SETTING_PARSERS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
     if args.no_beta:
         values["beta"] = None
     return RunSettings(**values)
-
-
-def _negativity_from(settings: RunSettings) -> NegativityConfig:
-    return NegativityConfig(
-        a=settings.a,
-        epsilon=settings.epsilon,
-        n_window=settings.T,
-        grid=build_grid2d(settings.grid_n, settings.grid_n, settings.T),
-        truncation=3 if settings.truncation is None else settings.truncation,
-        replicas=settings.samples,
-        seed=settings.seed,
-        threads=settings.threads,
-    )
 
 
 def _write_outputs(report, out_dir: Path) -> None:
@@ -114,34 +104,23 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         c = sub.add_parser(name)
-        c.add_argument("--alpha", type=float)
-        c.add_argument("--beta", type=float)
+        for key, parse in _SETTING_PARSERS.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is _PARSERS["bool"]:
+                c.add_argument(flag, action="store_const", const=True)
+            else:
+                c.add_argument(flag, type=parse)
         c.add_argument("--no-beta", action="store_true",
                        help="force the one-parameter model even if the config sets beta")
-        c.add_argument("--a", type=float)
-        c.add_argument("--b", type=float)
-        c.add_argument("--T", type=float)
-        c.add_argument("--grid-n", dest="grid_n", type=int)
-        c.add_argument("--samples", type=int)
-        c.add_argument("--seed", type=int)
-        c.add_argument("--truncation", type=int)
-        c.add_argument("--epsilon", type=float)
-        c.add_argument("--threads", type=int)
         c.add_argument("--out", default=".")
         c.add_argument("--config")
-        c.add_argument("--debug-corrupt-quadrature", dest="debug_corrupt_quadrature",
-                       action="store_const", const=True)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        settings = build_settings(args)
-        if args.command == "negativity":
-            report = cmd_negativity(_negativity_from(settings))
-        else:
-            report = _COMMANDS[args.command](settings)
+        report = _COMMANDS[args.command](build_settings(args))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -67,7 +67,6 @@ __all__ = [
     "EmptyRegion",
     "TruncationTooLow",
     "RunSettings",
-    "NegativityConfig",
     "MetricResult",
     "ExperimentReport",
     "negativity_mask",
@@ -82,6 +81,9 @@ __all__ = [
 # Fixed chunking makes the replica -> stream map independent of thread
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
+
+# Depth of the negativity window: the limit surface must sit below -delta.
+NEGATIVITY_DELTA = 0.1
 
 
 class EmptyRegion(ValueError):
@@ -98,7 +100,8 @@ class RunSettings:
 
     ``beta`` switches the sheet model on; ``truncation`` of None picks the
     per-command default (20 Hermite orders for one-parameter runs, 3 for
-    sheet runs).
+    sheet runs).  Every estimate carries a standard error, so ``samples``
+    must be at least 2.
     """
 
     alpha: float = 0.3
@@ -115,8 +118,10 @@ class RunSettings:
     debug_corrupt_quadrature: bool = False
 
     def __post_init__(self) -> None:
-        if self.grid_n < 1 or self.samples < 1 or self.threads < 1:
-            raise ValueError("grid_n, samples and threads must be positive")
+        if self.grid_n < 1 or self.threads < 1:
+            raise ValueError("grid_n and threads must be positive")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2 for a standard error")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be > 0")
         if self.seed < 0:
@@ -127,35 +132,6 @@ class RunSettings:
 
     def model_params(self) -> ModelParams:
         return ModelParams(HurstPair(self.alpha, self.beta), self.a, self.b, self.T)
-
-
-@dataclass(frozen=True)
-class NegativityConfig:
-    """Settings of the small-noise negativity experiment.
-
-    The window (0, n_window)^2 hosts the region where the zero-noise limit
-    surface is below -delta; ``grid`` must span exactly that window.
-    """
-
-    a: float = 1.0
-    epsilon: float = 0.05
-    n_window: float = 3.0
-    grid: Grid2D = field(default_factory=lambda: build_grid2d(16, 16, 3.0))
-    truncation: int = 3
-    replicas: int = 2000
-    seed: int = 20240801
-    delta: float = 0.1
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError("a must be > 0")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if abs(self.grid.T - self.n_window) > 1e-12:
-            raise ValueError("grid horizon must equal the window size")
-        if self.replicas < 2:
-            raise ValueError("need at least two replicas")
 
 
 @dataclass(frozen=True)
@@ -272,11 +248,41 @@ def _moments(samples: np.ndarray) -> tuple[int, float, float]:
     return flat.size, float(mean), float(np.square(flat - mean).sum())
 
 
-def _within_se(value: float, target: float, se: float, k: float) -> bool:
+def _within_4se(
+    name: str, result: MonteCarloResult, target: float, of: str, **detail
+) -> MetricResult:
+    """Pass iff the estimate lies within 4 standard errors of ``target``."""
+    gap = abs(result.estimate - target)
     # degenerate spread (a = 0 cases) falls back to near-exact agreement
-    if se == 0.0:
-        return abs(value - target) < 1e-12
-    return abs(value - target) <= k * se
+    passed = gap < 1e-12 if result.std_error == 0.0 else gap <= 4.0 * result.std_error
+    return MetricResult(
+        name=name,
+        value=result.estimate,
+        tolerance=f"within 4 standard errors of {of}",
+        passed=passed,
+        seed=result.seed,
+        std_error=result.std_error,
+        target=float(target),
+        detail=detail,
+    )
+
+
+def _metric_table(metrics: Sequence[MetricResult], header: list[str]):
+    """One row per metric: its name, then the attributes named in header[1:]."""
+    return header, [(m.name, *(getattr(m, c) for c in header[1:])) for m in metrics]
+
+
+def _report(
+    experiment: str, settings: RunSettings, t0: float, metrics, tables, **echo
+) -> ExperimentReport:
+    """Stamp the wall time since ``t0`` and echo the settings with overrides."""
+    return ExperimentReport(
+        experiment=experiment,
+        parameters={**asdict(settings), **echo},
+        metrics=tuple(metrics),
+        wall_seconds=time.perf_counter() - t0,
+        tables=tables,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -319,15 +325,7 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
             seed=settings.seed,
             detail={"truncation": N, "paths": settings.samples},
         ),
-        MetricResult(
-            name="terminal_mean",
-            value=mean_T.estimate,
-            tolerance="within 4 standard errors of exp(b T)",
-            passed=_within_se(mean_T.estimate, target, mean_T.std_error, 4.0),
-            seed=settings.seed,
-            std_error=mean_T.std_error,
-            target=target,
-        ),
+        _within_4se("terminal_mean", mean_T, target, "exp(b T)"),
     )
     tables = {
         "exact_vs_chaos": (
@@ -338,13 +336,7 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
             ],
         )
     }
-    return ExperimentReport(
-        experiment="exact-vs-chaos",
-        parameters=_echo(settings, truncation=N),
-        metrics=metrics,
-        wall_seconds=time.perf_counter() - t0,
-        tables=tables,
-    )
+    return _report("exact-vs-chaos", settings, t0, metrics, tables, truncation=N)
 
 
 # ----------------------------------------------------------------------------
@@ -419,84 +411,77 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
             )
         )
     tables = {"euler_errors": (["alpha", "n_steps", "l2_error", "std_error"], rows)}
-    return ExperimentReport(
-        experiment="euler-study",
-        parameters=_echo(settings),
-        metrics=tuple(metrics),
-        wall_seconds=time.perf_counter() - t0,
-        tables=tables,
-    )
+    return _report("euler-study", settings, t0, metrics, tables)
 
 
 # ----------------------------------------------------------------------------
 # Negativity of the sheet solution
 # ----------------------------------------------------------------------------
 
-def negativity_mask(config: NegativityConfig) -> np.ndarray:
+def negativity_mask(grid: Grid2D, a: float, delta: float) -> np.ndarray:
     """Boolean node mask of the window where the limit surface is below -delta.
 
-    Nodes (s, t) strictly inside (0, n_window)^2 with lo < -a s t < hi,
-    the bracketing interval of h0 at depth delta.
+    Nodes (s, t) strictly inside (0, T)^2 with lo < -a s t < hi, the
+    bracketing interval of h0 at depth delta.
     """
-    band = negativity_interval(config.delta)
-    s = config.grid.s[:, None]
-    t = config.grid.t[None, :]
-    prod = -config.a * s * t
-    inside = (s > 0.0) & (t > 0.0) & (s < config.n_window) & (t < config.n_window)
+    band = negativity_interval(delta)
+    s = grid.s[:, None]
+    t = grid.t[None, :]
+    prod = -a * s * t
+    inside = (s > 0.0) & (t > 0.0) & (s < grid.T) & (t < grid.T)
     mask = inside & (prod > band.lo) & (prod < band.hi)
     if not mask.any():
         raise EmptyRegion(
             f"no grid node satisfies {band.lo:.3f} < -a s t < {band.hi:.3f} "
-            f"inside (0, {config.n_window})^2"
+            f"inside (0, {grid.T})^2"
         )
     return mask
 
 
-def _check_truncation(config: NegativityConfig) -> float:
+def _check_truncation(noise: float, T: float, truncation: int) -> float:
     """Tail share of the order-(N+1) chaos norm; raise when above 10%."""
-    proxy = ModelParams(
-        HurstPair(0.5), config.a * config.epsilon, 0.0, config.n_window
-    )
-    norms = chaos_norm_decay(proxy, config.truncation + 1)
+    proxy = ModelParams(HurstPair(0.5), noise, 0.0, T)
+    norms = chaos_norm_decay(proxy, truncation + 1)
     tail = norms[-1] / math.fsum(norms)
     if tail > 0.1:
         raise TruncationTooLow(
-            f"order-{config.truncation} truncation leaves a {tail:.1%} tail; "
+            f"order-{truncation} truncation leaves a {tail:.1%} tail; "
             "raise the truncation or lower epsilon"
         )
     return float(tail)
 
 
-def cmd_negativity(config: NegativityConfig) -> ExperimentReport:
-    """Small-noise negativity of the sheet solution on the window.
+def cmd_negativity(settings: RunSettings) -> ExperimentReport:
+    """Small-noise negativity of the sheet solution on the window (0, T)^2.
 
     Simulates the scaled solution (noise coefficient a epsilon, drift -a)
-    and estimates the probability that every node of the window is
-    negative.  Pass requires the 95% lower confidence bound above zero
-    plus the calibrated regression floor p-hat >= 0.5; the drift-equation
-    limit surface is checked to sit below -delta on the window first.
+    on a grid_n x grid_n grid and estimates the probability that every
+    node of the window is negative.  Pass requires the 95% lower confidence
+    bound above zero plus the calibrated regression floor p-hat >= 0.5; the
+    drift-equation limit surface is checked to sit below -delta on the
+    window first.  The truncation defaults to 3 chaos orders.
     """
+    if settings.a <= 0.0:
+        raise ValueError("a must be > 0")
     t0 = time.perf_counter()
-    mask = negativity_mask(config)
-    tail = _check_truncation(config)
-    grid = config.grid
-    limit = deterministic_sheet_solution(
-        -config.a, grid.s[:, None], grid.t[None, :]
-    )
-    margin = float((-config.delta - limit[mask]).min())
-    p = ModelParams(
-        HurstPair(0.5, 0.5), config.a * config.epsilon, -config.a, config.n_window
-    )
+    a, T = settings.a, settings.T
+    N = 3 if settings.truncation is None else settings.truncation
+    grid = build_grid2d(settings.grid_n, settings.grid_n, T)
+    mask = negativity_mask(grid, a, NEGATIVITY_DELTA)
+    tail = _check_truncation(a * settings.epsilon, T, N)
+    limit = deterministic_sheet_solution(-a, grid.s[:, None], grid.t[None, :])
+    margin = float((-NEGATIVITY_DELTA - limit[mask]).min())
+    p = ModelParams(HurstPair(0.5, 0.5), a * settings.epsilon, -a, T)
 
     def work(idx: int, count: int):
-        rng = RngStreamSpec(config.seed, idx).generator()
+        rng = RngStreamSpec(settings.seed, idx).generator()
         noise = rng.standard_normal((count, grid.n_s, grid.n_t))
-        orders = solve_sheet_chaos_batch(p, grid, noise, config.truncation)
+        orders = solve_sheet_chaos_batch(p, grid, noise, N)
         total = orders.sum(axis=0)
         all_neg = int(np.all(total[:, mask] < 0.0, axis=1).sum())
         return count, all_neg, total.sum(axis=0)
 
-    parts = _map_chunks(work, config.replicas, config.threads)
+    parts = _map_chunks(work, settings.samples, settings.threads)
     n = sum(p_[0] for p_ in parts)
     k = sum(p_[1] for p_ in parts)
     mean_surface = np.sum([p_[2] for p_ in parts], axis=0) / n
@@ -511,15 +496,15 @@ def cmd_negativity(config: NegativityConfig) -> ExperimentReport:
             value=margin,
             tolerance="limit surface below -delta on every window node",
             passed=margin >= 0.0,
-            seed=config.seed,
-            detail={"delta": config.delta, "window_nodes": int(mask.sum())},
+            seed=settings.seed,
+            detail={"delta": NEGATIVITY_DELTA, "window_nodes": int(mask.sum())},
         ),
         MetricResult(
             name="all_negative_lcb",
             value=lcb,
             tolerance="95% lower confidence bound > 0",
             passed=lcb > 0.0,
-            seed=config.seed,
+            seed=settings.seed,
             detail={"p_hat": p_hat, "successes": k, "replicas": n},
         ),
         MetricResult(
@@ -527,21 +512,19 @@ def cmd_negativity(config: NegativityConfig) -> ExperimentReport:
             value=p_hat,
             tolerance=">= 0.5 (calibrated regression floor at epsilon = 0.05)",
             passed=p_hat >= 0.5,
-            seed=config.seed,
+            seed=settings.seed,
         ),
         MetricResult(
             name="mean_surface_gap",
             value=mean_gap,
             tolerance="reported only (epsilon -> 0 diagnostic)",
             passed=True,
-            seed=config.seed,
+            seed=settings.seed,
             detail={"truncation_tail_share": tail},
         ),
     )
-    srow = grid.s[:, None] + 0.0 * grid.t[None, :]
-    trow = 0.0 * grid.s[:, None] + grid.t[None, :]
     rows = [
-        (float(srow[i, j]), float(trow[i, j]), float(mean_surface[i, j]),
+        (float(grid.s[i]), float(grid.t[j]), float(mean_surface[i, j]),
          float(limit[i, j]), bool(mask[i, j]))
         for i in range(grid.n_s + 1)
         for j in range(grid.n_t + 1)
@@ -549,14 +532,9 @@ def cmd_negativity(config: NegativityConfig) -> ExperimentReport:
     tables = {
         "negativity_surface": (["s", "t", "mean", "limit", "in_window"], rows)
     }
-    params = asdict(config)
-    params["grid"] = {"n_s": grid.n_s, "n_t": grid.n_t, "T": grid.T}
-    return ExperimentReport(
-        experiment="negativity",
-        parameters=params,
-        metrics=metrics,
-        wall_seconds=time.perf_counter() - t0,
-        tables=tables,
+    return _report(
+        "negativity", settings, t0, metrics, tables,
+        truncation=N, delta=NEGATIVITY_DELTA,
     )
 
 
@@ -626,38 +604,12 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     )
 
     metrics = (
-        MetricResult(
-            name="density_mean",
-            value=mean_grid.estimate,
-            tolerance="within 4 standard errors of 1",
-            passed=_within_se(mean_grid.estimate, 1.0, mean_grid.std_error, 4.0),
-            seed=settings.seed,
-            std_error=mean_grid.std_error,
-            target=1.0,
-        ),
-        MetricResult(
-            name="shifted_field_mean",
-            value=mean_shift.estimate,
-            tolerance="within 4 standard errors of 0",
-            passed=_within_se(mean_shift.estimate, 0.0, mean_shift.std_error, 4.0),
-            seed=settings.seed,
-            std_error=mean_shift.std_error,
-            target=0.0,
-        ),
-        MetricResult(
-            name="density_mean_continuum_norm",
-            value=mean_quad.estimate,
-            tolerance="within 4 standard errors of its predicted mean",
-            passed=_within_se(
-                mean_quad.estimate, predicted_quad, mean_quad.std_error, 4.0
-            ),
-            seed=settings.seed,
-            std_error=mean_quad.std_error,
-            target=predicted_quad,
-            detail={
-                "norm_sq_grid": grid_norm_sq,
-                "norm_sq_quadrature": quad_norm_sq,
-            },
+        _within_4se("density_mean", mean_grid, 1.0, "1"),
+        _within_4se("shifted_field_mean", mean_shift, 0.0, "0"),
+        _within_4se(
+            "density_mean_continuum_norm", mean_quad, predicted_quad,
+            "its predicted mean",
+            norm_sq_grid=grid_norm_sq, norm_sq_quadrature=quad_norm_sq,
         ),
         MetricResult(
             name="inverse_norm_refinement",
@@ -676,27 +628,9 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
         ),
     )
     tables = {
-        "girsanov": (
-            ["metric", "value", "std_error", "target"],
-            [
-                ("density_mean", mean_grid.estimate, mean_grid.std_error, 1.0),
-                ("shifted_field_mean", mean_shift.estimate, mean_shift.std_error, 0.0),
-                (
-                    "density_mean_continuum_norm",
-                    mean_quad.estimate,
-                    mean_quad.std_error,
-                    predicted_quad,
-                ),
-            ],
-        )
+        "girsanov": _metric_table(metrics[:3], ["metric", "value", "std_error", "target"])
     }
-    return ExperimentReport(
-        experiment="girsanov-check",
-        parameters=_echo(settings),
-        metrics=metrics,
-        wall_seconds=time.perf_counter() - t0,
-        tables=tables,
-    )
+    return _report("girsanov-check", settings, t0, metrics, tables)
 
 
 # ----------------------------------------------------------------------------
@@ -809,19 +743,8 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
         )
     )
 
-    tables = {
-        "operator_checks": (
-            ["check", "value", "passed"],
-            [(m.name, m.value, m.passed) for m in metrics],
-        )
-    }
-    return ExperimentReport(
-        experiment="operator-check",
-        parameters=_echo(settings),
-        metrics=tuple(metrics),
-        wall_seconds=time.perf_counter() - t0,
-        tables=tables,
-    )
+    tables = {"operator_checks": _metric_table(metrics, ["check", "value", "passed"])}
+    return _report("operator-check", settings, t0, metrics, tables)
 
 
 # ----------------------------------------------------------------------------
@@ -836,21 +759,12 @@ def cmd_simulate(settings: RunSettings) -> ExperimentReport:
     the variance at the far corner against T^{2 alpha + 2 beta} (4 standard
     errors) plus decorrelation of two disjoint rectangle increments.
     """
+    simulate = _simulate_line if settings.beta is None else _simulate_sheet
+    return simulate(settings)
+
+
+def _simulate_line(settings: RunSettings) -> ExperimentReport:
     t0 = time.perf_counter()
-    if settings.beta is None:
-        report = _simulate_line(settings)
-    else:
-        report = _simulate_sheet(settings)
-    return ExperimentReport(
-        experiment="simulate",
-        parameters=_echo(settings),
-        metrics=report[0],
-        wall_seconds=time.perf_counter() - t0,
-        tables=report[1],
-    )
-
-
-def _simulate_line(settings: RunSettings):
     grid = build_grid(settings.grid_n, settings.T)
     factor = factor_covariance(settings.alpha, grid)
 
@@ -898,10 +812,11 @@ def _simulate_line(settings: RunSettings):
             ],
         ),
     }
-    return metrics, tables
+    return _report("simulate", settings, t0, metrics, tables)
 
 
-def _simulate_sheet(settings: RunSettings):
+def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
+    t0 = time.perf_counter()
     grid = build_grid2d(settings.grid_n, settings.grid_n, settings.T)
     alpha, beta = settings.alpha, settings.beta
 
@@ -936,23 +851,12 @@ def _simulate_sheet(settings: RunSettings):
         cov_fbm(alpha, s_half, grid.T) - cov_fbm(alpha, s_half, s_half)
     ) * (cov_fbm(beta, t_half, grid.T) - cov_fbm(beta, t_half, t_half))
     metrics = (
-        MetricResult(
-            name="corner_variance",
-            value=var_corner.estimate,
-            tolerance="within 4 standard errors of T^(2 alpha + 2 beta)",
-            passed=_within_se(var_corner.estimate, target, var_corner.std_error, 4.0),
-            seed=settings.seed,
-            std_error=var_corner.std_error,
-            target=target,
+        _within_4se(
+            "corner_variance", var_corner, target, "T^(2 alpha + 2 beta)"
         ),
-        MetricResult(
-            name="disjoint_increment_covariance",
-            value=decorr.estimate,
-            tolerance="within 4 standard errors of the product-covariance value",
-            passed=_within_se(decorr.estimate, inc_target, decorr.std_error, 4.0),
-            seed=settings.seed,
-            std_error=decorr.std_error,
-            target=float(inc_target),
+        _within_4se(
+            "disjoint_increment_covariance", decorr, inc_target,
+            "the product-covariance value",
         ),
     )
     tables = {
@@ -965,10 +869,4 @@ def _simulate_sheet(settings: RunSettings):
             ],
         )
     }
-    return metrics, tables
-
-
-def _echo(settings: RunSettings, **overrides) -> dict:
-    params = asdict(settings)
-    params.update(overrides)
-    return params
+    return _report("simulate", settings, t0, metrics, tables)

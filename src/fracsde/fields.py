@@ -16,6 +16,7 @@ against that noise, not against the field increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -38,9 +39,7 @@ __all__ = [
     "volterra_projection_matrix",
     "increment_transfer_matrix",
     "sample_fbm_volterra",
-    "volterra_field",
     "sample_sheet_volterra",
-    "sheet_volterra_field",
 ]
 
 
@@ -182,10 +181,6 @@ def sample_sheet_batch(
     return values, z
 
 
-# Projection matrices are quadrature-heavy; memoise per (kernel, grid) shape.
-_PROJECTION_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def volterra_projection_matrix(spec: VolterraKernelSpec, grid: TimeGrid) -> np.ndarray:
     """C[j, i] = cell-averaged kernel int_{cell_i} K(t_j, s) ds / sqrt(dt).
 
@@ -193,10 +188,13 @@ def volterra_projection_matrix(spec: VolterraKernelSpec, grid: TimeGrid) -> np.n
     discretisation of the exact covariance; the Cholesky sampler stays the
     production route, this one ties field values to their white noise.
     """
-    key = (spec.alpha, spec.d_alpha, spec.quadrature_n, grid.n_steps, grid.T)
-    hit = _PROJECTION_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _projection_matrix(spec, grid.n_steps, grid.T)
+
+
+# Projection matrices are quadrature-heavy; memoise per (kernel, grid) shape.
+@lru_cache(maxsize=32)
+def _projection_matrix(spec: VolterraKernelSpec, n_steps: int, T: float) -> np.ndarray:
+    grid = build_grid(n_steps, T)
     t = grid.points
     n = grid.n_steps
     dt = grid.dt
@@ -217,7 +215,6 @@ def volterra_projection_matrix(spec: VolterraKernelSpec, grid: TimeGrid) -> np.n
                 s = a + (b - a) * u
                 ws = w * (b - a)
             C[j - 1, i] = float(volterra_kernel(spec, tj, s) @ ws) / np.sqrt(dt)
-    _PROJECTION_CACHE[key] = C
     return C
 
 
@@ -244,14 +241,6 @@ def sample_fbm_volterra(
     return out, z
 
 
-def volterra_field(
-    spec: VolterraKernelSpec, grid: TimeGrid, rng_spec: RngStreamSpec
-) -> GaussianField:
-    """Single Volterra-driven path as a GaussianField (noise-consistent)."""
-    values, z = sample_fbm_volterra(spec, grid, 1, rng_spec)
-    return GaussianField(grid=grid, values=values[0], white_noise=z[0])
-
-
 def sample_sheet_volterra(
     spec_s: VolterraKernelSpec,
     spec_t: VolterraKernelSpec,
@@ -272,14 +261,3 @@ def sample_sheet_volterra(
     values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
     values[:, 1:, 1:] = np.einsum("ij,rjk,lk->ril", Cs, z, Ct)
     return values, z
-
-
-def sheet_volterra_field(
-    spec_s: VolterraKernelSpec,
-    spec_t: VolterraKernelSpec,
-    grid: Grid2D,
-    rng_spec: RngStreamSpec,
-) -> GaussianField:
-    """Single kernel-driven sheet as a GaussianField."""
-    values, z = sample_sheet_volterra(spec_s, spec_t, grid, 1, rng_spec)
-    return GaussianField(grid=grid, values=values[0], white_noise=z[0])

@@ -62,7 +62,6 @@ __all__ = [
     "power_gap_integral",
     "kinv_axis_factor",
     "kinv_profile_constant",
-    "kinv_separable_field",
     "kinv_apply_F",
     "kinv_norm_sq_discrete",
     "rkhs_norm_sq_separable",
@@ -668,14 +667,6 @@ def kinv_profile_constant(h: float) -> float:
     if not (0.0 < h < 1.0):
         raise ValueError(f"h={h} not in (0, 1)")
     return float(sp_gamma(1.5 - h) / sp_gamma(2.0 - 2.0 * h))
-
-
-def kinv_separable_field(
-    alpha: float, beta: float, s: np.ndarray, t: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """Inverse kernel image of the drift F(s, t) = s t on a grid, as an outer
-    product of the two axis profiles."""
-    return np.outer(kinv_axis_factor(alpha, s, tol), kinv_axis_factor(beta, t, tol))
 
 
 def _axis_norm_sq(h: float, T: float, tol: float) -> float:

@@ -57,7 +57,7 @@ class DomainError(ValueError):
 
 
 class CalibrationFailed(RuntimeError):
-    """Root solve for the kernel normalisation constant did not converge."""
+    """The integral fixing the kernel normalisation constant failed or is invalid."""
 
 
 # ----------------------------------------------------------------------------
@@ -331,22 +331,21 @@ def kernel_sq_integral(spec: VolterraKernelSpec, t: float, tol: float = 1e-10) -
 
 @lru_cache(maxsize=32)
 def calibrate_d_alpha(alpha: float) -> float:
-    """Normalisation d with int_0^1 K(1, s)^2 ds = 1, by 1-d root solve.
+    """Normalisation d with int_0^1 K(1, s)^2 ds = 1, in closed form.
 
-    The integral is proportional to d^2 (both kernel pieces carry d), so the
-    equation has a unique positive root; brentq brackets it from the d = 1
-    integral value.
+    The integral is proportional to d^2 (both kernel pieces carry d), so
+    d = 1 / sqrt(q1) with q1 the integral at d = 1.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha={alpha} not in (0, 1)")
     if alpha == 0.5:
         return 1.0
-    probe = VolterraKernelSpec(alpha, 1.0)
     try:
-        q1 = kernel_sq_integral(probe, 1.0)
-        if not (np.isfinite(q1) and q1 > 0.0):
-            raise CalibrationFailed(f"reference integral {q1} invalid")
-        root = brentq(lambda d: d * d * q1 - 1.0, 1e-6, 1e6, xtol=1e-14, rtol=1e-15)
+        q1 = kernel_sq_integral(VolterraKernelSpec(alpha, 1.0), 1.0)
     except (ValueError, RuntimeError) as exc:
         raise CalibrationFailed(f"calibration failed for alpha={alpha}: {exc}") from exc
-    return float(root)
+    if not (np.isfinite(q1) and q1 > 0.0):
+        raise CalibrationFailed(
+            f"calibration failed for alpha={alpha}: reference integral {q1} invalid"
+        )
+    return 1.0 / math.sqrt(q1)

@@ -10,7 +10,6 @@ import numpy as np
 
 from fracsde.chaos import chaos_norm_decay, deterministic_sheet_solution, picard_sheet
 from fracsde.experiments import (
-    NegativityConfig,
     RunSettings,
     cmd_exact_vs_chaos,
     cmd_euler_study,
@@ -175,7 +174,9 @@ def test_08_small_noise_negativity(capsys):
     # 95% lower confidence bound at eps = 0.05, order-3 truncation,
     # 16 x 16 grid, 2000 replicas
     t0 = time.perf_counter()
-    report = cmd_negativity(NegativityConfig(seed=20240808))
+    report = cmd_negativity(RunSettings(
+        T=3.0, grid_n=16, epsilon=0.05, samples=2000, seed=20240808,
+    ))
     lcb = _metric(report, "all_negative_lcb")
     elapsed = time.perf_counter() - t0
     ok = lcb.value > 0.0 and elapsed < 300.0

@@ -10,6 +10,7 @@ from fracsde.fields import (
     GaussianField,
     NotPositiveDefinite,
     _cholesky_guarded,
+    _projection_matrix,
     cov_fbm,
     cov_sheet,
     factor_covariance,
@@ -243,6 +244,14 @@ class TestVolterraRoute:
                 errs.append(np.max(np.abs(C @ C.T - R)))
             assert errs[0] < 0.02, alpha
             assert errs[1] < errs[0], alpha
+
+    def test_projection_matrix_cache_is_bounded(self):
+        spec = VolterraKernelSpec.calibrated(0.3)
+        C = volterra_projection_matrix(spec, build_grid(8, 1.0))
+        assert volterra_projection_matrix(spec, build_grid(8, 1.0)) is C
+        info = _projection_matrix.cache_info()
+        assert info.hits >= 1
+        assert info.maxsize is not None and info.maxsize > 0
 
     def test_volterra_path_reconstruction(self):
         spec = VolterraKernelSpec.calibrated(0.7)
