@@ -177,7 +177,7 @@ def sample_sheet_batch(
     Lt = _cholesky_guarded(beta, grid.t[1:])
     z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
     values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
-    values[:, 1:, 1:] = np.einsum("ij,rjk,lk->ril", Ls, z, Lt)
+    values[:, 1:, 1:] = Ls @ z @ Lt.T
     return values, z
 
 
@@ -259,5 +259,5 @@ def sample_sheet_volterra(
     Ct = volterra_projection_matrix(spec_t, build_grid(grid.n_t, grid.T))
     z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
     values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
-    values[:, 1:, 1:] = np.einsum("ij,rjk,lk->ril", Cs, z, Ct)
+    values[:, 1:, 1:] = Cs @ z @ Ct.T
     return values, z

@@ -10,10 +10,13 @@ from fracsde.cli import _parser, build_settings, main, parse_config_file
 from fracsde.experiments import (
     EmptyRegion,
     RunSettings,
+    _tilt_functionals,
     cmd_negativity,
     cmd_operator_check,
     cmd_simulate,
 )
+from fracsde.fields import factor_covariance
+from fracsde.model import RngStreamSpec
 
 # every command; the sampling ones span two replica chunks (4096 each)
 _SMALL_RUNS = [
@@ -269,8 +272,71 @@ class TestNegativitySetup:
         assert len(table[1]) == 9 * 9
         assert any(row[4] for row in table[1])  # some node sits in the window
 
+    def test_echoes_the_model_it_runs(self, tmp_path):
+        # the study runs at Hurst (1/2, 1/2) with drift -a whatever
+        # --alpha, --beta and --b say; the report must say what ran
+        base = ["negativity", "--T", "3", "--grid-n", "8", "--epsilon", "0.05",
+                "--samples", "200"]
+        reports = []
+        for tag, extra in (("plain", []), ("ignored", [
+            "--alpha", "0.7", "--beta", "0.2", "--b", "5",
+        ])):
+            out = tmp_path / tag
+            assert main(base + extra + ["--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        for report in reports:
+            params = report["parameters"]
+            assert (params["alpha"], params["beta"], params["b"]) == (0.5, 0.5, -1.0)
+        assert reports[0]["metrics"] == reports[1]["metrics"]
+
+
+class TestGirsanovFunctionals:
+    def test_gram_matches_full_field_oracle(self):
+        # the full-noise route the command no longer runs: the empirical
+        # covariance of (row_s' Z row_t, a' Z b) over whole fields Z
+        alpha, beta, n, T, R = 0.3, 0.7, 16, 1.3, 20_000
+        left, right, gram = _tilt_functionals(alpha, beta, n, T)
+        z = RngStreamSpec(20240820).generator().standard_normal((R, n, n))
+        pair = np.einsum("ki,rij,kj->rk", left, z, right)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            prod = pair[:, i] * pair[:, j]
+            se = prod.std(ddof=1) / math.sqrt(R)
+            assert abs(prod.mean() - gram[i, j]) <= 4.0 * se, (i, j)
+
+    @pytest.mark.parametrize("alpha, beta, n, T", [
+        (0.3, 0.3, 64, 1.0), (0.3, 0.7, 16, 1.3), (0.8, 0.15, 8, 0.6),
+    ])
+    def test_gram_closed_forms(self, alpha, beta, n, T):
+        # |row_s|^2 |row_t|^2 = T^(2 alpha + 2 beta); row_s . a = T per axis
+        _, _, gram = _tilt_functionals(alpha, beta, n, T)
+        assert gram[0, 0] == pytest.approx(T ** (2 * alpha + 2 * beta), rel=1e-12)
+        assert gram[0, 1] == pytest.approx(T * T, rel=1e-12)
+        assert gram[1, 0] == gram[0, 1]
+        np.linalg.cholesky(gram)  # strictly positive definite off Hurst 1/2
+
 
 class TestSimulateStatistics:
+    @pytest.mark.parametrize("samples", ["2", "3"])
+    def test_line_covariance_holds_at_tiny_sample_counts(self, samples, tmp_path):
+        code = main(["simulate", "--alpha", "0.3", "--grid-n", "8",
+                     "--samples", samples, "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        cov = report["metrics"][0]
+        assert cov["passed"] is True
+        assert cov["detail"]["critical_value"] > 5.0
+
+    def test_line_covariance_rejects_wrong_law(self, monkeypatch):
+        # sample at alpha + 0.1 while checking against the alpha covariance
+        monkeypatch.setattr(
+            "fracsde.experiments.factor_covariance",
+            lambda alpha, grid: factor_covariance(alpha + 0.1, grid),
+        )
+        report = cmd_simulate(RunSettings(alpha=0.3, grid_n=8, samples=5000))
+        cov = {m.name: m for m in report.metrics}["covariance_max_z"]
+        assert not cov.passed
+        assert cov.value > cov.detail["critical_value"]
+
     def test_line_covariance_metric_passes(self):
         report = cmd_simulate(RunSettings(alpha=0.5, grid_n=8, samples=20_000, seed=9))
         assert report.passed

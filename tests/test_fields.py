@@ -183,6 +183,17 @@ class TestSheetSampling:
             f.values[1:, 1:], Ls @ f.white_noise @ Lt.T, atol=1e-13
         )
 
+    def test_batch_matches_einsum_oracle(self):
+        # the production product (L_s Z) L_t' against the unfactored
+        # three-operand contraction, on the noise the sampler returns
+        g = build_grid2d(6, 9, 1.5)
+        values, z = sample_sheet_batch(0.3, 0.7, g, 50, RngStreamSpec(17))
+        Ls = _cholesky_guarded(0.3, g.s[1:])
+        Lt = _cholesky_guarded(0.7, g.t[1:])
+        oracle = np.einsum("ij,rjk,lk->ril", Ls, z, Lt)
+        np.testing.assert_allclose(values[:, 1:, 1:], oracle, rtol=0, atol=1e-13)
+        assert np.all(values[:, 0, :] == 0.0) and np.all(values[:, :, 0] == 0.0)
+
     def test_determinism_bit_identical(self):
         g = build_grid2d(4, 4, 1.0)
         a, _ = sample_sheet_batch(0.25, 0.75, g, 3, RngStreamSpec(12))
