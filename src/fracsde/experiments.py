@@ -542,28 +542,6 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
 # Change-of-measure unit-mean check
 # ----------------------------------------------------------------------------
 
-def _tilt_functionals(
-    alpha: float, beta: float, n: int, T: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, gram) of the two noise functionals girsanov-check reads.
-
-    Row k gives the bilinear form left[k]' Z right[k] of the n x n sheet
-    noise Z (V = L_s Z L_t'): row 0 is the far-corner value W_TT (last rows
-    of the factors), row 1 the tilt xi = a' Z b with L_s a = s, L_t b = t,
-    so that E[W_{s,t} xi] = s t at the nodes.  For iid standard normal Z,
-    Cov(u' Z v, u'' Z v'') = (u . u'')(v . v''): the pair is jointly
-    Gaussian with gram = (left left') * (right right') elementwise.
-    """
-    line = build_grid(n, T)
-    Ls = factor_covariance(alpha, line).lower_triangular
-    Lt = factor_covariance(beta, line).lower_triangular
-    avec = sla.solve_triangular(Ls, line.points[1:], lower=True)
-    bvec = sla.solve_triangular(Lt, line.points[1:], lower=True)
-    left = np.stack([Ls[-1, :], avec])
-    right = np.stack([Lt[-1, :], bvec])
-    return left, right, (left @ left.T) * (right @ right.T)
-
-
 def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     """Unit mean of the shift density and centering of the shifted field.
 
@@ -576,11 +554,9 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     at 1, and it is checked against that prediction.  Pass metrics ride on
     the grid form.
 
-    Each replica reads only the far-corner value W_TT and the tilt xi of
-    its n x n sheet noise (``_tilt_functionals``).  Their 2 x 2 Gram matrix
-    is factored once; each replica draws 2 standard normals and maps them
-    through that factor, which gives (W_TT, xi) exactly the joint law they
-    have as functionals of the full field.
+    Each replica draws its whole n x n sheet noise Z (V = L_s Z L_t') but
+    reads only two linear functionals of it: the far-corner value
+    W_TT = row_s' Z row_t and the tilt xi = a' Z b.
     """
     if settings.beta is None:
         raise ValueError("the change-of-measure check needs a sheet model")
@@ -592,17 +568,25 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
         raise ValueError("grid_n must be even and >= 2 for the refinement check")
     grid = build_grid2d(n, n, T)
 
-    _, _, gram = _tilt_functionals(alpha, beta, n, T)
-    gram_factor = np.linalg.cholesky(gram)
-    grid_norm_sq = float(gram[1, 1])
+    # tilting functional: xi = a' Z b reproduces E[W_{s,t} xi] = s t at nodes
+    line = build_grid(n, T)
+    Ls = factor_covariance(alpha, line).lower_triangular
+    Lt = factor_covariance(beta, line).lower_triangular
+    avec = sla.solve_triangular(Ls, line.points[1:], lower=True)
+    bvec = sla.solve_triangular(Lt, line.points[1:], lower=True)
+    grid_norm_sq = float(avec @ avec) * float(bvec @ bvec)
     quad_norm_sq = rkhs_norm_sq_separable(alpha, beta, T)
     coarse = kinv_norm_sq_discrete(alpha, beta, build_grid2d(n // 2, n // 2, T))
     fine = kinv_norm_sq_discrete(alpha, beta, grid)
     refine_change = abs(fine - coarse) / coarse
 
+    row_s, row_t = Ls[-1, :], Lt[-1, :]
+
     def work(idx: int, count: int):
         rng = RngStreamSpec(settings.seed, idx).generator()
-        w_tt, xi = gram_factor @ rng.standard_normal((2, count))
+        z = rng.standard_normal((count, n, n))
+        w_tt = row_s @ z @ row_t
+        xi = avec @ z @ bvec
         dens_grid = np.exp(xi / eps - grid_norm_sq / (2.0 * eps * eps))
         dens_quad = np.exp(w_tt / eps - quad_norm_sq / (2.0 * eps * eps))
         shifted = dens_grid * (w_tt - T * T / eps)

@@ -116,7 +116,8 @@ class CovarianceFactor:
 
 def _cholesky_guarded(alpha: float, t: np.ndarray) -> np.ndarray:
     # near-singular but formally positive matrices (very fine grids, alpha
-    # near 1) are rejected when a pivot collapses below 1e-13 in square
+    # near 1) are rejected when a pivot's square collapses below 1e-13 of
+    # its diagonal entry, so the guard does not depend on the scale of T
     R = fbm_covariance(alpha, t)
     try:
         L = np.linalg.cholesky(R)
@@ -124,7 +125,7 @@ def _cholesky_guarded(alpha: float, t: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(
             f"covariance not positive definite for alpha={alpha}, n={len(t)}"
         ) from exc
-    if np.any(np.diag(L) ** 2 < 1e-13):
+    if np.any(np.diag(L) ** 2 < 1e-13 * np.diag(R)):
         raise NotPositiveDefinite(
             f"covariance numerically rank-deficient for alpha={alpha}, n={len(t)}"
         )
