@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .fields import GaussianField, increment_transfer_matrix
@@ -443,33 +444,49 @@ def _sheet_orders_count(a: float, grid: Grid2D, dW: np.ndarray, N: int) -> np.nd
     return orders
 
 
+def _offset_matrix(k: np.ndarray, rows_s: int, rows_t: int) -> np.ndarray:
+    """Block-Toeplitz matrix ``M[(I, J), (i, j)] = k[I - i - d_s, J - j - d_t]``.
+
+    ``k`` is (n_s, n_t), the columns run over the n_s x n_t cells and the
+    rows over a rows_s x rows_t lattice; ``d_s = rows_s - n_s`` (likewise
+    ``d_t``) is the offset of ``k[0, 0]``, and offsets below it read zero.
+    The matrix is a window view of the flipped, zero-padded table.
+    """
+    ns, nt = k.shape
+    flipped = np.zeros((rows_s + ns - 1, rows_t + nt - 1))
+    flipped[:ns, :nt] = k[::-1, ::-1]
+    windows = sliding_window_view(flipped, (ns, nt))[::-1, ::-1]
+    return windows.reshape(rows_s * rows_t, ns * nt)
+
+
 def _sheet_orders_chain(
     a: float, b: float, grid: Grid2D, dW: np.ndarray, N: int
 ) -> np.ndarray:
-    """Drifted recursion over chains of cells, batched across replicas."""
+    """Drifted recursion over chains of cells, batched across replicas.
+
+    The cell-to-cell kernel ``P[c, c'] = h0(b Δs Δt)`` (c' strictly below c)
+    and the cell-to-node kernel ``Q[z, c]`` (node z above cell c) depend on a
+    uniform grid only through index offsets, so ``h0`` is evaluated once per
+    offset and both matrices are read out of the offset tables.
+    """
     ns, nt = grid.n_s, grid.n_t
     ncells = ns * nt
     if ncells > 4096:
         raise ValueError("chain recursion holds a cells x cells matrix; grid too large")
     R = dW.shape[0]
+    # cell (i, j) to cell (i', j'): offsets i - i', j - j' in [0, n)
+    kp = h0_array(np.multiply.outer(b * (np.arange(ns) * grid.ds), np.arange(nt) * grid.dt))
+    kp[0, 0] = 0.0
+    P = _offset_matrix(kp, ns, nt)
+    # cell (i, j) to node (I, J): offsets I - i, J - j in [1, n]
+    sq = (np.arange(1, ns + 1) - 0.5) * grid.ds
+    tq = (np.arange(1, nt + 1) - 0.5) * grid.dt
+    Q = _offset_matrix(h0_array(np.multiply.outer(b * sq, tq)), ns + 1, nt + 1)
     sc, tc = grid.cell_centers()
-    CS = np.repeat(sc, nt)
-    CT = np.tile(tc, ns)
-    DS = CS[:, None] - CS[None, :]
-    DT = CT[:, None] - CT[None, :]
-    below = (DS >= 0.0) & (DT >= 0.0)
-    np.fill_diagonal(below, False)
-    P = np.where(below, h0_array(b * DS * DT), 0.0)
-    ZS = np.repeat(grid.s, nt + 1)
-    ZT = np.tile(grid.t, ns + 1)
-    DSz = ZS[:, None] - CS[None, :]
-    DTz = ZT[:, None] - CT[None, :]
-    reach = (DSz >= 0.0) & (DTz >= 0.0)
-    Q = np.where(reach, h0_array(b * DSz * DTz), 0.0)
     w = dW.reshape(R, ncells)
     orders = np.zeros((N + 1, R, ns + 1, nt + 1))
     orders[0] = h0_array(b * np.multiply.outer(grid.s, grid.t))[None]
-    L = w * h0_array(b * CS * CT)[None]
+    L = w * h0_array(np.multiply.outer(b * sc, tc)).reshape(ncells)
     for n in range(1, N + 1):
         if n > 1:
             L = w * (L @ P.T)

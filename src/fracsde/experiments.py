@@ -657,7 +657,9 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     derivative-after-integral round trip, the slope of the gap integral,
     and agreement of the two inverse-operator regimes near 1/2.  The
     ``debug_corrupt_quadrature`` flag swaps in an ungraded quadrature for
-    the norm identity so harness sensitivity can be demonstrated.
+    the norm identity so harness sensitivity can be demonstrated.  Only
+    ``alpha``, ``T``, ``seed`` and that flag are read; the report echoes the
+    other model and sampling settings as null.
     """
     t0 = time.perf_counter()
     alpha, T = settings.alpha, settings.T
@@ -749,7 +751,11 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     )
 
     tables = {"operator_checks": _metric_table(metrics, ["check", "value", "passed"])}
-    return _report("operator-check", settings, t0, metrics, tables)
+    return _report(
+        "operator-check", settings, t0, metrics, tables,
+        samples=None, beta=None, a=None, b=None, grid_n=None, epsilon=None,
+        truncation=None,
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Chaos solvers: explicit kernels, Hermite sums, discrete multiple integrals,
 sheet recursions, Wick-corrected Euler, Picard fixed point, norm decay."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fracsde.chaos import (
     solve_sheet_chaos_batch,
     wick_euler_1d,
     wick_euler_paths,
+    _sheet_orders_chain,
     _sheet_orders_generic,
 )
 from fracsde.fields import GaussianField, factor_covariance, sample_fbm, sample_sheet, sample_sheet_batch
@@ -360,6 +362,33 @@ class TestSheetSolver:
         fast = solve_sheet_chaos_batch(p, g, noise, 2)
         slow = _sheet_orders_generic(p, g, noise, 2)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+    @pytest.mark.parametrize("n_s,n_t", [(4, 3), (3, 4)])
+    def test_chain_route_matches_generic_route_on_rectangular_grids(self, n_s, n_t):
+        # offsets along s and t have different ranges and spacings here, and
+        # T = 0.7 is not dyadic, so a swapped axis or offset cannot hide
+        g = build_grid2d(n_s, n_t, 0.7)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.1, b=-1.3, T=0.7)
+        rng = np.random.default_rng(8)
+        noise = rng.standard_normal((3, n_s, n_t))
+        fast = solve_sheet_chaos_batch(p, g, noise, 3)
+        slow = _sheet_orders_generic(p, g, noise, 3)
+        for n in range(4):
+            scale = np.max(np.abs(slow[n]))
+            assert np.max(np.abs(fast[n] - slow[n])) <= 1e-12 * scale
+
+    def test_chain_cell_guard_refuses_before_allocating(self):
+        # 65 x 64 cells: a cells x cells matrix would take 138 MB
+        g = build_grid2d(65, 64, 1.0)
+        dW = np.zeros((1, 65, 64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid too large"):
+                _sheet_orders_chain(1.0, -1.0, g, dW, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_count_route_matches_generic_route_driftless(self):
         g = build_grid2d(3, 3, 1.0)

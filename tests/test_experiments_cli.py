@@ -176,6 +176,21 @@ class TestReportShape:
         assert back["passed"] is True
         assert isinstance(back["tables"], list)
 
+    def test_operator_check_echoes_only_what_it_reads(self, tmp_path):
+        # the checks read alpha, T, seed and the debug flag; settings they
+        # ignore must neither change a metric nor be echoed as if used
+        reports = []
+        for tag, extra in (("plain", []), ("ignored", ["--samples", "50", "--a", "3"])):
+            out = tmp_path / tag
+            assert main(["operator-check", "--alpha", "0.25"] + extra + ["--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        for report in reports:
+            params = report["parameters"]
+            for key in ("samples", "beta", "a", "b", "grid_n", "epsilon", "truncation"):
+                assert params[key] is None, key
+            assert (params["alpha"], params["T"], params["threads"]) == (0.25, 1.0, 1)
+        assert reports[0]["metrics"] == reports[1]["metrics"]
+
     def test_verdict_lines_on_stdout(self, tmp_path, capsys):
         code = main([
             "operator-check", "--alpha", "0.3", "--out", str(tmp_path),
