@@ -23,6 +23,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.linalg.blas import dtrmm
 
 from .fields import GaussianField, increment_transfer_matrix
 from .model import Grid2D, HurstPair, ModelParams, TimeGrid, build_grid
@@ -51,6 +52,8 @@ __all__ = [
     "discrete_multiple_integral",
     "solve_sheet_chaos",
     "solve_sheet_chaos_batch",
+    "solve_sheet_chaos_total_batch",
+    "sheet_solver_route",
     "deterministic_sheet_solution",
     "picard_sheet",
     "sheet_kernel_form_gap",
@@ -58,6 +61,8 @@ __all__ = [
 
 # Tensor routes materialise cells**order entries; keep them in check.
 _MAX_TENSOR_ENTRIES = 2**18
+# The chain route holds two cells x cells kernels (268 MB at this size).
+_MAX_CHAIN_CELLS = 4096
 
 
 class OrderTooHigh(ValueError):
@@ -444,54 +449,121 @@ def _sheet_orders_count(a: float, grid: Grid2D, dW: np.ndarray, N: int) -> np.nd
     return orders
 
 
-def _offset_matrix(k: np.ndarray, rows_s: int, rows_t: int) -> np.ndarray:
-    """Block-Toeplitz matrix ``M[(I, J), (i, j)] = k[I - i - d_s, J - j - d_t]``.
+def _offset_matrix(k: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz matrix ``M[(I, J), (i, j)] = k[I - i, J - j]`` over the cells.
 
-    ``k`` is (n_s, n_t), the columns run over the n_s x n_t cells and the
-    rows over a rows_s x rows_t lattice; ``d_s = rows_s - n_s`` (likewise
-    ``d_t``) is the offset of ``k[0, 0]``, and offsets below it read zero.
-    The matrix is a window view of the flipped, zero-padded table.
+    ``k`` is (n_s, n_t); rows and columns run over the n_s x n_t cells in
+    row-major order, and negative offsets read zero, so ``M`` is lower
+    triangular.  It is a window view of the flipped, zero-padded table.
     """
     ns, nt = k.shape
-    flipped = np.zeros((rows_s + ns - 1, rows_t + nt - 1))
+    flipped = np.zeros((2 * ns - 1, 2 * nt - 1))
     flipped[:ns, :nt] = k[::-1, ::-1]
     windows = sliding_window_view(flipped, (ns, nt))[::-1, ::-1]
-    return windows.reshape(rows_s * rows_t, ns * nt)
+    return windows.reshape(ns * nt, ns * nt)
+
+
+def _chain_kernel(b: float, grid: Grid2D, shift: float) -> np.ndarray:
+    """``h0(b (di + shift) ds (dj + shift) dt)`` over cell offsets, as a matrix.
+
+    ``shift = 0`` gives the cell-to-cell kernel ``P`` with its diagonal
+    zeroed (a chain step moves strictly up); ``shift = 1/2`` gives the
+    cell-to-node kernel ``Qi``, whose row (I, J) is the interior node
+    (I + 1, J + 1), reached from the centres of the cells below it.
+    """
+    ds = (np.arange(grid.n_s) + shift) * grid.ds
+    dt = (np.arange(grid.n_t) + shift) * grid.dt
+    k = h0_array(np.multiply.outer(b * ds, dt))
+    if shift == 0.0:
+        k[0, 0] = 0.0
+    return _offset_matrix(k)
+
+
+def _apply_lower(K: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``X @ K.T`` for lower-triangular ``K``, in place when ``X`` is C-ordered.
+
+    BLAS trmm reads ``X.T`` (then F-ordered) as its right operand and
+    overwrites it; any other layout is silently copied by scipy first.
+    """
+    return dtrmm(1.0, K.T, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
+
+
+def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
+    """Yield ``a^n L_n`` for n = 1..N: chain weights per cell, in one buffer.
+
+    ``L_n[c]`` sums, over chains of n cells topped by c, the product of the
+    cells' increments ``dW = sqrt(cell area) noise`` and the drift factors
+    ``h0`` along the chain from the origin: ``L_n = dW (L_{n-1} P^T)``.
+    The buffer is updated in place, so a caller reads each level before
+    asking for the next.
+    """
+    if N == 0:
+        return
+    R = noise.shape[0]
+    w = noise.reshape(R, grid.n_s * grid.n_t)
+    scale = a * math.sqrt(grid.cell_area)
+    sc, tc = grid.cell_centers()
+    L = w * h0_array(np.multiply.outer(b * sc, tc)).reshape(-1)
+    L *= scale
+    yield L
+    if N > 1:
+        P = _chain_kernel(b, grid, 0.0)
+        for _ in range(2, N + 1):
+            L = _apply_lower(P, L)
+            L *= w
+            L *= scale
+            yield L
 
 
 def _sheet_orders_chain(
-    a: float, b: float, grid: Grid2D, dW: np.ndarray, N: int
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int
 ) -> np.ndarray:
     """Drifted recursion over chains of cells, batched across replicas.
 
-    The cell-to-cell kernel ``P[c, c'] = h0(b Δs Δt)`` (c' strictly below c)
-    and the cell-to-node kernel ``Q[z, c]`` (node z above cell c) depend on a
-    uniform grid only through index offsets, so ``h0`` is evaluated once per
-    offset and both matrices are read out of the offset tables.
+    Order n at interior node z is ``sum_c Qi[z, c] a^n L_n[c]``, where
+    ``P[c, c'] = h0(b Δs Δt)`` carries a chain from cell c' to cell c and
+    ``Qi[z, c]`` from the centre of cell c to node z.  On a uniform grid
+    both depend only on index offsets, so ``h0`` is evaluated once per
+    offset.  In row-major cell order ``P`` is strictly lower triangular
+    (c' lies strictly below c) and ``Qi`` lower triangular, so BLAS trmm
+    applies both in place at half the flops of a dense product.  Nodes on
+    the axes s = 0 or t = 0 have no cell below them and keep order 0 only,
+    so just the n_s x n_t interior nodes are read out.  The readout is
+    linear: a sum over orders needs one readout of ``sum_n a^n L_n``
+    (``_sheet_total_chain``).
     """
-    ns, nt = grid.n_s, grid.n_t
-    ncells = ns * nt
-    if ncells > 4096:
-        raise ValueError("chain recursion holds a cells x cells matrix; grid too large")
-    R = dW.shape[0]
-    # cell (i, j) to cell (i', j'): offsets i - i', j - j' in [0, n)
-    kp = h0_array(np.multiply.outer(b * (np.arange(ns) * grid.ds), np.arange(nt) * grid.dt))
-    kp[0, 0] = 0.0
-    P = _offset_matrix(kp, ns, nt)
-    # cell (i, j) to node (I, J): offsets I - i, J - j in [1, n]
-    sq = (np.arange(1, ns + 1) - 0.5) * grid.ds
-    tq = (np.arange(1, nt + 1) - 0.5) * grid.dt
-    Q = _offset_matrix(h0_array(np.multiply.outer(b * sq, tq)), ns + 1, nt + 1)
-    sc, tc = grid.cell_centers()
-    w = dW.reshape(R, ncells)
-    orders = np.zeros((N + 1, R, ns + 1, nt + 1))
+    R = noise.shape[0]
+    orders = np.zeros((N + 1, R, grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(b * np.multiply.outer(grid.s, grid.t))[None]
-    L = w * h0_array(np.multiply.outer(b * sc, tc)).reshape(ncells)
-    for n in range(1, N + 1):
-        if n > 1:
-            L = w * (L @ P.T)
-        orders[n] = (a**n * (L @ Q.T)).reshape(R, ns + 1, nt + 1)
+    if N == 0:
+        return orders
+    Qi = _chain_kernel(b, grid, 0.5)
+    Y = np.empty((R, grid.n_s * grid.n_t))
+    for n, level in enumerate(_chain_levels(a, b, grid, noise, N), start=1):
+        np.copyto(Y, level)
+        Y = _apply_lower(Qi, Y)
+        orders[n][:, 1:, 1:] = Y.reshape(R, grid.n_s, grid.n_t)
     return orders
+
+
+def _sheet_total_chain(
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int
+) -> np.ndarray:
+    """Sum over orders 0..N of ``_sheet_orders_chain``, read out once.
+
+    The recursion, and ``P`` with it, is done before ``Qi`` and the
+    surface are built, so at most two replica-sized arrays are live.
+    """
+    R = noise.shape[0]
+    S = np.zeros((R, grid.n_s * grid.n_t))
+    for level in _chain_levels(a, b, grid, noise, N):
+        S += level
+        del level  # so the recursion's buffer is freed before Qi is built
+    S = _apply_lower(_chain_kernel(b, grid, 0.5), S)
+    total = np.empty((R, grid.n_s + 1, grid.n_t + 1))
+    total[:] = h0_array(b * np.multiply.outer(grid.s, grid.t))
+    total[:, 1:, 1:] += S.reshape(R, grid.n_s, grid.n_t)
+    return total
 
 
 def _sheet_orders_generic(
@@ -516,6 +588,36 @@ def _sheet_orders_generic(
     return orders
 
 
+def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
+    """Validate a sheet solve and name its route, before any noise is drawn.
+
+    "count" (Hurst (1/2, 1/2) without drift), "chain" (Hurst (1/2, 1/2)
+    with drift) or "generic" (the tensor route).  Raises what the solvers
+    raise, including the chain route's refusal of grids above 4096 cells,
+    whose cells x cells kernels would not fit in memory.
+    """
+    if not p.hurst.is_sheet:
+        raise ValueError("sheet solver needs a Hurst pair with beta")
+    if N > 4:
+        raise OrderTooHigh(f"order {N} > 4 not supported")
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    if p.hurst.alpha != 0.5 or p.hurst.beta != 0.5:
+        return "generic"
+    if p.b == 0.0:
+        return "count"
+    if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
+        raise ValueError("chain recursion holds cells x cells matrices; grid too large")
+    return "chain"
+
+
+def _sheet_route(p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int) -> str:
+    route = sheet_solver_route(p, grid, N)
+    if noise.ndim != 3 or noise.shape[1:] != (grid.n_s, grid.n_t):
+        raise ValueError("noise must have shape (replicas, n_s, n_t)")
+    return route
+
+
 def solve_sheet_chaos_batch(
     p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
 ) -> np.ndarray:
@@ -525,20 +627,25 @@ def solve_sheet_chaos_batch(
     cells coincide with the sheet increments and the kernel recursions
     apply at any grid size; other regimes fall back to the tensor route.
     """
-    if not p.hurst.is_sheet:
-        raise ValueError("sheet solver needs a Hurst pair with beta")
-    if N > 4:
-        raise OrderTooHigh(f"order {N} > 4 not supported")
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
-    if noise.ndim != 3 or noise.shape[1:] != (grid.n_s, grid.n_t):
-        raise ValueError("noise must have shape (replicas, n_s, n_t)")
-    if p.hurst.alpha == 0.5 and p.hurst.beta == 0.5:
-        dW = math.sqrt(grid.cell_area) * noise
-        if p.b == 0.0:
-            return _sheet_orders_count(p.a, grid, dW, N)
-        return _sheet_orders_chain(p.a, p.b, grid, dW, N)
+    route = _sheet_route(p, grid, noise, N)
+    if route == "chain":
+        return _sheet_orders_chain(p.a, p.b, grid, noise, N)
+    if route == "count":
+        return _sheet_orders_count(p.a, grid, math.sqrt(grid.cell_area) * noise, N)
     return _sheet_orders_generic(p, grid, noise, N)
+
+
+def solve_sheet_chaos_total_batch(
+    p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
+) -> np.ndarray:
+    """Truncated sheet solution, orders 0..N summed: (R, n_s+1, n_t+1).
+
+    The chain route sums the chain weights over orders and reads the sum
+    out once; the other routes sum ``solve_sheet_chaos_batch``'s orders.
+    """
+    if _sheet_route(p, grid, noise, N) == "chain":
+        return _sheet_total_chain(p.a, p.b, grid, noise, N)
+    return solve_sheet_chaos_batch(p, grid, noise, N).sum(axis=0)
 
 
 def solve_sheet_chaos(

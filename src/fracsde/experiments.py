@@ -30,7 +30,8 @@ from .chaos import (
     chaos_sum_1d,
     deterministic_sheet_solution,
     exact_solution_1d,
-    solve_sheet_chaos_batch,
+    sheet_solver_route,
+    solve_sheet_chaos_total_batch,
     wick_euler_paths,
 )
 from .fields import (
@@ -471,12 +472,12 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     limit = deterministic_sheet_solution(-a, grid.s[:, None], grid.t[None, :])
     margin = float((-NEGATIVITY_DELTA - limit[mask]).min())
     p = ModelParams(HurstPair(0.5, 0.5), a * settings.epsilon, -a, T)
+    sheet_solver_route(p, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
         rng = RngStreamSpec(settings.seed, idx).generator()
         noise = rng.standard_normal((count, grid.n_s, grid.n_t))
-        orders = solve_sheet_chaos_batch(p, grid, noise, N)
-        total = orders.sum(axis=0)
+        total = solve_sheet_chaos_total_batch(p, grid, noise, N)
         all_neg = int(np.all(total[:, mask] < 0.0, axis=1).sum())
         return count, all_neg, total.sum(axis=0)
 

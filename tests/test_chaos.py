@@ -22,11 +22,12 @@ from fracsde.chaos import (
     picard_sheet,
     pushed_kernel_tensor,
     sheet_kernel_form_gap,
+    sheet_solver_route,
     solve_sheet_chaos,
     solve_sheet_chaos_batch,
+    solve_sheet_chaos_total_batch,
     wick_euler_1d,
     wick_euler_paths,
-    _sheet_orders_chain,
     _sheet_orders_generic,
 )
 from fracsde.fields import GaussianField, factor_covariance, sample_fbm, sample_sheet, sample_sheet_batch
@@ -328,6 +329,28 @@ class TestDiscreteMultipleIntegrals:
             pushed_kernel_tensor(lambda c: 1.0, 3, g, HurstPair(0.5, 0.5))
 
 
+def _dense_chain_orders(a, b, grid, noise, N):
+    """Chain recursion with dense kernels built pair by pair from cell centres."""
+    R = noise.shape[0]
+    sc, tc = grid.cell_centers()
+    cs, ct = (x.ravel() for x in np.meshgrid(sc, tc, indexing="ij"))
+    zs, zt = (x.ravel() for x in np.meshgrid(grid.s, grid.t, indexing="ij"))
+    DS, DT = cs[:, None] - cs[None, :], ct[:, None] - ct[None, :]
+    below = (DS >= 0.0) & (DT >= 0.0) & ~np.eye(cs.size, dtype=bool)
+    P = np.where(below, h0_array(b * DS * DT), 0.0)
+    DSz, DTz = zs[:, None] - cs[None, :], zt[:, None] - ct[None, :]
+    Q = np.where((DSz > 0.0) & (DTz > 0.0), h0_array(b * DSz * DTz), 0.0)
+    w = math.sqrt(grid.cell_area) * noise.reshape(R, -1)
+    orders = np.empty((N + 1, R, grid.n_s + 1, grid.n_t + 1))
+    orders[0] = h0_array(b * np.multiply.outer(grid.s, grid.t))
+    L = w * h0_array(b * cs * ct)
+    for n in range(1, N + 1):
+        if n > 1:
+            L = w * (L @ P.T)
+        orders[n] = (a**n * (L @ Q.T)).reshape(R, grid.n_s + 1, grid.n_t + 1)
+    return orders
+
+
 class TestSheetSolver:
     def test_order_zero_is_deterministic_profile(self):
         g = build_grid2d(6, 5, 1.0)
@@ -378,17 +401,69 @@ class TestSheetSolver:
             assert np.max(np.abs(fast[n] - slow[n])) <= 1e-12 * scale
 
     def test_chain_cell_guard_refuses_before_allocating(self):
-        # 65 x 64 cells: a cells x cells matrix would take 138 MB
+        # 65 x 64 cells: one cells x cells kernel would take 138 MB
         g = build_grid2d(65, 64, 1.0)
-        dW = np.zeros((1, 65, 64))
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=-1.0, T=1.0)
+        noise = np.zeros((1, 65, 64))
+        for solve in (solve_sheet_chaos_batch, solve_sheet_chaos_total_batch):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="grid too large"):
+                    solve(p, g, noise, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        with pytest.raises(ValueError, match="grid too large"):
+            sheet_solver_route(p, g, 3)
+
+    @pytest.mark.parametrize("n_s,n_t,T", [(16, 16, 3.0), (4, 3, 0.7), (3, 4, 0.7)])
+    @pytest.mark.parametrize("b", [-1.0, -1.3])
+    def test_chain_route_matches_dense_oracle(self, n_s, n_t, T, b):
+        g = build_grid2d(n_s, n_t, T)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.1, b=b, T=T)
+        noise = np.random.default_rng(9).standard_normal((5, n_s, n_t))
+        dense = _dense_chain_orders(p.a, b, g, noise, 4)
+        for N in range(5):
+            orders = solve_sheet_chaos_batch(p, g, noise, N)
+            assert orders.shape == (N + 1, 5, n_s + 1, n_t + 1)
+            for n in range(N + 1):
+                scale = np.max(np.abs(dense[n]))
+                assert np.max(np.abs(orders[n] - dense[n])) <= 1e-12 * scale
+            total = solve_sheet_chaos_total_batch(p, g, noise, N)
+            ref = dense[: N + 1].sum(axis=0)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(total - ref)) <= 1e-12 * scale
+            summed = orders.sum(axis=0)
+            assert np.max(np.abs(total - summed)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha,beta,b", [(0.5, 0.5, 0.0), (0.3, 0.7, 0.4)])
+    def test_total_is_the_sum_of_orders_off_the_chain_route(self, alpha, beta, b):
+        g = build_grid2d(3, 2, 1.0)
+        p = ModelParams(HurstPair(alpha, beta), a=0.9, b=b, T=1.0)
+        noise = np.random.default_rng(10).standard_normal((4, 3, 2))
+        for N in range(4):
+            total = solve_sheet_chaos_total_batch(p, g, noise, N)
+            orders = solve_sheet_chaos_batch(p, g, noise, N)
+            np.testing.assert_array_equal(total, orders.sum(axis=0))
+
+    def test_summed_chain_route_holds_two_replica_arrays(self):
+        # the chain weights and their running sum, then the sum and the
+        # surface, plus the two cells x cells kernels; stacking the orders
+        # (4 replica arrays) or a copied trmm operand breaks the bound
+        R, n = 4000, 16
+        g = build_grid2d(n, n, 3.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=0.05, b=-1.0, T=3.0)
+        noise = np.random.default_rng(11).standard_normal((R, n, n))
+        cells, nodes = n * n, (n + 1) * (n + 1)
+        bound = 8 * (2 * R * nodes + 2 * cells * cells)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="grid too large"):
-                _sheet_orders_chain(1.0, -1.0, g, dW, 3)
+            solve_sheet_chaos_total_batch(p, g, noise, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak <= bound
 
     def test_count_route_matches_generic_route_driftless(self):
         g = build_grid2d(3, 3, 1.0)

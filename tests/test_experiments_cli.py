@@ -2,9 +2,15 @@
 exit-code protocol, report structure."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fracsde
 
 from fracsde.cli import _parser, build_settings, main, parse_config_file
 from fracsde.experiments import (
@@ -15,6 +21,7 @@ from fracsde.experiments import (
     cmd_simulate,
 )
 from fracsde.fields import factor_covariance
+from fracsde.model import RngStreamSpec
 
 # every command; the sampling ones span two replica chunks (4096 each)
 _SMALL_RUNS = [
@@ -312,6 +319,42 @@ class TestNegativitySetup:
             params = report["parameters"]
             assert (params["alpha"], params["beta"], params["b"]) == (0.5, 0.5, -1.0)
         assert reports[0]["metrics"] == reports[1]["metrics"]
+
+    def test_oversized_grid_is_refused_before_drawing(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # 65 x 65 cells is past the chain route's 4096-cell guard; at 20000
+        # samples a late refusal would first draw two 138 MB noise chunks
+        drawn = []
+        make = RngStreamSpec.generator
+        monkeypatch.setattr(RngStreamSpec, "generator",
+                            lambda spec: drawn.append(spec) or make(spec))
+        code = main([
+            "negativity", "--T", "3", "--grid-n", "65", "--epsilon", "0.05",
+            "--samples", "20000", "--threads", "2", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "grid too large" in capsys.readouterr().err
+        assert drawn == []
+
+    def test_battery_run_does_not_depend_on_blas_threads(self, tmp_path):
+        # the battery's negativity command in fresh interpreters: the
+        # triangular BLAS products must not split their sums by thread
+        src = Path(fracsde.__file__).resolve().parents[1]
+        argv = ["negativity", "--T", "3", "--grid-n", "16", "--epsilon", "0.05",
+                "--samples", "2000", "--seed", "20240801"]
+        outs = []
+        for blas, threads in (("1", "1"), ("2", "1"), ("1", "2")):
+            out = tmp_path / f"blas{blas}_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           str(src), os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "fracsde", *argv, "--threads", threads,
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outs.append((out / "negativity_surface.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestSimulateStatistics:
