@@ -427,25 +427,23 @@ def _sheet_orders_count(a: float, grid: Grid2D, dW: np.ndarray, N: int) -> np.nd
     """Driftless recursion: elementary symmetric functions via prefix sums.
 
     Order n at a node sums, over top cells c below the node, the increment
-    at c times e_{n-1} of the increments strictly dominated by c.
+    at c times e_{n-1} of the increments strictly dominated by c.  e_k comes
+    from the power sums p_1..p_k of those increments by Newton's identities,
+    k e_k = sum_i (-1)^(i-1) e_{k-i} p_i.
     """
     R = dW.shape[0]
     orders = np.zeros((N + 1, R, grid.n_s + 1, grid.n_t + 1))
     orders[0] = 1.0
-    if N == 0:
-        return orders
-    p1 = _prefix2d(dW) - dW
-    p2 = _prefix2d(dW**2) - dW**2
-    p3 = _prefix2d(dW**3) - dW**3
-    esym = {
-        0: np.ones_like(dW),
-        1: p1,
-        2: (p1**2 - p2) / 2.0,
-        3: (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0,
-    }
+    esym, power = [np.ones_like(dW)], []
     for n in range(1, N + 1):
-        G = _prefix2d(dW * esym[n - 1])
-        orders[n][:, 1:, 1:] = a**n * G
+        orders[n][:, 1:, 1:] = a**n * _prefix2d(dW * esym[n - 1])
+        if n < N:
+            dWn = dW**n
+            power.append(_prefix2d(dWn) - dWn)
+            signed = (
+                (-1) ** (i - 1) * esym[n - i] * power[i - 1] for i in range(1, n + 1)
+            )
+            esym.append(sum(signed) / n)
     return orders
 
 

@@ -8,17 +8,17 @@ identity, the fractional-operator identities, and plain field sampling
 with covariance validation.
 
 Runs are reproducible from (settings, seed): replicas are drawn in fixed
-chunks keyed by (seed, chunk index), partial results are combined in chunk
-order with compensated sums, and thread counts change wall-clock only.
-Every metric in a report carries its declared tolerance and the seed it
-was computed under; an experiment passes iff all its metrics pass.
+chunks keyed by (seed, chunk index), per-chunk moments are merged in chunk
+order by the Chan-Golub-LeVeque update, and thread counts change
+wall-clock only.  Every metric in a report carries its declared tolerance
+and the run's seed; an experiment passes iff all its metrics pass.
 """
 from __future__ import annotations
 
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +48,8 @@ from .model import (
     RngStreamSpec,
     build_grid,
     build_grid2d,
+    chunk_moments,
+    combine_moments,
 )
 from .operators import (
     GridFunction2D,
@@ -136,13 +138,16 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class MetricResult:
-    """One named check: value, declared tolerance, verdict, provenance."""
+    """One named check: value, declared tolerance, verdict, provenance.
+
+    ``seed`` is left unset by the runners; the report stamps the run's seed.
+    """
 
     name: str
     value: float
     tolerance: str
     passed: bool
-    seed: int
+    seed: int | None = None
     std_error: float | None = None
     target: float | None = None
     detail: dict = field(default_factory=dict)
@@ -200,13 +205,8 @@ class ExperimentReport:
 
 def _chunk_layout(total: int) -> list[tuple[int, int]]:
     """(chunk_index, replica_count) pairs covering ``total`` replicas."""
-    out = []
-    start = 0
-    while start < total:
-        count = min(_CHUNK_REPLICAS, total - start)
-        out.append((len(out), count))
-        start += count
-    return out
+    starts = range(0, total, _CHUNK_REPLICAS)
+    return [(i, min(_CHUNK_REPLICAS, total - start)) for i, start in enumerate(starts)]
 
 
 def _map_chunks(work: Callable, total: int, threads: int) -> list:
@@ -215,37 +215,13 @@ def _map_chunks(work: Callable, total: int, threads: int) -> list:
     Results come back in chunk order whatever the completion order, so any
     downstream reduction is deterministic in the thread count.
     """
+    # perfbench/tracer.py replaces this function by name wherever it is
+    # referenced and calls it as (work, total, threads); keep both.
     chunks = _chunk_layout(total)
     if threads <= 1:
         return [work(i, c) for i, c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda ic: work(ic[0], ic[1]), chunks))
-
-
-def _combine_moments(partials: Sequence[tuple], seed: int) -> MonteCarloResult:
-    """Fold per-chunk (count, mean, M2) triples into one estimate.
-
-    The pairwise update of Chan, Golub & LeVeque (1979) runs in chunk
-    order, so the result does not depend on the thread count, and the
-    spread never passes through the cancelling ``sum x^2 - n mean^2``.
-    """
-    n, mean, m2 = partials[0]
-    for nb, mean_b, m2_b in partials[1:]:
-        total = n + nb
-        delta = mean_b - mean
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n * nb / total
-        n = total
-    se = math.sqrt(m2 / (n - 1) / n)
-    lo, hi = mean - 1.96 * se, mean + 1.96 * se
-    return MonteCarloResult(mean, se, n, (lo, hi), seed)
-
-
-def _moments(samples: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations) of one chunk's samples."""
-    flat = np.asarray(samples, dtype=float).reshape(-1)
-    mean = flat.mean()
-    return flat.size, float(mean), float(np.square(flat - mean).sum())
 
 
 def _within_4se(
@@ -260,11 +236,43 @@ def _within_4se(
         value=result.estimate,
         tolerance=f"within 4 standard errors of {of}",
         passed=passed,
-        seed=result.seed,
         std_error=result.std_error,
         target=float(target),
         detail=detail,
     )
+
+
+def _below(
+    name: str, value: float, limit: str, note: str = "", **detail
+) -> MetricResult:
+    """Pass iff ``value < limit``.
+
+    ``limit`` is text so that the tolerance prints it as written: "1e-8",
+    where ``f"{1e-8:g}"`` would give "1e-08".
+    """
+    tolerance = f"< {limit} {note}" if note else f"< {limit}"
+    return MetricResult(
+        name=name, value=value, tolerance=tolerance, passed=value < float(limit),
+        detail=detail,
+    )
+
+
+def _reported(name: str, value: float, what: str, **detail) -> MetricResult:
+    """A diagnostic that is reported only and always passes."""
+    return MetricResult(
+        name=name, value=value, tolerance=f"reported only ({what})", passed=True,
+        detail=detail,
+    )
+
+
+def _node_table(grid: Grid2D, names: list[str], *values: np.ndarray):
+    """One (s, t, *values) row per node of ``grid``, s-major."""
+    rows = [
+        (s, t, *(v[i, j].item() for v in values))
+        for i, s in enumerate(grid.s.tolist())
+        for j, t in enumerate(grid.t.tolist())
+    ]
+    return ["s", "t", *names], rows
 
 
 def _metric_table(metrics: Sequence[MetricResult], header: list[str]):
@@ -275,11 +283,12 @@ def _metric_table(metrics: Sequence[MetricResult], header: list[str]):
 def _report(
     experiment: str, settings: RunSettings, t0: float, metrics, tables, **echo
 ) -> ExperimentReport:
-    """Stamp the wall time since ``t0`` and echo the settings with overrides."""
+    """Stamp the run's seed on every metric and the wall time since ``t0``;
+    echo the settings with overrides."""
     return ExperimentReport(
         experiment=experiment,
         parameters={**asdict(settings), **echo},
-        metrics=tuple(metrics),
+        metrics=tuple(replace(m, seed=settings.seed) for m in metrics),
         wall_seconds=time.perf_counter() - t0,
         tables=tables,
     )
@@ -309,22 +318,15 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
         chaos = chaos_sum_1d(p.a, p.b, settings.alpha, grid.points, values, N).total
         exact = exact_solution_1d(p.a, p.b, settings.alpha, grid.points, values)
         sup = float(np.max(np.abs(chaos - exact)))
-        return sup, _moments(exact[:, -1])
+        return sup, chunk_moments(exact[:, -1])
 
     parts = _map_chunks(work, settings.samples, settings.threads)
     sup_err = max(p_[0] for p_ in parts)
-    mean_T = _combine_moments([p_[1] for p_ in parts], settings.seed)
+    mean_T = combine_moments([p_[1] for p_ in parts], settings.seed)
     target = math.exp(p.b * p.T)
 
     metrics = (
-        MetricResult(
-            name="sup_node_error",
-            value=sup_err,
-            tolerance="< 1e-8",
-            passed=sup_err < 1e-8,
-            seed=settings.seed,
-            detail={"truncation": N, "paths": settings.samples},
-        ),
+        _below("sup_node_error", sup_err, "1e-8", truncation=N, paths=settings.samples),
         _within_4se("terminal_mean", mean_T, target, "exp(b T)"),
     )
     tables = {
@@ -374,12 +376,12 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
             for n in _EULER_STEPS:
                 sub = values[:, :: n_fine // n]
                 x_hat = wick_euler_paths(p, build_grid(n, T), sub)[:, -1]
-                out.append(_moments((x_hat - limit) ** 2))
+                out.append(chunk_moments((x_hat - limit) ** 2))
             return out
 
         parts = _map_chunks(work, settings.samples, settings.threads)
         errors[alpha] = {
-            n: _combine_moments([part[j] for part in parts], settings.seed)
+            n: combine_moments([part[j] for part in parts], settings.seed)
             for j, n in enumerate(_EULER_STEPS)
         }
 
@@ -405,7 +407,6 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
                 value=finest.estimate,
                 tolerance=tol,
                 passed=passed,
-                seed=settings.seed,
                 std_error=finest.std_error,
                 detail={"verdict": verdict, "err_coarse": coarse.estimate},
             )
@@ -496,7 +497,6 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
             value=margin,
             tolerance="limit surface below -delta on every window node",
             passed=margin >= 0.0,
-            seed=settings.seed,
             detail={"delta": NEGATIVITY_DELTA, "window_nodes": int(mask.sum())},
         ),
         MetricResult(
@@ -504,7 +504,6 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
             value=lcb,
             tolerance="95% lower confidence bound > 0",
             passed=lcb > 0.0,
-            seed=settings.seed,
             detail={"p_hat": p_hat, "successes": k, "replicas": n},
         ),
         MetricResult(
@@ -512,25 +511,16 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
             value=p_hat,
             tolerance=">= 0.5 (calibrated regression floor at epsilon = 0.05)",
             passed=p_hat >= 0.5,
-            seed=settings.seed,
         ),
-        MetricResult(
-            name="mean_surface_gap",
-            value=mean_gap,
-            tolerance="reported only (epsilon -> 0 diagnostic)",
-            passed=True,
-            seed=settings.seed,
-            detail={"truncation_tail_share": tail},
+        _reported(
+            "mean_surface_gap", mean_gap, "epsilon -> 0 diagnostic",
+            truncation_tail_share=tail,
         ),
     )
-    rows = [
-        (float(grid.s[i]), float(grid.t[j]), float(mean_surface[i, j]),
-         float(limit[i, j]), bool(mask[i, j]))
-        for i in range(grid.n_s + 1)
-        for j in range(grid.n_t + 1)
-    ]
     tables = {
-        "negativity_surface": (["s", "t", "mean", "limit", "in_window"], rows)
+        "negativity_surface": _node_table(
+            grid, ["mean", "limit", "in_window"], mean_surface, limit, mask
+        )
     }
     # echo the model that ran, not the --alpha, --beta and --b it ignores
     return _report(
@@ -592,16 +582,16 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
         dens_quad = np.exp(w_tt / eps - quad_norm_sq / (2.0 * eps * eps))
         shifted = dens_grid * (w_tt - T * T / eps)
         return (
-            _moments(dens_grid),
-            _moments(dens_quad),
-            _moments(shifted),
+            chunk_moments(dens_grid),
+            chunk_moments(dens_quad),
+            chunk_moments(shifted),
             float(np.square(dens_grid).sum()),
         )
 
     parts = _map_chunks(work, settings.samples, settings.threads)
-    mean_grid = _combine_moments([p_[0] for p_ in parts], settings.seed)
-    mean_quad = _combine_moments([p_[1] for p_ in parts], settings.seed)
-    mean_shift = _combine_moments([p_[2] for p_ in parts], settings.seed)
+    mean_grid = combine_moments([p_[0] for p_ in parts], settings.seed)
+    mean_quad = combine_moments([p_[1] for p_ in parts], settings.seed)
+    mean_shift = combine_moments([p_[2] for p_ in parts], settings.seed)
     sum_d = mean_grid.estimate * settings.samples
     sum_d2 = math.fsum(p_[3] for p_ in parts)
     ess = sum_d * sum_d / sum_d2 if sum_d2 > 0 else 0.0
@@ -622,15 +612,11 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
             value=refine_change,
             tolerance="relative change < 5% under 2x refinement",
             passed=refine_change < 0.05,
-            seed=settings.seed,
             detail={"coarse": coarse, "fine": fine},
         ),
-        MetricResult(
-            name="effective_sample_share",
-            value=ess / settings.samples,
-            tolerance="reported only (importance-sampling variance monitor)",
-            passed=True,
-            seed=settings.seed,
+        _reported(
+            "effective_sample_share", ess / settings.samples,
+            "importance-sampling variance monitor",
         ),
     )
     tables = {
@@ -675,13 +661,9 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
         abs(norm_fn(alpha, t) - t ** (2.0 * alpha)) for t in (0.5 * T, T)
     )
     metrics.append(
-        MetricResult(
-            name="indicator_norm_identity",
-            value=norm_err,
-            tolerance="< 1e-4",
-            passed=norm_err < 1e-4,
-            seed=settings.seed,
-            detail={"corrupted": settings.debug_corrupt_quadrature},
+        _below(
+            "indicator_norm_identity", norm_err, "1e-4",
+            corrupted=settings.debug_corrupt_quadrature,
         )
     )
 
@@ -696,13 +678,9 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
         np.max(np.abs(roundtrip.samples[1:, 1:] - (1.0 + uv)[1:, 1:]))
     )
     metrics.append(
-        MetricResult(
-            name="derivative_integral_roundtrip",
-            value=err_rt,
-            tolerance="< 1e-4 at interior nodes",
-            passed=err_rt < 1e-4,
-            seed=settings.seed,
-            detail={"orders": gg},
+        _below(
+            "derivative_integral_roundtrip", err_rt, "1e-4", "at interior nodes",
+            orders=gg,
         )
     )
 
@@ -710,13 +688,7 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     xy = frac_integral_2d(one, 1.0, 1.0)
     err_xy = float(np.max(np.abs(xy.samples - uv)))
     metrics.append(
-        MetricResult(
-            name="unit_orders_integral",
-            value=err_xy,
-            tolerance="< 1e-12 (exact product rule)",
-            passed=err_xy < 1e-12,
-            seed=settings.seed,
-        )
+        _below("unit_orders_integral", err_xy, "1e-12", "(exact product rule)")
     )
 
     if abs(alpha - 0.5) > 1e-12:
@@ -731,24 +703,16 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
                 value=slope,
                 tolerance="within 0.02 of 1 - 2 alpha",
                 passed=abs(slope - target) < 0.02,
-                seed=settings.seed,
                 target=target,
             )
         )
 
-    g16 = build_grid2d(16, 16, 1.0)
-    lo = kinv_apply_F(0.45, 0.45, g16).samples
-    hi = kinv_apply_F(0.55, 0.55, g16).samples
+    lo = kinv_apply_F(0.45, 0.45, g).samples
+    hi = kinv_apply_F(0.55, 0.55, g).samples
     sel = [8, 10]  # nodes 0.5, 0.625: where both regime branches are flat
     gap = float(max(abs(lo[i, j] - hi[i, j]) for i in sel for j in sel))
     metrics.append(
-        MetricResult(
-            name="regime_limit_consistency",
-            value=gap,
-            tolerance="< 0.05 at central nodes (0.45 vs 0.55)",
-            passed=gap < 0.05,
-            seed=settings.seed,
-        )
+        _below("regime_limit_consistency", gap, "0.05", "at central nodes (0.45 vs 0.55)")
     )
 
     tables = {"operator_checks": _metric_table(metrics, ["check", "value", "passed"])}
@@ -810,7 +774,6 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
             tolerance="all node pairs within the t(n-1) critical value "
             "of a 5-standard-error two-sided tail",
             passed=max_z < critical,
-            seed=settings.seed,
             detail={"replicas": n, "critical_value": critical},
         ),
     )
@@ -850,14 +813,14 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
         )
         first = values[0] if idx == 0 else None
         return (
-            _moments(corner**2),
-            _moments(inc_a * inc_b),
+            chunk_moments(corner**2),
+            chunk_moments(inc_a * inc_b),
             first,
         )
 
     parts = _map_chunks(work, settings.samples, settings.threads)
-    var_corner = _combine_moments([p_[0] for p_ in parts], settings.seed)
-    decorr = _combine_moments([p_[1] for p_ in parts], settings.seed)
+    var_corner = combine_moments([p_[0] for p_ in parts], settings.seed)
+    decorr = combine_moments([p_[1] for p_ in parts], settings.seed)
     sheet0 = parts[0][2]
     target = settings.T ** (2.0 * alpha + 2.0 * beta)
     # product covariance of the two rectangle increments; zero exactly at
@@ -876,14 +839,5 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
             "the product-covariance value",
         ),
     )
-    tables = {
-        "sample_sheet": (
-            ["s", "t", "value"],
-            [
-                (float(grid.s[i]), float(grid.t[j]), float(sheet0[i, j]))
-                for i in range(grid.n_s + 1)
-                for j in range(grid.n_t + 1)
-            ],
-        )
-    }
+    tables = {"sample_sheet": _node_table(grid, ["value"], sheet0)}
     return _report("simulate", settings, t0, metrics, tables)

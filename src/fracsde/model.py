@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ __all__ = [
     "Grid2D",
     "RngStreamSpec",
     "MonteCarloResult",
+    "chunk_moments",
+    "combine_moments",
     "validate_params",
     "build_grid",
     "build_grid2d",
@@ -196,10 +199,31 @@ class MonteCarloResult:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, seed: int) -> "MonteCarloResult":
-        samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        if n < 2:
+        if np.size(samples) < 2:
             raise ValueError("need at least two replicas")
-        est = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / math.sqrt(n))
-        return cls(est, se, n, (est - 1.96 * se, est + 1.96 * se), seed)
+        return combine_moments([chunk_moments(samples)], seed)
+
+
+def chunk_moments(samples: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk's samples."""
+    flat = np.asarray(samples, dtype=float).reshape(-1)
+    mean = flat.mean()
+    return flat.size, float(mean), float(np.square(flat - mean).sum())
+
+
+def combine_moments(partials: Sequence[tuple], seed: int) -> MonteCarloResult:
+    """Fold per-chunk (count, mean, M2) triples into one estimate.
+
+    The pairwise update of Chan, Golub & LeVeque (1979) runs in chunk
+    order, so the result does not depend on the thread count, and the
+    spread never passes through the cancelling ``sum x^2 - n mean^2``.
+    """
+    n, mean, m2 = partials[0]
+    for nb, mean_b, m2_b in partials[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    se = math.sqrt(m2 / (n - 1) / n)
+    return MonteCarloResult(mean, se, n, (mean - 1.96 * se, mean + 1.96 * se), seed)

@@ -466,13 +466,17 @@ class TestSheetSolver:
         assert peak <= bound
 
     def test_count_route_matches_generic_route_driftless(self):
-        g = build_grid2d(3, 3, 1.0)
+        # order 4 takes e_3 from Newton's identities; the tensor oracle makes
+        # cells**4 kernel calls per node, so it runs on six cells
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
         rng = np.random.default_rng(5)
-        noise = rng.standard_normal((2, 3, 3))
-        fast = solve_sheet_chaos_batch(p, g, noise, 3)
-        slow = _sheet_orders_generic(p, g, noise, 3)
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
+        for n_s, n_t in ((3, 2), (2, 3)):
+            g = build_grid2d(n_s, n_t, 1.0)
+            noise = rng.standard_normal((2, n_s, n_t))
+            fast = solve_sheet_chaos_batch(p, g, noise, 4)
+            slow = _sheet_orders_generic(p, g, noise, 4)
+            assert np.max(np.abs(slow[4])) > 1e-2  # order 4 is not void here
+            np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_single_field_wrapper(self):
         g = build_grid2d(4, 4, 1.0)

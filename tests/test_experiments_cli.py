@@ -3,6 +3,7 @@ exit-code protocol, report structure."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,13 @@ class TestDeterminism:
             assert r1["parameters"].pop("threads") == 1
             assert r2["parameters"].pop("threads") == 2
             assert r1 == r2, argv
+            for m in r1["metrics"]:
+                assert m["seed"] == 7, m["name"]
+                # a "< X" tolerance must be the bound its verdict applies
+                bound = re.match(r"< (\S+)", m["tolerance"])
+                if bound:
+                    below = m["value"] is not None and m["value"] < float(bound[1])
+                    assert m["passed"] == below, m["name"]
             csvs = sorted(p.name for p in outs[0].glob("*.csv"))
             assert csvs and csvs == sorted(p.name for p in outs[1].glob("*.csv"))
             for name in csvs:
