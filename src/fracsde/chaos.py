@@ -22,8 +22,6 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
-from scipy.linalg.blas import dtrmm
 
 from .fields import GaussianField, increment_transfer_matrix
 from .model import Grid2D, HurstPair, ModelParams, TimeGrid, build_grid
@@ -483,6 +481,8 @@ def _apply_lower(K: np.ndarray, X: np.ndarray) -> np.ndarray:
     BLAS trmm reads ``X.T`` (then F-ordered) as its right operand and
     overwrites it; any other layout is silently copied by scipy first.
     """
+    from scipy.linalg.blas import dtrmm
+
     return dtrmm(1.0, K.T, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
@@ -591,16 +591,17 @@ def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
 
     "count" (Hurst (1/2, 1/2) without drift), "chain" (Hurst (1/2, 1/2)
     with drift) or "generic" (the tensor route).  Raises what the solvers
-    raise, including the chain route's refusal of grids above 4096 cells,
-    whose cells x cells kernels would not fit in memory.
+    raise: the tensor route's order cap, and the chain route's refusal of
+    grids above 4096 cells, whose cells x cells kernels would not fit in
+    memory.  The count and chain routes take any order.
     """
     if not p.hurst.is_sheet:
         raise ValueError("sheet solver needs a Hurst pair with beta")
-    if N > 4:
-        raise OrderTooHigh(f"order {N} > 4 not supported")
     if N < 0:
         raise ValueError("truncation must be >= 0")
     if p.hurst.alpha != 0.5 or p.hurst.beta != 0.5:
+        if N > 4:
+            raise OrderTooHigh(f"order {N} > 4 not supported")
         return "generic"
     if p.b == 0.0:
         return "count"
@@ -701,6 +702,8 @@ class PicardResult:
 
 
 def _cumulative_2d(g: np.ndarray, s: np.ndarray, t: np.ndarray, rule: str) -> np.ndarray:
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+
     if rule == "rectangle":
         ds = s[1] - s[0]
         dt = t[1] - t[0]

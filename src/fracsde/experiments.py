@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.stats
 
 from .chaos import (
     chaos_norm_decay,
@@ -462,6 +460,8 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     drift-equation limit surface is checked to sit below -delta on the
     window first.  The truncation defaults to 3 chaos orders.
     """
+    import scipy.stats
+
     if settings.a <= 0.0:
         raise ValueError("a must be > 0")
     t0 = time.perf_counter()
@@ -549,6 +549,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     reads only two linear functionals of it: the far-corner value
     W_TT = row_s' Z row_t and the tilt xi = a' Z b.
     """
+    import scipy.linalg as sla
+
     if settings.beta is None:
         raise ValueError("the change-of-measure check needs a sheet model")
     OperatorRegime.from_exponents(settings.alpha, settings.beta)
@@ -740,6 +742,8 @@ def cmd_simulate(settings: RunSettings) -> ExperimentReport:
 
 
 def _simulate_line(settings: RunSettings) -> ExperimentReport:
+    import scipy.stats
+
     t0 = time.perf_counter()
     grid = build_grid(settings.grid_n, settings.T)
     factor = factor_covariance(settings.alpha, grid)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+# numpy loads np.random on first use; load it here, not in the first chunk map
+import numpy.random
 
 __all__ = [
     "HurstOutOfRange",

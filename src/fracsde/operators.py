@@ -29,10 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad as sp_quad
-from scipy.special import beta as sp_beta
-from scipy.special import gamma as sp_gamma
-from scipy.special import roots_jacobi as sp_roots_jacobi
 
 from .fields import GaussianField
 from .model import Grid2D, TimeGrid
@@ -286,6 +282,8 @@ def fractional_integral_matrix(gamma: float, x: np.ndarray) -> np.ndarray:
 
     Row 0 (x = 0) is zero.  gamma = 1 reduces to the trapezoid rule.
     """
+    from scipy.special import gamma as sp_gamma
+
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma={gamma} not in (0, 1]")
     x = _check_grid(x)
@@ -312,6 +310,8 @@ def marchaud_derivative_matrix(gamma: float, x: np.ndarray) -> np.ndarray:
     exact on piecewise-linear psi.  Row 0 is zero: the boundary value is
     singular and never used downstream.
     """
+    from scipy.special import gamma as sp_gamma
+
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma={gamma} not in (0, 1)")
     x = _check_grid(x)
@@ -347,6 +347,8 @@ _MOMENT_QN = 24
 
 def _jacobi01(beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights with int_0^1 w^beta f(w) dw = sum w_i f(u_i)."""
+    from scipy.special import roots_jacobi as sp_roots_jacobi
+
     t, w = sp_roots_jacobi(_MOMENT_QN, 0.0, beta)
     return (t + 1.0) / 2.0, w / 2.0 ** (beta + 1.0)
 
@@ -379,6 +381,9 @@ def _basis_at(q: float, u: np.ndarray) -> np.ndarray:
 def _power_integral_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
     """I^g product-integration matrix, exact (to quadrature) on per-cell
     models that carry the u^q ramp of the input near 0."""
+    from scipy.special import beta as sp_beta
+    from scipy.special import gamma as sp_gamma
+
     x = _check_grid(x)
     n = len(x) - 1
     if n < 2:
@@ -439,6 +444,8 @@ def _power_integral_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
 def _power_marchaud_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
     """D^g Marchaud matrix, exact (to quadrature) on the same per-cell
     models as ``_power_integral_matrix``."""
+    from scipy.special import gamma as sp_gamma
+
     x = _check_grid(x)
     n = len(x) - 1
     if n < 2:
@@ -582,6 +589,9 @@ def fractional_integral_pointwise(
     singular endpoint, so node positions near a singularity are exact; the
     halves then go to adaptive quadrature.
     """
+    from scipy.integrate import quad as sp_quad
+    from scipy.special import gamma as sp_gamma
+
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma={gamma} not in (0, 1)")
     if not x > 0.0:
@@ -603,6 +613,8 @@ def power_gap_integral(h: float, t: float, tol: float = 1e-10) -> float:
     Evaluated by graded quadrature at the given t; nothing about the t
     dependence is assumed, so the scaling law of J_h is observable output.
     """
+    from scipy.integrate import quad as sp_quad
+
     if not (0.0 < h < 1.0) or h == 0.5:
         raise ValueError(f"h={h} must be in (0,1) and not 1/2")
     if not t > 0.0:
@@ -632,6 +644,8 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     difference integral carried by ``power_gap_integral``.  The boundary
     regime has no formula of either type.
     """
+    from scipy.special import gamma as sp_gamma
+
     if h == 0.5:
         raise RegimeUndefined("axis profile undefined at h = 1/2")
     if not (0.0 < h < 1.0):
@@ -662,6 +676,8 @@ def kinv_profile_constant(h: float) -> float:
     in front of t^{1/2-alpha} s^{1/2-beta}.  The numeric route above never
     uses this value.
     """
+    from scipy.special import gamma as sp_gamma
+
     if h == 0.5:
         raise RegimeUndefined("amplitude undefined at h = 1/2")
     if not (0.0 < h < 1.0):
@@ -670,6 +686,8 @@ def kinv_profile_constant(h: float) -> float:
 
 
 def _axis_norm_sq(h: float, T: float, tol: float) -> float:
+    from scipy.integrate import quad as sp_quad
+
     f2 = lambda x: float(kinv_axis_factor(h, np.array([x]), tol=1e-9)[0]) ** 2
     val, _ = sp_quad(f2, 0.0, T, epsabs=0.1 * tol, epsrel=tol, limit=200)
     return val

@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "QuadratureDiverged",
@@ -35,6 +34,8 @@ _N_MAX = 8192
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (0, 1)."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return (x + 1.0) / 2.0, w / 2.0
 

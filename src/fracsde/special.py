@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .quad import gauss_legendre_01, graded_nodes, integrate_graded
 
@@ -122,6 +121,8 @@ def h0_array(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _h0_negative_window() -> tuple[float, float, float, float]:
     """(lo0, hi0, xmin, fmin): the first window with h0 < 0 and its bottom."""
+    from scipy.optimize import brentq, minimize_scalar
+
     hi0 = brentq(h0, -2.5, -1.0, xtol=1e-14)
     lo0 = brentq(h0, -8.2, -6.5, xtol=1e-14)
     r = minimize_scalar(h0, bounds=(lo0, hi0), method="bounded",
@@ -151,6 +152,8 @@ def negativity_interval(delta: float) -> NegativityInterval:
     the origin.  Raises NoInterval when delta reaches the window's depth
     (about 0.402759, the magnitude of the global minimum of h0).
     """
+    from scipy.optimize import brentq
+
     if delta < 0.0:
         raise ValueError(f"delta={delta} must be >= 0")
     lo0, hi0, xmin, fmin = _h0_negative_window()

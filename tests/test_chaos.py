@@ -1,5 +1,6 @@
 """Chaos solvers: explicit kernels, Hermite sums, discrete multiple integrals,
 sheet recursions, Wick-corrected Euler, Picard fixed point, norm decay."""
+import itertools
 import math
 import tracemalloc
 
@@ -478,6 +479,31 @@ class TestSheetSolver:
             assert np.max(np.abs(slow[4])) > 1e-2  # order 4 is not void here
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
+    def test_count_route_order_five_matches_subset_sums(self):
+        # the driftless kernel counts the points that dominate all others,
+        # so order n at a node is a^n times the sum, over top cells c below
+        # it, of dW_c times every product of n - 1 other cells with indices
+        # <= c's; enumerated here subset by subset, no Newton's identities
+        n_s = n_t = 6
+        g = build_grid2d(n_s, n_t, 1.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.3, b=0.0, T=1.0)
+        noise = np.random.default_rng(12).standard_normal((3, n_s, n_t))
+        assert sheet_solver_route(p, g, 5) == "count"
+        orders = solve_sheet_chaos_batch(p, g, noise, 5)
+        dW = math.sqrt(g.cell_area) * noise
+        brute = np.zeros_like(orders)
+        brute[0] = 1.0
+        for i, j in itertools.product(range(n_s), range(n_t)):
+            below = [(k, l) for k in range(i + 1) for l in range(j + 1)][:-1]
+            for n in range(1, 6):
+                combos = list(itertools.combinations(below, n - 1))
+                subsets = np.array(combos, dtype=int).reshape(len(combos), n - 1, 2)
+                rest = dW[:, subsets[..., 0], subsets[..., 1]].prod(axis=2).sum(axis=1)
+                brute[n][:, i + 1:, j + 1:] += (p.a**n * dW[:, i, j] * rest)[:, None, None]
+        for n in range(6):
+            scale = np.max(np.abs(brute[n]))
+            assert np.max(np.abs(orders[n] - brute[n])) <= 1e-12 * scale, n
+
     def test_single_field_wrapper(self):
         g = build_grid2d(4, 4, 1.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.3, T=1.0)
@@ -491,9 +517,11 @@ class TestSheetSolver:
         line = ModelParams(HurstPair(0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(line, g, np.zeros((1, 4, 4)), 2)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
+        # only the tensor route is capped; (1/2, 1/2) routes take any order
+        tensor = ModelParams(HurstPair(0.3, 0.7), a=1.0, b=0.0, T=1.0)
         with pytest.raises(OrderTooHigh):
-            solve_sheet_chaos_batch(p, g, np.zeros((1, 4, 4)), 5)
+            solve_sheet_chaos_batch(tensor, g, np.zeros((1, 4, 4)), 5)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(p, g, np.zeros((4, 4)), 2)
 

@@ -280,6 +280,17 @@ class TestExitCodes:
         assert code == 2
         assert "a must be > 0" in capsys.readouterr().err
 
+    def test_truncation_above_four_gives_a_verdict(self, tmp_path, capsys):
+        # order 4 leaves a 14.4% tail here and the refusal says to raise
+        # the truncation; order 5 (8.2% tail) must then run, not exit 2
+        code = main([
+            "negativity", "--T", "3", "--grid-n", "8", "--epsilon", "2.5",
+            "--samples", "100", "--truncation", "5", "--out", str(tmp_path),
+        ])
+        assert code in (0, 1), capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["truncation"] == 5
+
     def test_coarse_truncation_exits_two(self, tmp_path, capsys):
         # epsilon far above the calibrated level leaves a heavy chaos tail
         code = main([
@@ -288,6 +299,55 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "TruncationTooLow" in capsys.readouterr().err
+
+
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's fracsde."""
+    src = Path(fracsde.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          check=True, capture_output=True, text=True, timeout=120)
+
+
+class TestImports:
+    def test_cold_import_loads_no_scipy(self):
+        # scipy costs about 1.2 s to import; commands that never call it
+        # must not pay for it
+        out = _fresh_python(
+            "import sys, fracsde, fracsde.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in _SMALL_RUNS if a[0] != "operator-check"],
+        ids=lambda a: a[0] if a[0] != "simulate" else
+        ("simulate-sheet" if "--beta" in a else "simulate-line"),
+    )
+    def test_chunk_map_imports_nothing(self, argv, tmp_path):
+        # each command in a fresh interpreter, over two chunks on two
+        # threads: a module first loaded inside the map would be timed as
+        # sampling, so set-up must load everything the map uses
+        script = (
+            "import json, sys\n"
+            "import fracsde.cli as cli\n"
+            "import fracsde.experiments as ex\n"
+            "original, added = ex._map_chunks, []\n"
+            "def map_chunks(work, total, threads):\n"
+            "    before = set(sys.modules)\n"
+            "    parts = original(work, total, threads)\n"
+            "    added.append(sorted(set(sys.modules) - before))\n"
+            "    return parts\n"
+            "ex._map_chunks = map_chunks\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'added': added}))\n"
+        )
+        out = _fresh_python(script, *argv, "--seed", "7", "--threads", "2",
+                            "--out", str(tmp_path))
+        result = json.loads(out.stdout.splitlines()[-1])
+        assert result["code"] in (0, 1)
+        assert result["added"] and all(a == [] for a in result["added"]), result
 
 
 class TestNegativitySetup:
