@@ -301,13 +301,13 @@ class TestExitCodes:
         assert "TruncationTooLow" in capsys.readouterr().err
 
 
-def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this checkout's fracsde."""
+def _fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this checkout's fracsde."""
     src = Path(fracsde.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          check=True, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestImports:
@@ -315,7 +315,7 @@ class TestImports:
         # scipy costs about 1.2 s to import; commands that never call it
         # must not pay for it
         out = _fresh_python(
-            "import sys, fracsde, fracsde.cli\n"
+            "-c", "import sys, fracsde, fracsde.cli\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         assert out.stdout.strip() == "[]"
@@ -343,7 +343,7 @@ class TestImports:
             "code = cli.main(sys.argv[1:])\n"
             "print(json.dumps({'code': code, 'added': added}))\n"
         )
-        out = _fresh_python(script, *argv, "--seed", "7", "--threads", "2",
+        out = _fresh_python("-c", script, *argv, "--seed", "7", "--threads", "2",
                             "--out", str(tmp_path))
         result = json.loads(out.stdout.splitlines()[-1])
         assert result["code"] in (0, 1)
@@ -407,20 +407,13 @@ class TestNegativitySetup:
     def test_battery_run_does_not_depend_on_blas_threads(self, tmp_path):
         # the battery's negativity command in fresh interpreters: the
         # triangular BLAS products must not split their sums by thread
-        src = Path(fracsde.__file__).resolve().parents[1]
         argv = ["negativity", "--T", "3", "--grid-n", "16", "--epsilon", "0.05",
                 "--samples", "2000", "--seed", "20240801"]
         outs = []
         for blas, threads in (("1", "1"), ("2", "1"), ("1", "2")):
             out = tmp_path / f"blas{blas}_threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                       PYTHONPATH=os.pathsep.join(filter(None, [
-                           str(src), os.environ.get("PYTHONPATH")])))
-            subprocess.run(
-                [sys.executable, "-m", "fracsde", *argv, "--threads", threads,
-                 "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=120,
-            )
+            _fresh_python("-m", "fracsde", *argv, "--threads", threads,
+                          "--out", str(out), OPENBLAS_NUM_THREADS=blas)
             outs.append((out / "negativity_surface.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
