@@ -460,7 +460,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     drift-equation limit surface is checked to sit below -delta on the
     window first.  The truncation defaults to 3 chaos orders.
     """
-    import scipy.stats
+    from scipy.special import betaincinv
 
     if settings.a <= 0.0:
         raise ValueError("a must be > 0")
@@ -487,8 +487,9 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     k = sum(p_[1] for p_ in parts)
     mean_surface = np.sum([p_[2] for p_ in parts], axis=0) / n
     p_hat = k / n
-    # Clopper-Pearson 95% lower bound; 0 when no replica succeeded
-    lcb = 0.0 if k == 0 else float(scipy.stats.beta.ppf(0.05, k, n - k + 1))
+    # Clopper-Pearson 95% lower bound, the 0.05 quantile of Beta(k, n-k+1);
+    # 0 when no replica succeeded
+    lcb = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.05))
     mean_gap = float(np.max(np.abs(mean_surface - limit)[mask]))
 
     metrics = (
@@ -742,7 +743,7 @@ def cmd_simulate(settings: RunSettings) -> ExperimentReport:
 
 
 def _simulate_line(settings: RunSettings) -> ExperimentReport:
-    import scipy.stats
+    from scipy.special import ndtr, stdtrit
 
     t0 = time.perf_counter()
     grid = build_grid(settings.grid_n, settings.T)
@@ -768,9 +769,9 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
         z = np.abs(cross - exact) / se
     z[se == 0.0] = 0.0
     max_z = float(np.nanmax(z))
-    # the two-sided tail of 5 normal standard errors, at n - 1 degrees of
-    # freedom; tends to 5 as n grows
-    critical = float(scipy.stats.t.isf(scipy.stats.norm.sf(5.0), n - 1))
+    # the t(n-1) quantile whose upper tail is the normal tail beyond 5
+    # standard errors; tends to 5 as n grows
+    critical = float(-stdtrit(n - 1, ndtr(-5.0)))
     metrics = (
         MetricResult(
             name="covariance_max_z",

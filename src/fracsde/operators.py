@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,67 +134,119 @@ class OperatorRegime:
 
 def _inner_increment_integral(
     spec: VolterraKernelSpec,
-    phi: Callable[[float], float],
-    s: float,
-    phi_s: float,
-    lo: float,
-    hi: float,
+    phi: Callable[[np.ndarray], np.ndarray],
+    s: np.ndarray,
+    phi_s: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     tol: float,
-) -> float:
-    """int_lo^hi (phi(r) - phi(s)) dK/dr (r, s) dr for s <= lo < hi.
+) -> np.ndarray:
+    """int_lo^hi (phi(r) - phi(s)) dK/dr (r, s) dr for each row s <= lo < hi.
 
+    The arguments are equal-length 1-d arrays, one integral per row.
     Worked in gap coordinates D = r - s, which the node construction keeps
     exact; recomputing r - s by subtraction near the singularity would be
     pure rounding noise.  The piece starting at s is power-graded for the
     D^{alpha-1/2} behaviour of Lipschitz increments; later pieces use log
     coordinates, which flatten the kernel derivative however close the
-    piece begins to s.
+    piece begins to s.  All live rows are refined together and a row leaves
+    once two successive values agree, so its value does not depend on the
+    rows batched with it.
     """
+    out = np.zeros(len(s))
     eps = np.finfo(float).eps
-    # slivers below float resolution contribute O(width^{alpha+1/2})
-    if hi - lo <= 4096.0 * eps * max(1.0, abs(hi)):
-        return 0.0
     a = spec.alpha
-    if a == 0.5:
-        return 0.0
+    # slivers below float resolution contribute O(width^{alpha+1/2})
+    live = np.flatnonzero(hi - lo > 4096.0 * eps * np.maximum(1.0, np.abs(hi)))
+    if a == 0.5 or not live.size:
+        return out
     lo_in = np.nextafter(lo, hi)
     hi_in = np.nextafter(hi, lo)
     d_lo = lo - s
     span = hi - s
-    from_zero = d_lo <= 8.0 * eps * abs(s)
+    from_zero = d_lo <= 8.0 * eps * np.abs(s)
+    # log coordinates by math.log, one row at a time: np.log may round
+    # differently, and a row must keep the bits it has when alone
+    ylo = np.array([math.log(d) if d > 0.0 else -np.inf for d in d_lo.tolist()])
+    yhi = np.array([math.log(d) for d in span.tolist()])
+    p = 1.0 / (a + 0.5)
 
-    def value(n: int) -> float:
+    def value(rows: np.ndarray, n: int) -> np.ndarray:
         u, w = gauss_legendre_01(n)
-        if from_zero:
-            p = 1.0 / (a + 0.5)
-            D = span * u**p
-            W = w * span * p * u ** (p - 1.0)
-        else:
-            ylo, yhi = math.log(d_lo), math.log(span)
-            D = np.exp(ylo + (yhi - ylo) * u)
-            W = w * (yhi - ylo) * D
+        fz = from_zero[rows]
+        D = np.empty((len(rows), n))
+        W = np.empty_like(D)
+        sp = span[rows[fz], None]
+        D[fz] = sp * u**p
+        W[fz] = w * sp * p * u ** (p - 1.0)
+        yl, yh = ylo[rows[~fz], None], yhi[rows[~fz], None]
+        D_log = np.exp(yl + (yh - yl) * u)
+        D[~fz] = D_log
+        W[~fz] = w * (yh - yl) * D_log
         # phi sees r clamped inside the piece so boundary rounding cannot
         # flip it across a jump; the kernel derivative sees the exact gap
-        r_phi = np.clip(s + D, lo_in, hi_in)
-        ph = np.array([phi(float(v)) for v in r_phi])
-        return float(((ph - phi_s) * volterra_kernel_dt_dist(spec, D, s)) @ W)
+        r_phi = np.clip(s[rows, None] + D, lo_in[rows, None], hi_in[rows, None])
+        f = (phi(r_phi) - phi_s[rows, None]) * volterra_kernel_dt_dist(
+            spec, D, s[rows, None]
+        )
+        # one dot per row: a batched matvec would sum in another order
+        return np.array([row @ w_row for row, w_row in zip(f, W)])
 
     n = 48
-    prev = value(n)
+    prev = value(live, n)
     for _ in range(6):
         n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+        cur = value(live, n)
+        done = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
+        out[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
+        if not live.size:
+            return out
+    i = live[0]
     raise QuadratureDiverged(
-        f"increment integral not converged on ({lo}, {hi}) at s={s}"
+        f"increment integral not converged on ({lo[i]}, {hi[i]}) at s={s[i]}"
     )
+
+
+def _kstar_points(
+    spec: VolterraKernelSpec,
+    phi: Callable[[np.ndarray], np.ndarray],
+    s: np.ndarray,
+    T: float,
+    breakpoints: Sequence[float],
+    tol: float,
+) -> np.ndarray:
+    """(K* phi)(s) at every point of the 1-d array s, each inside (0, T).
+
+    Each point's increment integral is split at the breakpoints above it,
+    and all points' pieces go to one batched quadrature.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.all((0.0 < s) & (s < T)):
+        raise ValueError(f"s={s} must lie in (0, {T})")
+    owner, lo, hi = [], [], []
+    for i, v in enumerate(s.tolist()):
+        edges = [v, *sorted({b for b in breakpoints if v < b < T}), T]
+        owner += [i] * (len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    owner = np.array(owner)
+    phi_s = phi(s)
+    # K(T, s) one point at a time: its inner quadrature is a matvec whose
+    # rounding depends on how many points share it
+    val = np.array([volterra_kernel(spec, T, s[i:i + 1])[0] for i in range(len(s))])
+    val *= phi_s
+    pieces = _inner_increment_integral(
+        spec, phi, s[owner], phi_s[owner], np.array(lo), np.array(hi), tol
+    )
+    # unbuffered and in order: each point adds its pieces left to right
+    np.add.at(val, owner, pieces)
+    return val
 
 
 def kstar_pointwise(
     spec: VolterraKernelSpec,
-    phi: Callable[[float], float],
+    phi: Callable[[np.ndarray], np.ndarray],
     s: float,
     T: float,
     breakpoints: Sequence[float] = (),
@@ -201,18 +254,12 @@ def kstar_pointwise(
 ) -> float:
     """(K* phi)(s) for scalar s in (0, T).
 
-    ``breakpoints`` lists jump locations of phi inside (0, T); the increment
-    integral is split there so each piece sees a smooth integrand.
+    ``phi`` must be vectorised: it maps an array of points to the array of
+    its values, of the same shape.  ``breakpoints`` lists jump locations of
+    phi inside (0, T); the increment integral is split there so each piece
+    sees a smooth integrand.
     """
-    if not 0.0 < s < T:
-        raise ValueError(f"s={s} must lie in (0, {T})")
-    phi_s = float(phi(s))
-    val = float(volterra_kernel(spec, T, np.array([s]))[0]) * phi_s
-    cuts = sorted({b for b in breakpoints if s < b < T})
-    edges = [s, *cuts, T]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val += _inner_increment_integral(spec, phi, s, phi_s, lo, hi, tol)
-    return val
+    return float(_kstar_points(spec, phi, np.array([s]), T, breakpoints, tol)[0])
 
 
 def kstar_indicator_norm_sq(
@@ -222,16 +269,17 @@ def kstar_indicator_norm_sq(
 
     The outer integral is split at the indicator's jump; endpoint grading
     follows the kernel powers s^{2 alpha - 1} and (t - s)^{2 alpha - 1}.
+    Each outer level evaluates K* at all its nodes in one batch, with the
+    inner tolerance of ``kstar_pointwise``.
     """
     if not 0.0 < t <= T:
         raise ValueError(f"t={t} must lie in (0, {T}]")
-    phi = lambda r: 1.0 if r <= t else 0.0
+    phi = lambda r: np.where(r <= t, 1.0, 0.0)
 
     def sq(s_arr: np.ndarray) -> np.ndarray:
-        return np.array(
-            [kstar_pointwise(spec, phi, float(s), T, breakpoints=(t,)) ** 2
-             for s in np.atleast_1d(s_arr)]
-        )
+        vals = _kstar_points(spec, phi, s_arr, T, (t,), tol=1e-9)
+        # Python's float power, not np.square: the two differ in the last bit
+        return np.array([v**2 for v in vals.tolist()])
 
     e = kernel_sq_grade(spec.alpha)
     left = integrate_graded(sq, 0.0, t, e_a=e, e_b=e, n0=64,
@@ -253,14 +301,10 @@ def kstar_apply(phi: GridFunction1D, alpha: float, tol: float = 1e-8) -> GridFun
     """
     spec = VolterraKernelSpec.calibrated(alpha)
     x = phi.grid.points
-    T = phi.grid.T
     y = np.asarray(phi.samples, dtype=float)
-    interp = lambda r: float(np.interp(r, x, y))
     out = np.full(len(x), np.nan)
-    knots = tuple(float(v) for v in x[1:-1])
-    for i in range(1, len(x) - 1):
-        out[i] = kstar_pointwise(spec, interp, float(x[i]), T,
-                                 breakpoints=knots, tol=tol)
+    out[1:-1] = _kstar_points(spec, lambda r: np.interp(r, x, y), x[1:-1],
+                              phi.grid.T, tuple(x[1:-1].tolist()), tol)
     return GridFunction1D(phi.grid, out)
 
 
@@ -685,6 +729,7 @@ def kinv_profile_constant(h: float) -> float:
     return float(sp_gamma(1.5 - h) / sp_gamma(2.0 - 2.0 * h))
 
 
+@lru_cache(maxsize=16)
 def _axis_norm_sq(h: float, T: float, tol: float) -> float:
     from scipy.integrate import quad as sp_quad
 
@@ -697,7 +742,8 @@ def rkhs_norm_sq_separable(
     alpha: float, beta: float, T: float, tol: float = 1e-7
 ) -> float:
     """Squared Cameron-Martin norm of the separable drift: the product of the
-    squared L2 norms of the two axis profiles, all quadrature."""
+    squared L2 norms of the two axis profiles, all quadrature.  Each axis
+    norm is computed once per (h, T, tol), so alpha = beta costs one axis."""
     return _axis_norm_sq(alpha, T, tol) * _axis_norm_sq(beta, T, tol)
 
 

@@ -287,14 +287,17 @@ def volterra_kernel_dt(spec: VolterraKernelSpec, r: np.ndarray, s: float) -> np.
     return volterra_kernel_dt_dist(spec, r - s, s)
 
 
-def volterra_kernel_dt_dist(spec: VolterraKernelSpec, dist: np.ndarray, s: float) -> np.ndarray:
+def volterra_kernel_dt_dist(
+    spec: VolterraKernelSpec, dist: np.ndarray, s: float | np.ndarray
+) -> np.ndarray:
     """dK/dr (s + dist, s) parametrised by the exact gap dist = r - s > 0.
 
     Quadratures that grade into the r -> s singularity construct the gap
     directly; recomputing r - s by subtraction there would leave only noise.
+    ``s`` may be an array that broadcasts against ``dist`` (one s per row).
     """
     dist = np.asarray(dist, dtype=float)
-    if not s > 0.0 or np.any(dist <= 0.0):
+    if not np.all(np.asarray(s) > 0.0) or np.any(dist <= 0.0):
         raise DomainError("derivative requires 0 < s and dist > 0")
     a = spec.alpha
     if a == 0.5:

@@ -39,6 +39,12 @@ _SMALL_RUNS = [
 ]
 
 
+def _run_id(argv: list[str]) -> str:
+    if argv[0] != "simulate":
+        return argv[0]
+    return "simulate-sheet" if "--beta" in argv else "simulate-line"
+
+
 class TestConfigFile:
     def test_flat_pairs_comments_and_dashes(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -322,8 +328,7 @@ class TestImports:
 
     @pytest.mark.parametrize(
         "argv", [a for a in _SMALL_RUNS if a[0] != "operator-check"],
-        ids=lambda a: a[0] if a[0] != "simulate" else
-        ("simulate-sheet" if "--beta" in a else "simulate-line"),
+        ids=_run_id,
     )
     def test_chunk_map_imports_nothing(self, argv, tmp_path):
         # each command in a fresh interpreter, over two chunks on two
@@ -348,6 +353,50 @@ class TestImports:
         result = json.loads(out.stdout.splitlines()[-1])
         assert result["code"] in (0, 1)
         assert result["added"] and all(a == [] for a in result["added"]), result
+
+    @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=_run_id)
+    def test_command_loads_no_scipy_stats(self, argv, tmp_path):
+        # scipy.stats costs about 0.5 s to import; each quantile a command
+        # needs comes from scipy.special instead
+        script = (
+            "import sys\n"
+            "import fracsde.cli as cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'scipy.stats' in sys.modules)\n"
+        )
+        out = _fresh_python("-c", script, *argv, "--seed", "7",
+                            "--out", str(tmp_path))
+        code, loaded = out.stdout.split()[-2:]
+        assert code in ("0", "1") and loaded == "False", out.stdout
+
+
+class TestQuantiles:
+    # the reports' quantiles come from scipy.special; scipy.stats, imported
+    # only here, is the oracle they must equal bit for bit
+    def test_clopper_pearson_bound_matches_beta_ppf(self):
+        from scipy.special import betaincinv
+        from scipy.stats import beta
+
+        for n in (50, 2000):
+            k = np.arange(1, n + 1)
+            assert np.array_equal(betaincinv(k, n - k + 1, 0.05),
+                                  beta.ppf(0.05, k, n - k + 1)), n
+        report = cmd_negativity(
+            RunSettings(T=3.0, grid_n=8, epsilon=0.05, samples=300, seed=3))
+        lcb = {m.name: m for m in report.metrics}["all_negative_lcb"]
+        k, n = lcb.detail["successes"], lcb.detail["replicas"]
+        assert 0 < k and lcb.value == float(beta.ppf(0.05, k, n - k + 1))
+
+    def test_t_critical_value_matches_t_isf(self):
+        from scipy.special import ndtr, stdtrit
+        from scipy.stats import norm, t
+
+        df = np.append(np.arange(1, 200), 100_000)
+        assert np.array_equal(-stdtrit(df, ndtr(-5.0)),
+                              t.isf(norm.sf(5.0), df))
+        report = cmd_simulate(RunSettings(alpha=0.3, grid_n=8, samples=40, seed=3))
+        cov = {m.name: m for m in report.metrics}["covariance_max_z"]
+        assert cov.detail["critical_value"] == float(t.isf(norm.sf(5.0), 39))
 
 
 class TestNegativitySetup:

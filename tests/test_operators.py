@@ -35,6 +35,7 @@ from fracsde.operators import (
     power_gap_integral,
     rkhs_norm_sq_separable,
 )
+from fracsde.operators import _axis_norm_sq, _kstar_points
 from fracsde.quad import integrate_graded
 from fracsde.special import VolterraKernelSpec, kernel_sq_grade, volterra_kernel
 
@@ -70,7 +71,7 @@ class TestAdjointKernelMap:
         for alpha in (0.3, 0.7):
             spec = VolterraKernelSpec.calibrated(alpha)
             for s in (0.2, 0.5, 0.9):
-                val = kstar_pointwise(spec, lambda r: 1.0, s, 1.0)
+                val = kstar_pointwise(spec, np.ones_like, s, 1.0)
                 ref = float(volterra_kernel(spec, 1.0, np.array([s]))[0])
                 assert abs(val - ref) < 1e-12
 
@@ -78,7 +79,7 @@ class TestAdjointKernelMap:
         # 1_[0, t] maps to K(t, .) on (0, t) and to 0 beyond t
         spec = VolterraKernelSpec.calibrated(0.3)
         t = 0.7
-        phi = lambda r: 1.0 if r <= t else 0.0
+        phi = lambda r: np.where(r <= t, 1.0, 0.0)
         for s in (0.2, 0.5):
             val = kstar_pointwise(spec, phi, s, 1.0, breakpoints=(t,))
             ref = float(volterra_kernel(spec, t, np.array([s]))[0])
@@ -113,8 +114,8 @@ class TestAdjointKernelMap:
         t_, u_, T = 0.3, 0.7, 1.0
         for alpha in (0.3, 0.7):
             spec = VolterraKernelSpec.calibrated(alpha)
-            p1 = lambda r: 1.0 if r <= t_ else 0.0
-            p2 = lambda r: 1.0 if r <= u_ else 0.0
+            p1 = lambda r: np.where(r <= t_, 1.0, 0.0)
+            p2 = lambda r: np.where(r <= u_, 1.0, 0.0)
 
             def prod(s_arr):
                 return np.array(
@@ -128,6 +129,33 @@ class TestAdjointKernelMap:
                                    tol=1e-6, max_doublings=4)
             assert abs(val - cov_fbm(alpha, t_, u_)) < 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.7, 0.75])
+    @pytest.mark.parametrize("t", [0.5, 0.7])
+    def test_batch_gives_each_point_its_own_bits(self, alpha, t):
+        # one batched quadrature over points on both sides of t.  Under the
+        # indicator every piece converges at 96 nodes; under the sine the
+        # pieces at s = 0.01 need 192 or 384, so a batch that refines a
+        # converged row again, or drops a live one, moves some point's bits
+        spec = VolterraKernelSpec.calibrated(alpha)
+        s = np.array([0.01, 0.2, t - 1e-3, t + 1e-3, 0.9])
+        for phi in (lambda r: np.where(r <= t, 1.0, 0.0), np.sin):
+            batch = _kstar_points(spec, phi, s, 1.0, (t,), tol=1e-9)
+            alone = [kstar_pointwise(spec, phi, v, 1.0, breakpoints=(t,))
+                     for v in s]
+            assert batch.tolist() == alone
+
+    def test_values_keep_their_bits(self):
+        # floats of the earlier one-point-at-a-time quadrature: the norms of
+        # the sheet-chain benchmark's operator checks, whose pieces all
+        # converge at 96 nodes, and K* sin at s = 0.01, whose two pieces
+        # converge at different levels
+        pins = {0.25: (0.7071067800318631, -0.07911967470593065),
+                0.75: (0.353553390591173, 0.5387466787412031)}
+        for alpha, (norm_sq, sine) in pins.items():
+            spec = VolterraKernelSpec.calibrated(alpha)
+            assert kstar_indicator_norm_sq(spec, 0.5, 1.0) == norm_sq, alpha
+            assert kstar_pointwise(spec, np.sin, 0.01, 1.0, breakpoints=(0.5,)) == sine
+
     def test_diagonal_isometry_matches_norm(self):
         # (t, u) = (0.5, 0.5) reduces to the indicator norm identity
         spec = VolterraKernelSpec.calibrated(0.5)
@@ -137,7 +165,7 @@ class TestAdjointKernelMap:
     def test_pointwise_domain(self):
         spec = VolterraKernelSpec.calibrated(0.3)
         with pytest.raises(ValueError):
-            kstar_pointwise(spec, lambda r: 1.0, 0.0, 1.0)
+            kstar_pointwise(spec, np.ones_like, 0.0, 1.0)
         with pytest.raises(ValueError):
             kstar_indicator_norm_sq(spec, 1.5, 1.0)
 
@@ -311,6 +339,12 @@ class TestInverseKernelProfile:
         assert abs(rkhs_norm_sq_separable(0.3, 0.3, 1.0) - 0.5850902462429308) < 1e-9
         # (0.25, 0.75) collapses to exactly 2/3 through the Gamma identities
         assert abs(rkhs_norm_sq_separable(0.25, 0.75, 1.0) - 2.0 / 3.0) < 1e-6
+
+    def test_equal_exponents_integrate_one_axis(self):
+        _axis_norm_sq.cache_clear()
+        val = rkhs_norm_sq_separable(0.3, 0.3, 1.0)
+        assert _axis_norm_sq.cache_info().misses == 1
+        assert val == _axis_norm_sq(0.3, 1.0, 1e-7) ** 2
 
     def test_discrete_norm_refinement_stability(self):
         refs = {(0.3, 0.3): 0.5850902462429308,
