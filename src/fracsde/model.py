@@ -26,7 +26,6 @@ __all__ = [
     "MonteCarloResult",
     "chunk_moments",
     "combine_moments",
-    "validate_params",
     "build_grid",
     "build_grid2d",
 ]
@@ -86,11 +85,6 @@ class ModelParams:
                 raise ValueError(f"{name}={v} must be finite")
         if self.T <= 0.0:
             raise NonPositiveHorizon(f"T={self.T} must be > 0")
-
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Re-run the construction checks on ``p`` and hand it back."""
-    return ModelParams(p.hurst, p.a, p.b, p.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +173,6 @@ class RngStreamSpec:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.master_seed, self.replica_index])
-
-    def replica(self, k: int) -> "RngStreamSpec":
-        return RngStreamSpec(self.master_seed, k)
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,29 @@ class TestReportShape:
             assert (params["alpha"], params["T"], params["threads"]) == (0.25, 1.0, 1)
         assert reports[0]["metrics"] == reports[1]["metrics"]
 
+    def test_euler_study_echoes_only_what_it_reads(self, tmp_path, capsys):
+        # the study fixes its Hurst exponents and step counts; settings it
+        # ignores must neither change a metric nor be echoed as if used
+        base = ["euler-study", "--samples", "200"]
+        reports, codes = [], []
+        for tag, extra in (("plain", []), ("ignored", [
+            "--alpha", "0.9", "--grid-n", "8", "--epsilon", "3", "--truncation", "5",
+        ])):
+            out = tmp_path / tag
+            codes.append(main(base + extra + ["--out", str(out)]))
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert codes[0] in (0, 1) and codes[0] == codes[1]
+        for report in reports:
+            params = report["parameters"]
+            for key in ("alpha", "beta", "grid_n", "epsilon", "truncation"):
+                assert params[key] is None, key
+            assert (params["a"], params["samples"], params["T"]) == (1.0, 200, 1.0)
+        assert reports[0]["metrics"] == reports[1]["metrics"]
+        capsys.readouterr()
+        code = main(base + ["--beta", "0.7", "--out", str(tmp_path / "sheet")])
+        assert code == 2
+        assert "one-parameter experiment" in capsys.readouterr().err
+
     def test_verdict_lines_on_stdout(self, tmp_path, capsys):
         code = main([
             "operator-check", "--alpha", "0.3", "--out", str(tmp_path),
@@ -562,3 +585,30 @@ class TestStatisticalHonesty:
         code = main(["operator-check", "--a", "inf", "--out", str(tmp_path)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestCompareRuns:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+
+    def _compare(self, old: Path, new: Path) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, str(self.SCRIPT), str(old), str(new)],
+                              capture_output=True, text=True, timeout=60)
+
+    def test_thread_counts_compare_equal_and_edits_do_not(self, tmp_path):
+        argv = ["simulate", "--grid-n", "8", "--samples", "200"]
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        run = self._compare(tmp_path / "1", tmp_path / "2")
+        assert run.returncode == 0, run.stdout
+        csv_file = tmp_path / "2" / "covariance.csv"
+        data = bytearray(csv_file.read_bytes())
+        data[-2] = ord("0") if data[-2] != ord("0") else ord("1")
+        csv_file.write_bytes(bytes(data))
+        run = self._compare(tmp_path / "1", tmp_path / "2")
+        assert run.returncode == 1 and "differs: covariance.csv" in run.stdout
+        (tmp_path / "1" / "covariance.csv").write_bytes(bytes(data))
+        (tmp_path / "2" / "sample_path.csv").unlink()
+        run = self._compare(tmp_path / "1", tmp_path / "2")
+        assert run.returncode == 1 and "sample_path.csv" in run.stdout
+        assert "differs" not in run.stdout
