@@ -55,6 +55,7 @@ from .operators import (
 from .chaos import (
     TruncatedChaosSolution,
     chaos_sum_1d,
+    chaos_total_1d,
     deterministic_sheet_solution,
     exact_solution_1d,
     picard_sheet,

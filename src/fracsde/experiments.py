@@ -25,7 +25,7 @@ import numpy as np
 
 from .chaos import (
     chaos_norm_decay,
-    chaos_sum_1d,
+    chaos_total_1d,
     deterministic_sheet_solution,
     exact_solution_1d,
     sheet_solver_route,
@@ -313,7 +313,7 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
 
     def work(idx: int, count: int):
         values, _ = sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))
-        chaos = chaos_sum_1d(p.a, p.b, settings.alpha, grid.points, values, N).total
+        chaos = chaos_total_1d(p.a, p.b, settings.alpha, grid.points, values, N)
         exact = exact_solution_1d(p.a, p.b, settings.alpha, grid.points, values)
         sup = float(np.max(np.abs(chaos - exact)))
         return sup, chunk_moments(exact[:, -1])

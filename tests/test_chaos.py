@@ -14,6 +14,7 @@ from fracsde.chaos import (
     TruncatedChaosSolution,
     chaos_norm_decay,
     chaos_sum_1d,
+    chaos_total_1d,
     deterministic_sheet_solution,
     discrete_multiple_integral,
     exact_solution_1d,
@@ -29,6 +30,7 @@ from fracsde.chaos import (
     solve_sheet_chaos_total_batch,
     wick_euler_1d,
     wick_euler_paths,
+    _CHAOS_BLOCK_VALUES,
     _sheet_orders_generic,
 )
 from fracsde.fields import GaussianField, factor_covariance, sample_fbm, sample_sheet, sample_sheet_batch
@@ -204,7 +206,120 @@ class TestExactAndChaosSum1D:
             chaos_sum_1d(1.0, 0.0, 0.5, 1.0, 0.0, -1)
 
 
+# one block of chaos_total_1d at 65 nodes, in rows
+_BLOCK = _CHAOS_BLOCK_VALUES // 65
+
+
+class TestChaosTotal1D:
+    @pytest.mark.parametrize("N", [0, 1, 2, 28])
+    @pytest.mark.parametrize("b", [0.0, -0.7])
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096])
+    def test_matches_sum_of_orders(self, N, b, rows):
+        # the node t = 0 carries nonzero noise, which both must ignore
+        rng = np.random.default_rng(rows)
+        t = np.linspace(0.0, 1.0, 65)
+        B = rng.standard_normal((rows, 65)) * np.maximum(t, 0.1) ** 0.3
+        assert np.all(B[:, 0] != 0.0)
+        got = chaos_total_1d(1.3, b, 0.3, t, B, N)
+        np.testing.assert_array_equal(got, chaos_sum_1d(1.3, b, 0.3, t, B, N).total)
+
+    def test_scalars_and_single_path(self):
+        # 29 scalar orders are where a pairwise sum would differ from a
+        # sequential one in the last bits
+        rng = np.random.default_rng(7)
+        for t, B in zip(rng.uniform(0.0, 2.0, 50), 2.0 * rng.standard_normal(50)):
+            got = chaos_total_1d(-1.1, 0.4, 0.6, t, B, 28)
+            assert np.shape(got) == ()
+            assert got == chaos_sum_1d(-1.1, 0.4, 0.6, t, B, 28).total
+        assert chaos_total_1d(1.0, 0.5, 0.3, 0.0, 0.7, 4) == math.exp(0.0)
+        t = np.linspace(0.0, 1.0, 65)
+        path = rng.standard_normal(65)
+        got = chaos_total_1d(1.3, 0.0, 0.7, t, path, 28)
+        assert got.shape == (65,)
+        np.testing.assert_array_equal(got, chaos_sum_1d(1.3, 0.0, 0.7, t, path, 28).total)
+
+    @pytest.mark.parametrize("a", [1e80, 1e12])
+    def test_overflow_pattern_matches(self, a):
+        # a = 1e80 gives nan past t = 0; a = 1e12 mixes nan, inf and finite
+        t = np.linspace(0.0, 1.0, 65)
+        B = np.random.default_rng(3).standard_normal((300, 65))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = chaos_total_1d(a, 0.0, 0.7, t, B, 28)
+            ref = chaos_sum_1d(a, 0.0, 0.7, t, B, 28).total
+        assert np.any(np.isnan(ref)) and np.any(np.isfinite(ref))
+        np.testing.assert_array_equal(got, ref)
+
+    def test_validation_matches_per_order_sum(self):
+        for f in (chaos_sum_1d, chaos_total_1d):
+            with pytest.raises(ValueError, match="truncation must be >= 0"):
+                f(1.0, 0.0, 0.5, 1.0, 0.0, -1)
+            with pytest.raises(ValueError, match="time must be >= 0"):
+                f(1.0, 0.0, 0.5, np.array([0.5, -0.1]), np.zeros((3, 2)), 4)
+
+    def test_holds_blocks_not_orders(self):
+        # the 29 stacked orders of this chunk take 62 MB; the running total
+        # holds its output and one block's buffers
+        t = np.linspace(0.0, 1.0, 65)
+        B = np.random.default_rng(4).standard_normal((4096, 65))
+        tracemalloc.start()
+        try:
+            total = chaos_total_1d(1.0, 0.5, 0.3, t, B, 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * total.nbytes
+
+
+def _euler_columns(p, grid, values):
+    # the scheme column by column, as first written: the bitwise oracle
+    alpha, a, t = p.hurst.alpha, p.a, grid.points
+    c = t[1:] ** (2.0 * alpha) - t[:-1] ** (2.0 * alpha) - grid.dt ** (2.0 * alpha)
+    dB = np.diff(values, axis=-1)
+    X = np.empty_like(values)
+    X[..., 0] = 1.0
+    for k in range(grid.n_steps):
+        X[..., k + 1] = X[..., k] * (1.0 + a * dB[..., k] - 0.5 * a * a * c[k])
+    return X
+
+
 class TestWickEuler:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_matches_column_oracle_on_strided_subgrids(self, alpha):
+        # euler-study reads every (128/n)-th node of paths on the finest grid
+        p = ModelParams(HurstPair(alpha), a=1.2, b=0.0, T=1.0)
+        values = np.random.default_rng(11).standard_normal((300, 129)).cumsum(axis=1)
+        before = values.copy()
+        for n in (8, 16, 32, 64, 128):
+            g = build_grid(n, 1.0)
+            sub = values[:, :: 128 // n]
+            X = wick_euler_paths(p, g, sub)
+            assert X.shape == sub.shape
+            np.testing.assert_array_equal(X, _euler_columns(p, g, sub))
+        np.testing.assert_array_equal(values, before)
+
+    def test_matches_column_oracle_in_one_and_three_dimensions(self):
+        p = ModelParams(HurstPair(0.7), a=0.9, b=0.0, T=2.0)
+        g = build_grid(16, 2.0)
+        rng = np.random.default_rng(12)
+        for shape in ((17,), (3, 5, 17)):
+            values = rng.standard_normal(shape).cumsum(axis=-1)
+            before = values.copy()
+            X = wick_euler_paths(p, g, values)
+            assert X.shape == shape
+            np.testing.assert_array_equal(X, _euler_columns(p, g, values))
+            np.testing.assert_array_equal(values, before)
+
+    def test_path_length_must_match_grid(self):
+        # too long would leave unwritten entries, too short would index past
+        # the end; both are refused by name
+        p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
+        g = build_grid(4, 1.0)
+        for n_nodes in (9, 3):
+            with pytest.raises(ValueError, match="5 nodes"):
+                wick_euler_paths(p, g, np.zeros((2, n_nodes)))
+        with pytest.raises(ValueError, match="5 nodes"):
+            wick_euler_paths(p, g, np.float64(0.0))
+
     def test_first_step_is_plain_euler(self):
         # the correction bracket vanishes at k = 0 exactly
         g = build_grid(4, 1.0)
