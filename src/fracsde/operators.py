@@ -793,12 +793,14 @@ def kinv_norm_sq_discrete(
 
     Separable, so the estimate is the product of two per-axis midpoint sums.
     Finiteness and stability of this number under refinement is the working
-    membership check for the drift.
+    membership check for the drift.  On a square grid with alpha = beta
+    the two factors are the same number, so one axis is evaluated.
     """
     OperatorRegime.from_exponents(alpha, beta)
-    return _axis_norm_sq_discrete(alpha, grid.s, tol) * _axis_norm_sq_discrete(
-        beta, grid.t, tol
-    )
+    s_norm = _axis_norm_sq_discrete(alpha, grid.s, tol)
+    if beta == alpha and np.array_equal(grid.s, grid.t):
+        return s_norm * s_norm
+    return s_norm * _axis_norm_sq_discrete(beta, grid.t, tol)
 
 
 def girsanov_log_density(

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,12 @@ import pytest
 
 import fracsde
 
+from fracsde import experiments
 from fracsde.cli import _parser, build_settings, main, parse_config_file
 from fracsde.experiments import (
     EmptyRegion,
     RunSettings,
+    cmd_girsanov_check,
     cmd_negativity,
     cmd_operator_check,
     cmd_simulate,
@@ -535,6 +539,32 @@ class TestSimulateStatistics:
         assert csvs  # trajectory plus covariance diagnostics
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["tables"]) == {p.removesuffix(".csv") for p in csvs}
+
+
+class TestGirsanovNoiseBlocks:
+    def test_block_size_does_not_move_results(self, monkeypatch):
+        # two chunks, the second ragged (301); blocks of 3 replicas leave a
+        # ragged block in each chunk, and 4096 per block is one block a chunk
+        settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=8,
+                               samples=4096 + 301, seed=5)
+        payloads = []
+        for rows in (3, 4096):
+            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+            payloads.append(_strip_wall(cmd_girsanov_check(settings).to_dict()))
+        assert payloads[0] == payloads[1]
+
+    def test_holds_blocks_not_the_chunk(self):
+        # one 4096-replica chunk of grid-32 noise takes 33.5 MB
+        settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=32,
+                               samples=4096)
+        cmd_girsanov_check(replace(settings, samples=10))  # imports and caches
+        tracemalloc.start()
+        try:
+            cmd_girsanov_check(settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestStatisticalHonesty:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
+from fracsde import operators
 from fracsde.fields import GaussianField, cov_fbm
 from fracsde.model import build_grid, build_grid2d
 from fracsde.operators import (
@@ -355,6 +356,24 @@ class TestInverseKernelProfile:
             v32 = kinv_norm_sq_discrete(a, b, build_grid2d(32, 32, 1.0))
             assert abs(v32 - v16) / v16 < 0.05, (a, b)
             assert abs(v32 - ref) / ref < 0.01, (a, b)
+
+    def test_discrete_norm_equal_exponents_evaluate_one_axis(self, monkeypatch):
+        axis = operators._axis_norm_sq_discrete
+        calls = []
+
+        def counted(h, x, tol):
+            calls.append(h)
+            return axis(h, x, tol)
+
+        monkeypatch.setattr(operators, "_axis_norm_sq_discrete", counted)
+        square, oblong = build_grid2d(16, 16, 1.0), build_grid2d(16, 8, 1.0)
+        cases = [((0.3, 0.3), square, [0.3]), ((0.75, 0.75), square, [0.75]),
+                 ((0.3, 0.7), square, [0.3, 0.7]), ((0.3, 0.3), oblong, [0.3, 0.3])]
+        for (a, b), g, expected in cases:
+            calls.clear()
+            val = kinv_norm_sq_discrete(a, b, g)
+            assert calls == expected, (a, b, g.n_t)
+            assert val == axis(a, g.s, 1e-9) * axis(b, g.t, 1e-9)
 
     def test_discrete_norm_boundary_regime_rejected(self):
         with pytest.raises(RegimeUndefined):
