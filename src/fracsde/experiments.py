@@ -721,7 +721,7 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     if abs(alpha - 0.5) > 1e-12:
         ts = np.array([0.25, 0.5, 1.0])
         # the gap integrand flips sign across 1/2; the scaling law is in |J|
-        vals = np.abs([power_gap_integral(alpha, t) for t in ts])
+        vals = np.abs(power_gap_integral(alpha, ts))
         slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
         target = 1.0 - 2.0 * alpha
         metrics.append(

@@ -18,9 +18,13 @@ The inverse kernel map is only needed for the separable drift
 F(t, s) = t s.  It factorises into two axis profiles; each profile is
 computed numerically through I^{1/2-h} (h < 1/2) or through the
 Marchaud-type difference integral (h > 1/2), never through the closed form
-it happens to equal.  ``power_gap_integral`` is the h > 1/2 building block
-and is evaluated independently at every argument so that its scaling
-exponent 1 - 2h is measurable, not built in.
+it happens to equal.  All points of a profile go to one batched graded
+Gauss-Legendre rule (``quad.integrate_graded_rows``), each half-interval
+graded at its known endpoint power; a point's value does not depend on the
+points evaluated with it.  ``power_gap_integral`` is the h > 1/2 building
+block and is evaluated independently at every argument so that its scaling
+exponent 1 - 2h is measurable, not built in.  The squared Cameron-Martin
+norm integrates the squared profile with ``quad.integrate_graded``.
 """
 from __future__ import annotations
 
@@ -33,7 +37,12 @@ import numpy as np
 
 from .fields import GaussianField
 from .model import Grid2D, TimeGrid
-from .quad import QuadratureDiverged, gauss_legendre_01, integrate_graded
+from .quad import (
+    QuadratureDiverged,
+    gauss_legendre_01,
+    integrate_graded,
+    integrate_graded_rows,
+)
 from .special import (
     VolterraKernelSpec,
     kernel_sq_grade,
@@ -53,7 +62,6 @@ __all__ = [
     "kstar_indicator_norm_sq",
     "fractional_integral_matrix",
     "marchaud_derivative_matrix",
-    "fractional_integral_pointwise",
     "frac_integral_2d",
     "frac_derivative_2d",
     "power_gap_integral",
@@ -621,72 +629,58 @@ def frac_derivative_2d(
 # inverse kernel map for the separable drift
 # ----------------------------------------------------------------------------
 
-def fractional_integral_pointwise(
-    gamma: float,
-    f: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    tol: float = 1e-10,
-) -> float:
-    """I^gamma f (x) = int_0^x (x-u)^{gamma-1} f(u) du / Gamma(gamma).
-
-    Split at x/2 with each half parametrised by the distance to its own
-    singular endpoint, so node positions near a singularity are exact; the
-    halves then go to adaptive quadrature.
-    """
-    from scipy.integrate import quad as sp_quad
-    from scipy.special import gamma as sp_gamma
-
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma={gamma} not in (0, 1)")
-    if not x > 0.0:
-        raise ValueError("x must be > 0")
-    near, _ = sp_quad(
-        lambda v: v ** (gamma - 1.0) * float(f(np.array([x - v]))[0]),
-        0.0, 0.5 * x, epsabs=0.1 * tol, epsrel=tol, limit=200,
-    )
-    far, _ = sp_quad(
-        lambda u: (x - u) ** (gamma - 1.0) * float(f(np.array([u]))[0]),
-        0.0, 0.5 * x, epsabs=0.1 * tol, epsrel=tol, limit=200,
-    )
-    return (near + far) / sp_gamma(gamma)
-
-
-def power_gap_integral(h: float, t: float, tol: float = 1e-10) -> float:
+def power_gap_integral(h: float, t, tol: float = 1e-10):
     """J_h(t) = int_0^t (t^{1/2-h} - u^{1/2-h}) (t-u)^{-h-1/2} du.
 
-    Evaluated by graded quadrature at the given t; nothing about the t
-    dependence is assumed, so the scaling law of J_h is observable output.
+    ``t`` is a scalar (a float is returned) or an array of points.  Each t
+    is split at t/2 and both halves go to the batched graded rule, graded
+    at the endpoint power c = 1/2 - h wherever it is singular; nothing about
+    the t dependence is assumed, so the scaling law of J_h is observable
+    output, and the value at one t does not depend on the others evaluated
+    with it.
     """
-    from scipy.integrate import quad as sp_quad
-
     if not (0.0 < h < 1.0) or h == 0.5:
         raise ValueError(f"h={h} must be in (0,1) and not 1/2")
-    if not t > 0.0:
+    t_in = np.asarray(t, dtype=float)
+    ts = t_in.ravel()
+    if not np.all(ts > 0.0):
         raise ValueError("t must be > 0")
     c = 0.5 - h
+    tc = np.array([v**c for v in ts.tolist()])
 
-    # near half, u in (0, t/2): singular/fractional u^c factor at the origin
-    def near(u: float) -> float:
-        return (t**c - u**c) * (t - u) ** (-h - 0.5)
+    # near half, u in (0, t/2): graded at the origin for u^c when it is
+    # singular (h > 1/2); a bounded u^c (h < 1/2) is better resolved by the
+    # plain cubic substitution, which keeps the t^c term smooth
+    e_near = min(c, 0.0)
+
+    def near(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        tr = ts[rows, None]
+        return (tc[rows, None] - u**c) * u**-e_near * (tr - u) ** (c - 1.0)
 
     # far half in gap coordinates v = t - u: the bracket t^c - (t-v)^c is
-    # cancellation-prone, so it is expanded through expm1/log1p
-    def far(v: float) -> float:
-        bracket = -(t**c) * math.expm1(c * math.log1p(-v / t))
-        return bracket * v ** (-h - 0.5)
+    # cancellation-prone, so it is expanded through expm1/log1p, and it
+    # vanishes like v, leaving v^c times a smooth cofactor
+    def far(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        tr = ts[rows, None]
+        return -tc[rows, None] * np.expm1(c * np.log1p(-v / tr)) / v
 
-    left, _ = sp_quad(near, 0.0, 0.5 * t, epsabs=0.1 * tol, epsrel=tol, limit=200)
-    right, _ = sp_quad(far, 0.0, 0.5 * t, epsabs=0.1 * tol, epsrel=tol, limit=200)
-    return left + right
+    half = 0.5 * ts
+    out = (integrate_graded_rows(near, half, e_near, tol=tol)
+           + integrate_graded_rows(far, half, c, tol=tol))
+    return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
 
 
 def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Axis profile of the inverse kernel map applied to the identity drift.
 
-    For h < 1/2 the profile is x^{h-1/2} I^{1/2-h}[u^{1/2-h}](x); for
-    h > 1/2 it is x^{h-1/2} D^{h-1/2}[u^{1/2-h}](x) with the Marchaud
-    difference integral carried by ``power_gap_integral``.  The boundary
-    regime has no formula of either type.
+    For h < 1/2 the profile is x^{h-1/2} I^{1/2-h}[u^{1/2-h}](x): the
+    Riemann-Liouville integral is split at x/2, with each half graded at
+    its singular endpoint, (x-u)^{g-1} on one and u^g on the other
+    (g = 1/2 - h).  For h > 1/2 it is x^{h-1/2} D^{h-1/2}[u^{1/2-h}](x) with
+    the Marchaud difference integral carried by ``power_gap_integral``.
+    All points go to one batched graded rule per half, and each point's
+    value is independent of the others.  The boundary regime has no
+    formula of either type.
     """
     from scipy.special import gamma as sp_gamma
 
@@ -698,18 +692,18 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if np.any(x <= 0.0):
         raise ValueError("profile requires x > 0")
     g = abs(h - 0.5)
-    out = np.empty_like(x)
+    pre = np.array([v ** (h - 0.5) for v in x.tolist()])
     if h < 0.5:
-        for idx, xi in enumerate(x):
-            out[idx] = xi ** (h - 0.5) * fractional_integral_pointwise(
-                g, lambda u: u**g, float(xi), tol=tol
-            )
-    else:
-        for idx, xi in enumerate(x):
-            base = xi ** (1.0 - 2.0 * h)
-            gap = g * power_gap_integral(h, float(xi), tol=tol)
-            out[idx] = xi ** (h - 0.5) * (base + gap) / sp_gamma(1.0 - g)
-    return out
+        # near half in gap coordinates v = x - u, graded for v^{g-1}
+        near = lambda rows, v: (x[rows, None] - v) ** g
+        far = lambda rows, u: (x[rows, None] - u) ** (g - 1.0)
+        half = 0.5 * x
+        inner = (integrate_graded_rows(near, half, g - 1.0, tol=tol)
+                 + integrate_graded_rows(far, half, g, tol=tol))
+        return pre * inner / sp_gamma(g)
+    base = np.array([v ** (1.0 - 2.0 * h) for v in x.tolist()])
+    gap = g * power_gap_integral(h, x, tol=tol)
+    return pre * (base + gap) / sp_gamma(1.0 - g)
 
 
 def kinv_profile_constant(h: float) -> float:
@@ -731,11 +725,9 @@ def kinv_profile_constant(h: float) -> float:
 
 @lru_cache(maxsize=16)
 def _axis_norm_sq(h: float, T: float, tol: float) -> float:
-    from scipy.integrate import quad as sp_quad
-
-    f2 = lambda x: float(kinv_axis_factor(h, np.array([x]), tol=1e-9)[0]) ** 2
-    val, _ = sp_quad(f2, 0.0, T, epsabs=0.1 * tol, epsrel=tol, limit=200)
-    return val
+    # the squared profile is a multiple of x^{1-2h}: grade the origin for it
+    f2 = lambda x: kinv_axis_factor(h, x, tol=1e-9) ** 2
+    return integrate_graded(f2, 0.0, T, e_a=1.0 - 2.0 * h, tol=tol)
 
 
 def rkhs_norm_sq_separable(

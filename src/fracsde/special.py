@@ -120,14 +120,40 @@ def h0_array(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _h0_negative_window() -> tuple[float, float, float, float]:
-    """(lo0, hi0, xmin, fmin): the first window with h0 < 0 and its bottom."""
-    from scipy.optimize import brentq, minimize_scalar
+    """(lo0, hi0, xmin, fmin): the first window with h0 < 0 and its bottom.
 
-    hi0 = brentq(h0, -2.5, -1.0, xtol=1e-14)
-    lo0 = brentq(h0, -8.2, -6.5, xtol=1e-14)
-    r = minimize_scalar(h0, bounds=(lo0, hi0), method="bounded",
-                        options={"xatol": 1e-12})
-    return lo0, hi0, float(r.x), float(r.fun)
+    On the negative axis h0(x) = J0(2 sqrt(-x)), so the window runs between
+    the first two zeros of J0 and bottoms out at the first zero of J1.
+    """
+    from scipy.special import j0, jn_zeros
+
+    j01, j02 = jn_zeros(0, 2).tolist()
+    (j11,) = jn_zeros(1, 1).tolist()
+    return (-((j02 / 2.0) ** 2), -((j01 / 2.0) ** 2), -((j11 / 2.0) ** 2),
+            float(j0(j11)))
+
+
+def _j0_level(level: float, a: float, b: float) -> float:
+    """r in (a, b) with J0(r) = level, J0 - level changing sign on [a, b].
+
+    Newton steps (J0' = -J1) kept inside the shrinking sign-change bracket;
+    a step that would leave it bisects instead.
+    """
+    from scipy.special import j0, j1
+
+    fa = float(j0(a)) - level
+    r = 0.5 * (a + b)
+    for _ in range(100):
+        f = float(j0(r)) - level
+        step = f / float(j1(r))
+        if abs(step) <= 2.0 * np.finfo(float).eps * r:
+            return r + step
+        if (f > 0.0) == (fa > 0.0):
+            a, fa = r, f
+        else:
+            b = r
+        r = r + step if a < r + step < b else 0.5 * (a + b)
+    raise RuntimeError(f"J0(r) = {level} not resolved on ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -152,8 +178,6 @@ def negativity_interval(delta: float) -> NegativityInterval:
     the origin.  Raises NoInterval when delta reaches the window's depth
     (about 0.402759, the magnitude of the global minimum of h0).
     """
-    from scipy.optimize import brentq
-
     if delta < 0.0:
         raise ValueError(f"delta={delta} must be >= 0")
     lo0, hi0, xmin, fmin = _h0_negative_window()
@@ -161,10 +185,11 @@ def negativity_interval(delta: float) -> NegativityInterval:
         raise NoInterval(f"h0 never goes below {-delta:.6f}; floor is {fmin:.6f}")
     if delta == 0.0:
         return NegativityInterval(lo0, hi0, 0.0)
-    f = lambda x: h0(x) + delta
-    lo = brentq(f, lo0, xmin, xtol=1e-13)
-    hi = brentq(f, xmin, hi0, xtol=1e-13)
-    return NegativityInterval(lo, hi, delta)
+    # in r = 2 sqrt(-x) the window is (j01, j02) with its bottom at j11
+    r_of = lambda x: 2.0 * math.sqrt(-x)
+    r_lo = _j0_level(-delta, r_of(hi0), r_of(xmin))
+    r_hi = _j0_level(-delta, r_of(xmin), r_of(lo0))
+    return NegativityInterval(-((r_hi / 2.0) ** 2), -((r_lo / 2.0) ** 2), delta)
 
 
 # ----------------------------------------------------------------------------

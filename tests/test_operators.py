@@ -259,10 +259,22 @@ class TestTensorFractionalOperators:
             frac_derivative_2d(GridFunction2D(g, bad), 0.3, 0.3)
 
 
+def _quadpack_gap_integral(h: float, t: float) -> float:
+    # adaptive QUADPACK on the two halves of the gap integral, the far half
+    # in gap coordinates with the bracket expanded through expm1/log1p
+    from scipy.integrate import quad
+
+    c = 0.5 - h
+    near = lambda u: (t**c - u**c) * (t - u) ** (-h - 0.5)
+    far = lambda v: -(t**c) * math.expm1(c * math.log1p(-v / t)) * v ** (-h - 0.5)
+    opts = dict(epsabs=1e-11, epsrel=1e-10, limit=200)
+    return quad(near, 0.0, 0.5 * t, **opts)[0] + quad(far, 0.0, 0.5 * t, **opts)[0]
+
+
 class TestInverseKernelProfile:
     def test_matches_gamma_ratio_closed_form(self):
         x = np.array([0.1, 0.4, 1.0, 2.0])
-        for h in (0.25, 0.3, 0.75, 0.9):
+        for h in (0.25, 0.3, 0.45, 0.55, 0.75, 0.9):
             lib = kinv_axis_factor(h, x)
             ref = kinv_profile_constant(h) * x ** (0.5 - h)
             np.testing.assert_allclose(lib, ref, rtol=1e-10)
@@ -305,6 +317,29 @@ class TestInverseKernelProfile:
             vals = np.abs([power_gap_integral(h, t) for t in ts])
             slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
             assert abs(slope - (1.0 - 2.0 * h)) < 0.02, h
+
+    def test_rows_are_independent_of_the_batch(self):
+        # each point's bits are what it gets when evaluated alone
+        x = np.geomspace(1e-3, 3.0, 29)
+        for h in (0.3, 0.45, 0.55, 0.9):
+            batch = kinv_axis_factor(h, x)
+            gap = power_gap_integral(h, x)
+            for i in range(len(x)):
+                assert kinv_axis_factor(h, x[i:i + 1])[0] == batch[i], (h, i)
+                assert power_gap_integral(h, x[i]) == gap[i], (h, i)
+
+    def test_gap_integral_closed_form_and_quadpack(self):
+        # J_h(t) = t^{1-2h} (1/c - Gamma(c+1) Gamma(c) / Gamma(2c+1)), c = 1/2 - h
+        ts = np.array([0.25, 1.0, 2.0])
+        for h in (0.25, 0.3, 0.45, 0.55, 0.75, 0.9):
+            c = 0.5 - h
+            lib = power_gap_integral(h, ts)
+            ref = ts ** (1.0 - 2.0 * h) * (
+                1.0 / c - sp_gamma(c + 1.0) * sp_gamma(c) / sp_gamma(2.0 * c + 1.0)
+            )
+            np.testing.assert_allclose(lib, ref, rtol=1e-10, err_msg=str(h))
+            oracle = [_quadpack_gap_integral(h, t) for t in ts]
+            np.testing.assert_allclose(lib, oracle, rtol=1e-10, err_msg=str(h))
 
     def test_gap_integral_domain(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fracsde.quad import (
     gauss_legendre_01,
     graded_nodes,
     integrate_graded,
+    integrate_graded_rows,
 )
 
 
@@ -123,3 +124,36 @@ class TestIntegrateGraded:
 
         with pytest.raises(QuadratureDiverged):
             integrate_graded(blows_up, 0.0, 1.0, e_a=-0.5, tol=1e-9)
+
+
+class TestIntegrateGradedRows:
+    def test_incomplete_gamma_closed_form(self):
+        # int_0^b v^e exp(-v) dv = Gamma(1+e) P(1+e, b), singular for e < 0
+        from scipy.special import gamma, gammainc
+
+        b = np.array([0.1, 1.0, 3.0])
+        for e in (-0.9, -0.5, 0.0, 0.3):
+            val = integrate_graded_rows(lambda rows, v: np.exp(-v), b, e, tol=1e-12)
+            ref = gamma(1.0 + e) * gammainc(1.0 + e, b)
+            np.testing.assert_allclose(val, ref, rtol=1e-12, err_msg=str(e))
+
+    def test_row_bits_do_not_depend_on_the_batch(self):
+        # a per-row parameter, rows that retire at different doublings
+        rng = np.random.default_rng(3)
+        b = rng.uniform(0.01, 5.0, 37)
+        k = rng.uniform(0.1, 20.0, 37)
+        f = lambda rows, v: np.cos(k[rows, None] * v) / (1.0 + v)
+        full = integrate_graded_rows(f, b, -0.4)
+        for i in range(len(b)):
+            g = lambda rows, v, i=i: np.cos(k[i] * v) / (1.0 + v)
+            assert integrate_graded_rows(g, b[i:i + 1], -0.4)[0] == full[i], i
+
+    def test_divergent_row_raises(self):
+        # v^{-1} is not integrable at 0; the finite row cannot rescue it
+        f = lambda rows, v: np.where(rows[:, None] == 1, 1.0 / v, 1.0)
+        with pytest.raises(QuadratureDiverged):
+            integrate_graded_rows(f, np.array([1.0, 1.0]), 0.0, max_doublings=5)
+
+    def test_non_integrable_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_graded_rows(lambda rows, v: v, np.array([1.0]), -1.0)

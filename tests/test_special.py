@@ -31,6 +31,7 @@ from fracsde.special import (
     volterra_kernel_dt,
     volterra_kernel_dt_dist,
 )
+from fracsde.special import _h0_negative_window
 
 
 class TestH0:
@@ -132,6 +133,37 @@ class TestNegativityInterval:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             negativity_interval(-0.1)
+
+    def test_window_matches_root_finding_oracle(self):
+        # the closed form against root finding and minimisation on the h0
+        # series; the series' own rounding puts brentq 2 ulps off the true
+        # lo0, which the 50-digit Bessel zeros locate
+        from scipy.optimize import brentq, minimize_scalar
+
+        lo0, hi0, xmin, fmin = _h0_negative_window()
+        hi_ref = brentq(h0, -2.5, -1.0, xtol=1e-14)
+        lo_ref = brentq(h0, -8.2, -6.5, xtol=1e-14)
+        bottom = minimize_scalar(h0, bounds=(lo_ref, hi_ref), method="bounded",
+                                 options={"xatol": 1e-12})
+        assert abs(hi0 - hi_ref) <= np.spacing(abs(hi_ref))
+        assert abs(lo0 - lo_ref) <= 2.0 * np.spacing(abs(lo_ref))
+        # h0 is flat at its bottom: the minimiser resolves only the value
+        assert fmin == bottom.fun
+        assert abs(xmin - bottom.x) < 1e-7
+        mp.mp.dps = 50
+        for got, k, m in ((lo0, 0, 2), (hi0, 0, 1), (xmin, 1, 1)):
+            ref = float(-(mp.besseljzero(k, m) / 2) ** 2)
+            assert abs(got - ref) <= np.spacing(abs(ref)), (k, m)
+
+    def test_band_matches_root_finding_oracle(self):
+        from scipy.optimize import brentq
+
+        lo0, hi0, xmin, _ = _h0_negative_window()
+        for delta, within in ((0.1, 3e-15), (0.05, 1e-14), (0.2, 1e-14), (0.35, 1e-14)):
+            win = negativity_interval(delta)
+            f = lambda x: h0(x) + delta
+            assert abs(win.lo - brentq(f, lo0, xmin, xtol=1e-13)) < within, delta
+            assert abs(win.hi - brentq(f, xmin, hi0, xtol=1e-13)) < within, delta
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
