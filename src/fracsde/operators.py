@@ -38,10 +38,10 @@ import numpy as np
 from .fields import GaussianField
 from .model import Grid2D, TimeGrid
 from .quad import (
-    QuadratureDiverged,
     gauss_legendre_01,
     integrate_graded,
     integrate_graded_rows,
+    refine_rows,
 )
 from .special import (
     VolterraKernelSpec,
@@ -157,9 +157,9 @@ def _inner_increment_integral(
     pure rounding noise.  The piece starting at s is power-graded for the
     D^{alpha-1/2} behaviour of Lipschitz increments; later pieces use log
     coordinates, which flatten the kernel derivative however close the
-    piece begins to s.  All live rows are refined together and a row leaves
-    once two successive values agree, so its value does not depend on the
-    rows batched with it.
+    piece begins to s.  All rows are refined together by
+    ``quad.refine_rows``, each reduced with its own dot, so a row's value
+    does not depend on the rows batched with it.
     """
     out = np.zeros(len(s))
     eps = np.finfo(float).eps
@@ -200,20 +200,8 @@ def _inner_increment_integral(
         # one dot per row: a batched matvec would sum in another order
         return np.array([row @ w_row for row, w_row in zip(f, W)])
 
-    n = 48
-    prev = value(live, n)
-    for _ in range(6):
-        n *= 2
-        cur = value(live, n)
-        done = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
-        out[live[done]] = cur[done]
-        live, prev = live[~done], cur[~done]
-        if not live.size:
-            return out
-    i = live[0]
-    raise QuadratureDiverged(
-        f"increment integral not converged on ({lo[i]}, {hi[i]}) at s={s[i]}"
-    )
+    out[live] = refine_rows(value, live, 48, 6, tol)
+    return out
 
 
 def _kstar_points(

@@ -4,8 +4,8 @@ The house scheme is Gauss-Legendre under a power-of-the-variable substitution:
 to integrate f ~ (x-a)^e near a (e > -1), substitute x = a + (b-a) u^p with
 p = 1/(1+e), which maps the singular factor to a bounded one.  Integrals are
 refined by doubling the node count until two successive values agree.
-``integrate_graded_rows`` refines a batch of such integrals over (0, b_i)
-together, each row on its own.
+``refine_rows`` refines a batch of integrals together, each row on its
+own; ``integrate_graded_rows`` uses it for a batch over (0, b_i).
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ __all__ = [
     "graded_nodes",
     "integrate_graded",
     "integrate_graded_rows",
+    "refine_rows",
 ]
 
 
@@ -111,13 +112,52 @@ def integrate_graded(
     )
 
 
+def refine_rows(
+    value: Callable[[np.ndarray, int], np.ndarray],
+    rows: np.ndarray,
+    n0: int,
+    max_doublings: int,
+    tol: float,
+) -> np.ndarray:
+    """Refine ``value(rows, n)`` by doubling n from ``n0``; one result per row.
+
+    ``value`` returns the n-node estimate of each integral in the index
+    array ``rows``.  All live rows are refined together; a row retires once
+    two successive values agree to ``tol`` (relative to max(1, |I|)), so
+    when ``value`` reduces each row on its own, a row's result does not
+    depend on the rows batched with it.  Raises QuadratureDiverged for rows
+    still live after ``max_doublings`` doublings or at the node ceiling.
+    """
+    out = np.empty(len(rows))
+    live = np.arange(len(rows))
+    n = n0
+    prev = value(rows, n)
+    delta = np.inf
+    for _ in range(max_doublings):
+        if 2 * n > _N_MAX:
+            break
+        n *= 2
+        cur = value(rows[live], n)
+        if not np.all(np.isfinite(cur)):
+            raise QuadratureDiverged(f"non-finite quadrature value at n={n}")
+        gap = np.abs(cur - prev)
+        done = gap <= tol * np.maximum(1.0, np.abs(cur))
+        out[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
+        if not live.size:
+            return out
+        delta = float(np.max(gap[~done]))
+    raise QuadratureDiverged(
+        f"{live.size} rows not converged by n={n} (largest delta {delta:.3e}, "
+        f"first at row {rows[live[0]]})"
+    )
+
+
 def integrate_graded_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     b: np.ndarray,
     e: float,
-    n0: int = 16,
     tol: float = 1e-10,
-    max_doublings: int = 9,
 ) -> np.ndarray:
     """int_0^{b_i} v^e f_i(v) dv for every entry b_i > 0 of the 1-d array b.
 
@@ -126,14 +166,12 @@ def integrate_graded_rows(
     substitution v = b u^p with p = 3/(1+e) folds v^e dv into the weight
     b^{1+e} p u^2 du exactly, so no node sees the singular power, and a
     cofactor smooth in v becomes a series in u^p (p >= 2 for e <= 1/2).
-    All live rows are refined together by doubling; a row retires once two
-    successive values agree to ``tol`` (relative to max(1, |I|)).  Each row
-    is reduced with its own dot, so its value does not depend on the rows
-    batched with it.
+    The rows are refined together by ``refine_rows`` from 16 nodes up to
+    the node ceiling, each reduced with its own dot, so a row's value does
+    not depend on the rows batched with it.
     """
     if not e > -1.0:
         raise ValueError(f"endpoint exponent {e} must be > -1")
-    out = np.empty(len(b))
     p = 3.0 / (1.0 + e)
     # per-row scale by Python's float power, one row at a time, as the
     # rows' bits must not depend on how many share the array
@@ -145,24 +183,5 @@ def integrate_graded_rows(
         wu = w * p * u**2
         return np.array([row @ wu for row in vals]) * scale[rows]
 
-    live = np.arange(len(b))
-    n = n0
-    prev = value(live, n)
-    delta = np.inf
-    for _ in range(max_doublings):
-        if 2 * n > _N_MAX:
-            break
-        n *= 2
-        cur = value(live, n)
-        if not np.all(np.isfinite(cur)):
-            raise QuadratureDiverged(f"non-finite quadrature value at n={n}")
-        gap = np.abs(cur - prev)
-        done = gap <= tol * np.maximum(1.0, np.abs(cur))
-        out[live[done]] = cur[done]
-        live, prev = live[~done], cur[~done]
-        if not live.size:
-            return out
-        delta = float(np.max(gap[~done]))
-    raise QuadratureDiverged(
-        f"{live.size} rows not converged by n={n} (largest delta {delta:.3e})"
-    )
+    # 16 * 2^9 nodes is the ceiling _N_MAX
+    return refine_rows(value, np.arange(len(b)), 16, 9, tol)

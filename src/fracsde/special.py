@@ -137,21 +137,26 @@ def _j0_level(level: float, a: float, b: float) -> float:
     """r in (a, b) with J0(r) = level, J0 - level changing sign on [a, b].
 
     Newton steps (J0' = -J1) kept inside the shrinking sign-change bracket;
-    a step that would leave it bisects instead.
+    a step that would leave it bisects instead.  Next to the bottom of the
+    window J1 is small and rounding in J0 keeps the Newton step large, so
+    the search also ends once the bracket is a few floats wide.
     """
     from scipy.special import j0, j1
 
+    eps = np.finfo(float).eps
     fa = float(j0(a)) - level
     r = 0.5 * (a + b)
     for _ in range(100):
         f = float(j0(r)) - level
         step = f / float(j1(r))
-        if abs(step) <= 2.0 * np.finfo(float).eps * r:
+        if abs(step) <= 2.0 * eps * r:
             return r + step
         if (f > 0.0) == (fa > 0.0):
             a, fa = r, f
         else:
             b = r
+        if b - a <= 4.0 * eps * r:
+            return r
         r = r + step if a < r + step < b else 0.5 * (a + b)
     raise RuntimeError(f"J0(r) = {level} not resolved on ({a}, {b})")
 

@@ -11,6 +11,7 @@ from fracsde.quad import (
     graded_nodes,
     integrate_graded,
     integrate_graded_rows,
+    refine_rows,
 )
 
 
@@ -126,6 +127,36 @@ class TestIntegrateGraded:
             integrate_graded(blows_up, 0.0, 1.0, e_a=-0.5, tol=1e-9)
 
 
+class TestRefineRows:
+    # value 1 + c/n: the values at n/2 and n differ by c/n, so row k
+    # retires at the first doubled n with c_k / n <= tol
+    c = np.array([0.0, 1.0, 0.1])
+
+    def test_rows_retire_on_their_own(self):
+        seen = []
+
+        def value(rows, n):
+            seen.append((rows.tolist(), n))
+            return 1.0 + self.c[rows] / n
+
+        # results follow the order of the rows passed, not their values
+        out = refine_rows(value, np.array([2, 1, 0]), 4, 9, 1e-3)
+        np.testing.assert_array_equal(out, [1.0 + 0.1 / 128, 1.0 + 1.0 / 1024, 1.0])
+        assert seen[:3] == [([2, 1, 0], 4), ([2, 1, 0], 8), ([2, 1], 16)]
+        assert seen[-1] == ([1], 1024)
+
+    def test_doubling_limit_raises_naming_a_row(self):
+        value = lambda rows, n: 1.0 + self.c[rows] / n
+        # the slow row sits at position 2 and is named by its row number
+        with pytest.raises(QuadratureDiverged, match="1 rows .* row 1"):
+            refine_rows(value, np.array([0, 2, 1]), 4, 6, 1e-3)
+
+    def test_non_finite_value_raises(self):
+        value = lambda rows, n: np.where(rows == 2, np.inf, 1.0)
+        with pytest.raises(QuadratureDiverged, match="non-finite"):
+            refine_rows(value, np.arange(3), 4, 9, 1e-3)
+
+
 class TestIntegrateGradedRows:
     def test_incomplete_gamma_closed_form(self):
         # int_0^b v^e exp(-v) dv = Gamma(1+e) P(1+e, b), singular for e < 0
@@ -152,7 +183,7 @@ class TestIntegrateGradedRows:
         # v^{-1} is not integrable at 0; the finite row cannot rescue it
         f = lambda rows, v: np.where(rows[:, None] == 1, 1.0 / v, 1.0)
         with pytest.raises(QuadratureDiverged):
-            integrate_graded_rows(f, np.array([1.0, 1.0]), 0.0, max_doublings=5)
+            integrate_graded_rows(f, np.array([1.0, 1.0]), 0.0)
 
     def test_non_integrable_exponent_rejected(self):
         with pytest.raises(ValueError):
