@@ -645,6 +645,9 @@ def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
         return "count"
     if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
         raise ValueError("chain recursion holds cells x cells matrices; grid too large")
+    # load the chain route's trmm here, at set-up, not in the first chunk
+    from scipy.linalg.blas import dtrmm  # noqa: F401
+
     return "chain"
 
 

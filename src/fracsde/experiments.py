@@ -36,7 +36,6 @@ from .fields import (
     cov_fbm,
     factor_covariance,
     sample_fbm_batch,
-    sample_sheet_batch,
 )
 from .model import (
     Grid2D,
@@ -545,6 +544,14 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
 # Change-of-measure unit-mean check
 # ----------------------------------------------------------------------------
 
+def _solve_lower(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with L x = y for lower-triangular L, by forward substitution."""
+    x = np.empty_like(y)
+    for i in range(len(y)):
+        x[i] = (y[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
 def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     """Unit mean of the shift density and centering of the shifted field.
 
@@ -568,8 +575,6 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     result independent of the block size.
     """
     t0 = time.perf_counter()
-    import scipy.linalg as sla
-
     if settings.beta is None:
         raise ValueError("the change-of-measure check needs a sheet model")
     OperatorRegime.from_exponents(settings.alpha, settings.beta)
@@ -583,8 +588,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     line = build_grid(n, T)
     Ls = factor_covariance(alpha, line).lower_triangular
     Lt = factor_covariance(beta, line).lower_triangular
-    avec = sla.solve_triangular(Ls, line.points[1:], lower=True)
-    bvec = sla.solve_triangular(Lt, line.points[1:], lower=True)
+    avec = _solve_lower(Ls, line.points[1:])
+    bvec = _solve_lower(Lt, line.points[1:])
     grid_norm_sq = float(avec @ avec) * float(bvec @ bvec)
     quad_norm_sq = rkhs_norm_sq_separable(alpha, beta, T)
     coarse = kinv_norm_sq_discrete(alpha, beta, build_grid2d(n // 2, n // 2, T))
@@ -825,22 +830,44 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
 
 
 def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
+    """Sheet replicas V = L_s Z L_t', the law of ``fields.sample_sheet_batch``.
+
+    A chunk draws its noise into one reused buffer, a cache-sized block of
+    replicas at a time, in the order of the chunk's stream, and keeps only
+    each replica's far corner and two rectangle increments (and the first
+    sheet).  Each replica's sheet is its own pair of matrix products, so no
+    bit depends on the block size.
+    """
     t0 = time.perf_counter()
-    grid = build_grid2d(settings.grid_n, settings.grid_n, settings.T)
+    n = settings.grid_n
+    grid = build_grid2d(n, n, settings.T)
     alpha, beta = settings.alpha, settings.beta
+    line = build_grid(n, settings.T)
+    Ls = factor_covariance(alpha, line).lower_triangular
+    Lt = factor_covariance(beta, line).lower_triangular
+    half_s, half_t = grid.n_s // 2, grid.n_t // 2
+    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
 
     def work(idx: int, count: int):
-        values, _ = sample_sheet_batch(
-            alpha, beta, grid, count, RngStreamSpec(settings.seed, idx)
-        )
-        corner = values[:, -1, -1]
-        half_s, half_t = grid.n_s // 2, grid.n_t // 2
-        inc_a = values[:, half_s, half_t]
-        inc_b = (
-            values[:, -1, -1] - values[:, half_s, -1]
-            - values[:, -1, half_t] + values[:, half_s, half_t]
-        )
-        first = values[0] if idx == 0 else None
+        rng = RngStreamSpec(settings.seed, idx).generator()
+        noise = np.empty((min(rows, count), n, n))
+        # the sheet vanishes on the axes: row and column 0 stay 0
+        values = np.zeros((len(noise), n + 1, n + 1))
+        corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
+        first = None
+        for r0 in range(0, count, rows):
+            z, v = noise[:count - r0], values[:count - r0]
+            rng.standard_normal(out=z)
+            v[:, 1:, 1:] = Ls @ z @ Lt.T
+            out = slice(r0, r0 + len(z))
+            corner[out] = v[:, -1, -1]
+            inc_a[out] = v[:, half_s, half_t]
+            inc_b[out] = (
+                v[:, -1, -1] - v[:, half_s, -1]
+                - v[:, -1, half_t] + v[:, half_s, half_t]
+            )
+            if idx == 0 and r0 == 0:
+                first = v[0].copy()
         return (
             chunk_moments(corner**2),
             chunk_moments(inc_a * inc_b),

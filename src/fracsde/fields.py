@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from .model import Grid2D, RngStreamSpec, TimeGrid, build_grid
+from .quad import gauss_legendre_01
 from .special import VolterraKernelSpec, volterra_kernel
 
 __all__ = [
@@ -199,9 +200,7 @@ def _projection_matrix(spec: VolterraKernelSpec, n_steps: int, T: float) -> np.n
     t = grid.points
     n = grid.n_steps
     dt = grid.dt
-    u, w = np.polynomial.legendre.leggauss(24)
-    u = (u + 1.0) / 2.0
-    w = w / 2.0
+    u, w = gauss_legendre_01(24)
     C = np.zeros((n, n))
     for j in range(1, n + 1):
         tj = t[j]

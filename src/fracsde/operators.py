@@ -228,10 +228,7 @@ def _kstar_points(
         hi += edges[1:]
     owner = np.array(owner)
     phi_s = phi(s)
-    # K(T, s) one point at a time: its inner quadrature is a matvec whose
-    # rounding depends on how many points share it
-    val = np.array([volterra_kernel(spec, T, s[i:i + 1])[0] for i in range(len(s))])
-    val *= phi_s
+    val = volterra_kernel(spec, T, s) * phi_s
     pieces = _inner_increment_integral(
         spec, phi, s[owner], phi_s[owner], np.array(lo), np.array(hi), tol
     )
@@ -670,8 +667,6 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     value is independent of the others.  The boundary regime has no
     formula of either type.
     """
-    from scipy.special import gamma as sp_gamma
-
     if h == 0.5:
         raise RegimeUndefined("axis profile undefined at h = 1/2")
     if not (0.0 < h < 1.0):
@@ -688,10 +683,10 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         half = 0.5 * x
         inner = (integrate_graded_rows(near, half, g - 1.0, tol=tol)
                  + integrate_graded_rows(far, half, g, tol=tol))
-        return pre * inner / sp_gamma(g)
+        return pre * inner / math.gamma(g)
     base = np.array([v ** (1.0 - 2.0 * h) for v in x.tolist()])
     gap = g * power_gap_integral(h, x, tol=tol)
-    return pre * (base + gap) / sp_gamma(1.0 - g)
+    return pre * (base + gap) / math.gamma(1.0 - g)
 
 
 def kinv_profile_constant(h: float) -> float:
@@ -702,13 +697,11 @@ def kinv_profile_constant(h: float) -> float:
     in front of t^{1/2-alpha} s^{1/2-beta}.  The numeric route above never
     uses this value.
     """
-    from scipy.special import gamma as sp_gamma
-
     if h == 0.5:
         raise RegimeUndefined("amplitude undefined at h = 1/2")
     if not (0.0 < h < 1.0):
         raise ValueError(f"h={h} not in (0, 1)")
-    return float(sp_gamma(1.5 - h) / sp_gamma(2.0 - 2.0 * h))
+    return math.gamma(1.5 - h) / math.gamma(2.0 - 2.0 * h)
 
 
 @lru_cache(maxsize=16)

@@ -255,7 +255,9 @@ def _f1_integral(alpha: float, z: np.ndarray, nq: int) -> np.ndarray:
     th = (A[:, None] * u[None, :] ** p)
     vals = th ** (alpha - 1.5) * bracket(th)
     jac = A[:, None] * p * u[None, :] ** (p - 1.0)
-    near = (vals * jac) @ w
+    # one sum per row: a matvec would round by the row count, and a point
+    # of K(t, s) must keep the bits it has alone
+    near = np.sum(vals * jac * w, axis=1)
     # far piece: [1, U] in log coordinates, only where U > 1
     far = np.zeros_like(near)
     big = U[pos] > 1.0
@@ -264,7 +266,7 @@ def _f1_integral(alpha: float, z: np.ndarray, nq: int) -> np.ndarray:
         y = L[:, None] * u[None, :]
         th = np.exp(y)
         vals = th ** (alpha - 0.5) * bracket(th)  # extra th from d th = th dy
-        far[big] = (vals @ w) * L
+        far[big] = np.sum(vals * w, axis=1) * L
     out[pos] = near + far
     return out
 

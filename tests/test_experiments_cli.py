@@ -25,8 +25,8 @@ from fracsde.experiments import (
     cmd_operator_check,
     cmd_simulate,
 )
-from fracsde.fields import factor_covariance
-from fracsde.model import RngStreamSpec
+from fracsde.fields import factor_covariance, sample_sheet_batch
+from fracsde.model import RngStreamSpec, build_grid, build_grid2d
 
 # every command; the sampling ones span two replica chunks (4096 each)
 _SMALL_RUNS = [
@@ -345,8 +345,8 @@ def _fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
 
 class TestImports:
     def test_cold_import_loads_no_scipy(self):
-        # scipy costs about 1.2 s to import; commands that never call it
-        # must not pay for it
+        # scipy.special alone costs about 0.3 s to import; commands that
+        # never call it must not pay for it
         out = _fresh_python(
             "-c", "import sys, fracsde, fracsde.cli\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -380,6 +380,25 @@ class TestImports:
         result = json.loads(out.stdout.splitlines()[-1])
         assert result["code"] in (0, 1)
         assert result["added"] and all(a == [] for a in result["added"]), result
+
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in _SMALL_RUNS if _run_id(a) in ("simulate-sheet", "girsanov-check")],
+        ids=_run_id,
+    )
+    def test_sheet_noise_commands_load_no_scipy(self, argv, tmp_path):
+        # the Gauss-Legendre nodes, the gamma function and the tilt's
+        # triangular solves come from numpy and math
+        script = (
+            "import sys\n"
+            "import fracsde.cli as cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        out = _fresh_python("-c", script, *argv, "--seed", "7",
+                            "--out", str(tmp_path))
+        code, loaded = out.stdout.splitlines()[-1].split(" ", 1)
+        assert code in ("0", "1") and loaded == "[]", out.stdout
 
     @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=_run_id)
     def test_command_loads_no_scipy_stats(self, argv, tmp_path):
@@ -543,6 +562,50 @@ class TestSimulateStatistics:
         assert csvs  # trajectory plus covariance diagnostics
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["tables"]) == {p.removesuffix(".csv") for p in csvs}
+
+
+class TestSimulateSheetBlocks:
+    def test_blocks_reproduce_the_field_sampler(self, monkeypatch):
+        # two chunks, the second ragged (301); blocks of 1 and 7 replicas
+        # and one block a chunk give the same report, and its first sheet
+        # is chunk 0's first replica from fields.sample_sheet_batch
+        settings = RunSettings(alpha=0.3, beta=0.7, grid_n=8, samples=4096 + 301,
+                               seed=5)
+        reports = []
+        for rows in (1, 7, 4096):
+            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+            reports.append(cmd_simulate(settings))
+        payloads = [_strip_wall(r.to_dict()) for r in reports]
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert [r.tables for r in reports[1:]] == [reports[0].tables] * 2
+        grid = build_grid2d(8, 8, 1.0)
+        values, _ = sample_sheet_batch(0.3, 0.7, grid, 4096, RngStreamSpec(5, 0))
+        _, rows = reports[0].tables["sample_sheet"]
+        assert [row[2] for row in rows] == values[0].ravel().tolist()
+
+    def test_holds_blocks_not_the_chunk(self):
+        # one 4096-replica chunk of grid-32 noise takes 33.5 MB
+        settings = RunSettings(alpha=0.3, beta=0.7, grid_n=32, samples=4096)
+        cmd_simulate(replace(settings, samples=10))  # imports and caches
+        tracemalloc.start()
+        try:
+            cmd_simulate(settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+class TestGirsanovTilt:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_tilt_vector_reproduces_the_grid_points(self, alpha, n):
+        # E[W_{s,t} xi] = s t needs L a = t at every positive grid point
+        line = build_grid(n, 3.0)
+        L = factor_covariance(alpha, line).lower_triangular
+        t = line.points[1:]
+        a = experiments._solve_lower(L, t)
+        assert np.max(np.abs(L @ a - t) / t) < 1e-13
 
 
 class TestGirsanovNoiseBlocks:

@@ -31,6 +31,29 @@ class TestGaussLegendre01:
             exact = 1.0 / (k + 1)
             assert abs(np.dot(w, x**k) - exact) < 1e-13
 
+    @pytest.mark.parametrize("n", [8, 64, 384])
+    def test_exact_through_degree_two_n_minus_one(self, n):
+        x, w = gauss_legendre_01(n)
+        for k in range(2 * n):
+            assert abs(np.dot(w, x**k) * (k + 1) - 1.0) < 1e-13, k
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 192, 384])
+    def test_matches_scipy_roots_legendre(self, n):
+        # scipy's own weights are off by up to 4e-10 relative at n = 384
+        from scipy.special import roots_legendre
+
+        x, w = gauss_legendre_01(n)
+        x_ref, w_ref = roots_legendre(n)
+        assert np.max(np.abs(x - (x_ref + 1.0) / 2.0)) < 1e-15
+        assert np.max(np.abs(w - w_ref / 2.0) / (w_ref / 2.0)) < 1e-9
+
+    def test_holds_at_the_node_ceiling(self):
+        # Newton on the recurrence is O(n^2) work and O(n) memory; a dense
+        # eigenvalue route would hold a 512 MB matrix at the ceiling
+        x, w = gauss_legendre_01(8192)
+        assert np.all(np.diff(x) > 0.0) and abs(w.sum() - 1.0) < 1e-13
+        assert abs(np.dot(w, x**3) - 0.25) < 1e-13
+
     def test_cache_returns_same_arrays(self):
         a = gauss_legendre_01(16)
         b = gauss_legendre_01(16)
