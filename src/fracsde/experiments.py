@@ -81,9 +81,23 @@ __all__ = [
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
 
-# Values per block of girsanov-check's sheet noise (64 replicas at grid 64):
-# one 2 MB block stays in a per-core L2 cache while it is drawn and read.
+# Values per block of the sheet noise of girsanov-check and sheet simulate
+# (64 replicas at grid 64): one 2 MB block stays in a per-core L2 cache while
+# it is drawn and read.
 _NOISE_BLOCK_VALUES = 2**18
+
+
+def _noise_blocks(seed: int, idx: int, count: int, n: int):
+    """Yield ``(r0, z)``: chunk ``idx``'s ``count`` n x n standard normal
+    matrices, drawn in stream order into one reused buffer, ``z`` holding
+    replicas ``r0 .. r0 + len(z) - 1``."""
+    rng = RngStreamSpec(seed, idx).generator()
+    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
+    buf = np.empty((min(rows, count), n, n))
+    for r0 in range(0, count, rows):
+        z = buf[:count - r0]
+        rng.standard_normal(out=z)
+        yield r0, z
 
 # Depth of the negativity window: the limit surface must sit below -delta.
 NEGATIVITY_DELTA = 0.1
@@ -597,17 +611,12 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     refine_change = abs(fine - coarse) / coarse
 
     row_s, row_t = Ls[-1, :], Lt[-1, :]
-    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
 
     def work(idx: int, count: int):
-        rng = RngStreamSpec(settings.seed, idx).generator()
-        block = np.empty((min(rows, count), n, n))
         w_s, xi_s = np.empty((count, n)), np.empty((count, n))
-        for r0 in range(0, count, rows):
-            z = block[:count - r0]
-            rng.standard_normal(out=z)
-            np.matmul(row_s, z, out=w_s[r0:r0 + rows])
-            np.matmul(avec, z, out=xi_s[r0:r0 + rows])
+        for r0, z in _noise_blocks(settings.seed, idx, count, n):
+            np.matmul(row_s, z, out=w_s[r0:r0 + len(z)])
+            np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
         w_tt = w_s @ row_t
         xi = xi_s @ bvec
         dens_grid = np.exp(xi / eps - grid_norm_sq / (2.0 * eps * eps))
@@ -846,18 +855,15 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     Ls = factor_covariance(alpha, line).lower_triangular
     Lt = factor_covariance(beta, line).lower_triangular
     half_s, half_t = grid.n_s // 2, grid.n_t // 2
-    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
 
     def work(idx: int, count: int):
-        rng = RngStreamSpec(settings.seed, idx).generator()
-        noise = np.empty((min(rows, count), n, n))
-        # the sheet vanishes on the axes: row and column 0 stay 0
-        values = np.zeros((len(noise), n + 1, n + 1))
         corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
-        first = None
-        for r0 in range(0, count, rows):
-            z, v = noise[:count - r0], values[:count - r0]
-            rng.standard_normal(out=z)
+        values = first = None
+        for r0, z in _noise_blocks(settings.seed, idx, count, n):
+            if values is None:  # the first block is the largest
+                # the sheet vanishes on the axes: row and column 0 stay 0
+                values = np.zeros((len(z), n + 1, n + 1))
+            v = values[:len(z)]
             v[:, 1:, 1:] = Ls @ z @ Lt.T
             out = slice(r0, r0 + len(z))
             corner[out] = v[:, -1, -1]
