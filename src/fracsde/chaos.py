@@ -6,9 +6,10 @@ exponential are both cheap and can be compared pathwise.  Discrete multiple
 integrals realize low-order Wiener integrals against retained white noise:
 kernels are pushed to white-noise coordinates through the per-axis transfer
 matrices and summed off-diagonally (inclusion-exclusion over the partition
-lattice).  For the sheet, the explicit kernel structure collapses the
-off-diagonal sums into fast recursions over grid cells: a prefix-sum form
-when the drift vanishes and a pairwise chain recursion otherwise.
+lattice).  For the sheet, the kernel is supported on chains of points, so
+the off-diagonal sums collapse into one recursion over grid cells that
+extends a chain by one cell per order: by prefix sums when the drift
+vanishes and through triangular cells x cells kernels otherwise.
 
 The Wick-corrected Euler scheme and the Picard solver for the deterministic
 sheet equation close the loop for the convergence and negativity studies.
@@ -55,12 +56,11 @@ __all__ = [
     "sheet_solver_route",
     "deterministic_sheet_solution",
     "picard_sheet",
-    "sheet_kernel_form_gap",
 ]
 
 # Tensor routes materialise cells**order entries; keep them in check.
 _MAX_TENSOR_ENTRIES = 2**18
-# The chain route holds two cells x cells kernels (268 MB at this size).
+# The drifted chain route holds two cells x cells kernels (268 MB at this size).
 _MAX_CHAIN_CELLS = 4096
 # Values per buffer in one block of chaos_total_1d (252 rows at 65 nodes).
 # A block's seven buffers (0.9 MB) stay in a 2 MB per-core L2 cache; 2**13
@@ -125,36 +125,26 @@ def _chain_sort(pts: np.ndarray) -> Union[np.ndarray, None]:
     return q
 
 
-def kernel_sheet_eval(n: int, a: float, b: float, z, args, form: str = "auto") -> float:
+def kernel_sheet_eval(n: int, a: float, b: float, z, args) -> float:
     """Order-n sheet kernel at evaluation corner z = (s, t).
 
-    With drift, the kernel is supported on chains: the points must be
-    totally ordered by the coordinatewise partial order and inside [0, z];
-    its value multiplies drift factors h0(b ds dt) over consecutive chain
-    increments (starting from the origin, closing at z).  Without drift the
-    kernel instead counts the points that dominate all the others and sit
-    inside [0, z]; the two prescriptions agree up to order 2 but not beyond,
-    so ``form`` can force either one ("chain" / "count") for diagnostics.
+    The kernel is supported on chains: the points must be totally ordered
+    by the coordinatewise partial order and inside [0, z].  Its value
+    a^n / n! multiplies drift factors h0(b ds dt) over consecutive chain
+    increments (starting from the origin, closing at z).  Without drift
+    every factor is h0(0) = 1, so the kernel is a^n / n! on chains: the
+    Skorohod integral of I_{n-1}(g) is I_n of its symmetrisation, so only
+    the top point of a chain carries the others.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    if form not in ("auto", "chain", "count"):
-        raise ValueError(f"unknown form {form!r}")
     s, t = float(z[0]), float(z[1])
     pts = np.asarray(args, dtype=float).reshape(-1, 2) if n else np.empty((0, 2))
     if pts.shape[0] != n:
         raise ValueError(f"expected {n} points, got {pts.shape[0]}")
-    use_count = form == "count" or (form == "auto" and b == 0.0)
     if n == 0:
-        return 1.0 if use_count else h0(b * s * t)
+        return h0(b * s * t)
     lead = a**n / math.factorial(n)
-    if use_count:
-        inside = (pts[:, 0] >= 0.0) & (pts[:, 0] <= s) & (pts[:, 1] >= 0.0) & (pts[:, 1] <= t)
-        dominates = np.all(
-            (pts[:, None, 0] >= pts[None, :, 0]) & (pts[:, None, 1] >= pts[None, :, 1]),
-            axis=1,
-        )
-        return lead * float(np.count_nonzero(inside & dominates))
     if np.any(pts < 0.0) or np.any(pts[:, 0] > s) or np.any(pts[:, 1] > t):
         return 0.0
     q = _chain_sort(pts)
@@ -490,27 +480,6 @@ def _prefix2d(A: np.ndarray) -> np.ndarray:
     return np.cumsum(np.cumsum(A, axis=-2), axis=-1)
 
 
-def _count_levels(a: float, grid: Grid2D, noise: np.ndarray, N: int):
-    """Yield ``a^n L_n`` for n = 1..N: driftless weights per cell.
-
-    ``L_n[c]`` is the increment ``dW = sqrt(cell area) noise`` at c times
-    e_{n-1} of the increments strictly dominated by c.  e_k comes from the
-    power sums p_1..p_k of those increments by Newton's identities,
-    k e_k = sum_i (-1)^(i-1) e_{k-i} p_i.
-    """
-    dW = math.sqrt(grid.cell_area) * noise
-    esym, power = [np.ones_like(dW)], []
-    for n in range(1, N + 1):
-        yield a**n * (dW * esym[n - 1])
-        if n < N:
-            dWn = dW**n
-            power.append(_prefix2d(dWn) - dWn)
-            signed = (
-                (-1) ** (i - 1) * esym[n - i] * power[i - 1] for i in range(1, n + 1)
-            )
-            esym.append(sum(signed) / n)
-
-
 def _offset_matrix(k: np.ndarray) -> np.ndarray:
     """Block-Toeplitz matrix ``M[(I, J), (i, j)] = k[I - i, J - j]`` over the cells.
 
@@ -555,16 +524,32 @@ def _apply_lower(K: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.T.reshape(X.shape)
 
 
+def _chain_apply(b: float, grid: Grid2D, shift: float) -> Callable:
+    """The map ``X -> X @ K.T`` over cells of the chain kernel ``K`` at ``shift``.
+
+    With drift ``K`` is ``_chain_kernel(b, grid, shift)``, built here and
+    applied in place by trmm.  Without drift every entry is h0(0) = 1, so
+    the node kernel ``Qi`` (shift 1/2) sums the cells below each node, a 2-D
+    prefix sum, and the step kernel ``P`` (shift 0) the cells below each
+    cell but not the cell itself.
+    """
+    if b != 0.0:
+        return partial(_apply_lower, _chain_kernel(b, grid, shift))
+    if shift == 0.0:
+        return lambda X: _prefix2d(X) - X
+    return _prefix2d
+
+
 def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
-    """Yield ``a^n L_n`` for n = 1..N: chain weights per cell, in one buffer.
+    """Yield ``a^n L_n`` for n = 1..N: chain weights per cell.
 
     ``L_n[c]`` sums, over chains of n cells topped by c, the product of the
     cells' increments ``dW = sqrt(cell area) noise`` and the drift factors
     ``h0`` along the chain from the origin: ``L_n = dW (L_{n-1} P^T)``, where
     ``P[c, c'] = h0(b Δs Δt)`` carries a chain from cell c' to cell c; it
-    is strictly lower triangular in row-major cell order, and trmm applies
-    it in place.  The buffer is updated in place, so a caller reads each
-    level before asking for the next.
+    is strictly lower triangular in row-major cell order (see
+    ``_chain_apply``).  With drift one buffer is updated in place, so a
+    caller reads each level before asking for the next.
     """
     if N == 0:
         return
@@ -574,32 +559,12 @@ def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
     L *= scale
     yield L
     if N > 1:
-        P = _chain_kernel(b, grid, 0.0)
+        step = _chain_apply(b, grid, 0.0)
         for _ in range(2, N + 1):
-            L = _apply_lower(P, L)
+            L = step(L)
             L *= noise
             L *= scale
             yield L
-
-
-def _cell_weights(p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int):
-    """The per-cell weights ``a^n L_n``, n = 1..N, of the route for ``p.b``."""
-    if p.b == 0.0:
-        return _count_levels(p.a, grid, noise, N)
-    return _chain_levels(p.a, p.b, grid, noise, N)
-
-
-def _readout(b: float, grid: Grid2D) -> Callable:
-    """The linear map from per-cell weights to the n_s x n_t interior nodes.
-
-    Without drift a node sums the weights of the cells below it, a 2-D
-    prefix sum.  With drift the weight of cell c reaches node z times
-    ``Qi[z, c]``, the drift factor from the centre of c: a lower-triangular
-    cells x cells kernel, built here and applied in place by trmm.
-    """
-    if b == 0.0:
-        return _prefix2d
-    return partial(_apply_lower, _chain_kernel(b, grid, 0.5))
 
 
 def _sheet_orders_generic(
@@ -627,11 +592,12 @@ def _sheet_orders_generic(
 def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
     """Validate a sheet solve and name its route, before any noise is drawn.
 
-    "count" (Hurst (1/2, 1/2) without drift), "chain" (Hurst (1/2, 1/2)
-    with drift) or "generic" (the tensor route).  Raises what the solvers
-    raise: the tensor route's order cap, and the chain route's refusal of
-    grids above 4096 cells, whose cells x cells kernels would not fit in
-    memory.  The count and chain routes take any order.
+    "chain" (Hurst (1/2, 1/2), any drift) or "generic" (the tensor route).
+    Raises what the solvers raise: the tensor route's order cap, and, with
+    drift, the chain route's refusal of grids above 4096 cells, whose
+    cells x cells kernels would not fit in memory.  Without drift the chain
+    kernels are prefix sums, so any grid is taken; the chain route takes
+    any order.
     """
     if not p.hurst.is_sheet:
         raise ValueError("sheet solver needs a Hurst pair with beta")
@@ -641,13 +607,11 @@ def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
         if N > 4:
             raise OrderTooHigh(f"order {N} > 4 not supported")
         return "generic"
-    if p.b == 0.0:
-        return "count"
-    if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
-        raise ValueError("chain recursion holds cells x cells matrices; grid too large")
-    # load the chain route's trmm here, at set-up, not in the first chunk
-    from scipy.linalg.blas import dtrmm  # noqa: F401
-
+    if p.b != 0.0:
+        if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
+            raise ValueError("chain recursion holds cells x cells matrices; grid too large")
+        # load the chain route's trmm here, at set-up, not in the first chunk
+        from scipy.linalg.blas import dtrmm  # noqa: F401
     return "chain"
 
 
@@ -664,21 +628,16 @@ def solve_sheet_chaos_batch(
     """Per-order sheet solution for a batch of noise draws (R, n_s, n_t).
 
     Returns (N+1, R, n_s+1, n_t+1).  At Hurst (1/2, 1/2) the white-noise
-    cells coincide with the sheet increments and the kernel recursions
-    apply at any grid size; each order is its cell weights read out onto
-    the nodes.  Other regimes fall back to the tensor route.
-
-    Without drift the kernel takes its count form, with drift its chain
-    form (``kernel_sheet_eval``), so orders 3 and up jump at b = 0: order
-    3 at b = 1e-12 and at b = 0 differ by up to 89% of its largest value
-    (8 x 8 grid, T = 1, a = 1.3).  Orders 0-2 are continuous there.
+    cells coincide with the sheet increments and the chain recursion
+    applies; each order is its chain weights read out onto the nodes.
+    Other regimes fall back to the tensor route.
     """
     if _sheet_route(p, grid, noise, N) == "generic":
         return _sheet_orders_generic(p, grid, noise, N)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    readout = _readout(p.b, grid)
-    for n, level in enumerate(_cell_weights(p, grid, noise, N), start=1):
+    readout = _chain_apply(p.b, grid, 0.5)
+    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N), start=1):
         orders[n][:, 1:, 1:] = readout(level.copy())  # trmm would overwrite it
     return orders
 
@@ -688,8 +647,8 @@ def solve_sheet_chaos_total_batch(
 ) -> np.ndarray:
     """Truncated sheet solution, orders 0..N summed: (R, n_s+1, n_t+1).
 
-    The readout is linear, so the (1/2, 1/2) routes sum the cell weights
-    over orders and read the sum out once.  The recursion and its kernel
+    The readout is linear, so the chain route sums the cell weights over
+    orders and reads the sum out once.  The recursion and its kernel
     are freed before the readout is built, and the surface is allocated
     after it, so at most two replica-sized arrays are live.  The tensor
     route sums ``solve_sheet_chaos_batch``'s orders.
@@ -697,10 +656,10 @@ def solve_sheet_chaos_total_batch(
     if _sheet_route(p, grid, noise, N) == "generic":
         return solve_sheet_chaos_batch(p, grid, noise, N).sum(axis=0)
     S = np.zeros(noise.shape)
-    for level in _cell_weights(p, grid, noise, N):
+    for level in _chain_levels(p.a, p.b, grid, noise, N):
         S += level
         del level  # so the recursion's buffer is freed before the readout
-    S = _readout(p.b, grid)(S)
+    S = _chain_apply(p.b, grid, 0.5)(S)
     total = np.empty((noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     total[:] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     total[:, 1:, 1:] += S
@@ -715,30 +674,6 @@ def solve_sheet_chaos(
         raise ValueError("field must live on a product grid")
     orders = solve_sheet_chaos_batch(p, grid2d, field.white_noise[None], truncation)
     return TruncatedChaosSolution(truncation=truncation, orders=orders[:, 0])
-
-
-def sheet_kernel_form_gap(
-    a: float, grid: Grid2D, field: GaussianField, z, N: int
-) -> np.ndarray:
-    """Per-order gap between the two driftless kernel prescriptions at z.
-
-    The chain form and the count form agree up to order 2 and genuinely
-    differ from order 3 on; this reports the discrete-integral difference
-    rather than asserting either way.
-    """
-    regime = HurstPair(0.5, 0.5)
-    out = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        vals = {}
-        for form in ("count", "chain"):
-            vals[form] = discrete_multiple_integral(
-                lambda pts, f=form: kernel_sheet_eval(n, a, 0.0, z, pts, form=f),
-                n,
-                field,
-                regime,
-            )
-        out[n] = vals["count"] - vals["chain"]
-    return out
 
 
 # ----------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from fracsde.chaos import (
     offdiagonal_contraction,
     picard_sheet,
     pushed_kernel_tensor,
-    sheet_kernel_form_gap,
     sheet_solver_route,
     solve_sheet_chaos,
     solve_sheet_chaos_batch,
@@ -84,29 +83,22 @@ class TestExplicitKernels:
 
     def test_sheet_kernel_outside_support(self):
         assert kernel_sheet_eval(1, 1.0, 0.5, (0.5, 0.5), [(0.6, 0.2)]) == 0.0
-        # incomparable pair is not a chain and has no dominating point
+        # incomparable pair is not a chain
         pts = [(0.2, 0.7), (0.7, 0.2)]
         assert kernel_sheet_eval(2, 1.0, 0.5, (1.0, 1.0), pts) == 0.0
-        assert kernel_sheet_eval(2, 1.0, 0.0, (1.0, 1.0), pts, form="count") == 0.0
 
-    def test_sheet_kernel_forms_agree_to_order_two(self):
-        z = (1.0, 1.0)
-        for pts in ([(0.2, 0.3)], [(0.2, 0.3), (0.5, 0.8)], [(0.2, 0.7), (0.7, 0.2)]):
-            c = kernel_sheet_eval(len(pts), 1.5, 0.0, z, pts, form="count")
-            ch = kernel_sheet_eval(len(pts), 1.5, 0.0, z, pts, form="chain")
-            assert c == pytest.approx(ch)
-
-    def test_sheet_kernel_forms_differ_at_order_three(self):
-        # a join: two incomparable points under a common dominating third
-        pts = [(0.3, 0.6), (0.6, 0.3), (0.8, 0.8)]
-        c = kernel_sheet_eval(3, 1.0, 0.0, (1.0, 1.0), pts, form="count")
-        ch = kernel_sheet_eval(3, 1.0, 0.0, (1.0, 1.0), pts, form="chain")
-        assert c == pytest.approx(1.0 / 6.0)
-        assert ch == 0.0
+    def test_sheet_kernel_driftless_is_chain_indicator(self):
+        # a^3/6 on a chain, and 0 on a join: two incomparable points under a
+        # common dominating third, which the Wick exponential's count
+        # kernel would weigh a^3/6 as well
+        a, z = 1.3, (1.0, 1.0)
+        chain = [(0.2, 0.3), (0.8, 0.5), (0.5, 0.4)]
+        assert kernel_sheet_eval(3, a, 0.0, z, chain) == pytest.approx(a**3 / 6.0, rel=1e-15)
+        join = [(0.2, 0.8), (0.8, 0.2), (0.9, 0.9)]
+        assert kernel_sheet_eval(3, a, 0.0, z, join) == 0.0
+        assert kernel_sheet_eval(2, a, 0.0, z, join[:2]) == 0.0
 
     def test_sheet_kernel_validation(self):
-        with pytest.raises(ValueError):
-            kernel_sheet_eval(1, 1.0, 0.0, (1.0, 1.0), [(0.5, 0.5)], form="bogus")
         with pytest.raises(ValueError):
             kernel_sheet_eval(2, 1.0, 0.0, (1.0, 1.0), [(0.5, 0.5)])
 
@@ -467,6 +459,23 @@ def _dense_chain_orders(a, b, grid, noise, N):
     return orders
 
 
+def _corner_second_moments(a, grid, N):
+    """E[(order n at the far corner)^2], n = 1..N, of the driftless solution.
+
+    Products over different chains are orthogonal, so order n's second
+    moment sums a^{2n} dA^n over the chains of n cells: M_1 = a^2 dA per
+    cell, M_n = a^2 dA (prefix2d(M_{n-1}) - M_{n-1}), and the corner reads
+    sum(M_n).
+    """
+    w = a * a * grid.cell_area
+    M = np.full((grid.n_s, grid.n_t), w)
+    out = [M.sum()]
+    for _ in range(2, N + 1):
+        M = w * (M.cumsum(axis=0).cumsum(axis=1) - M)
+        out.append(M.sum())
+    return np.array(out)
+
+
 class TestSheetSolver:
     def test_order_zero_is_deterministic_profile(self):
         g = build_grid2d(6, 5, 1.0)
@@ -534,7 +543,7 @@ class TestSheetSolver:
             sheet_solver_route(p, g, 3)
 
     @pytest.mark.parametrize("n_s,n_t,T", [(16, 16, 3.0), (4, 3, 0.7), (3, 4, 0.7)])
-    @pytest.mark.parametrize("b", [-1.0, -1.3])
+    @pytest.mark.parametrize("b", [0.0, -1.0, -1.3])
     def test_chain_route_matches_dense_oracle(self, n_s, n_t, T, b):
         g = build_grid2d(n_s, n_t, T)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.1, b=b, T=T)
@@ -562,29 +571,28 @@ class TestSheetSolver:
             total = solve_sheet_chaos_total_batch(p, g, noise, N)
             summed = solve_sheet_chaos_batch(p, g, noise, N).sum(axis=0)
             if alpha == 0.5:
-                # the count route reads its summed weights out once, so the
-                # sum of prefix sums rounds apart from the prefix sum of sums
+                # the driftless chain route reads its summed weights out once,
+                # so the sum of prefix sums rounds apart from the prefix sum
+                # of sums
                 scale = np.max(np.abs(summed))
                 assert np.max(np.abs(total - summed)) <= 1e-12 * scale
             else:
                 np.testing.assert_array_equal(total, summed)
 
-    def test_count_and_chain_readouts_agree_through_order_two(self):
-        # b = 0 takes the count route and b = +-1e-12 the chain route; the
-        # kernel forms agree through order 2, so the two readouts must too,
-        # and split from order 3 on (see solve_sheet_chaos_batch)
+    def test_orders_are_continuous_at_zero_drift(self):
+        # b = 0 applies the chain kernels as prefix sums and b = +-1e-12
+        # builds them and applies them by trmm; every order must agree
         g = build_grid2d(8, 8, 1.0)
         noise = np.random.default_rng(13).standard_normal((50, 8, 8))
         solve = lambda b: solve_sheet_chaos_batch(
             ModelParams(HurstPair(0.5, 0.5), a=1.3, b=b, T=1.0), g, noise, 4
         )
-        count = solve(0.0)
+        driftless = solve(0.0)
         for b in (1e-12, -1e-12):
-            chain = solve(b)
-            for n in range(3):
-                scale = np.max(np.abs(count[n]))
-                assert np.max(np.abs(chain[n] - count[n])) <= 1e-9 * scale, (b, n)
-            assert np.max(np.abs(chain[3] - count[3])) > 0.1 * np.max(np.abs(count[3]))
+            drifted = solve(b)
+            for n in range(5):
+                scale = np.max(np.abs(driftless[n]))
+                assert np.max(np.abs(drifted[n] - driftless[n])) <= 1e-9 * scale, (b, n)
 
     def test_summed_chain_route_holds_two_replica_arrays(self):
         # the chain weights and their running sum, then the sum and the
@@ -604,10 +612,10 @@ class TestSheetSolver:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_count_route_matches_generic_route_driftless(self):
-        # order 4 takes e_3 from Newton's identities; the tensor oracle makes
+    def test_driftless_chain_route_matches_generic_route(self):
+        # order 4 takes three prefix-sum chain steps; the tensor oracle makes
         # cells**4 kernel calls per node, so it runs on six cells
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.5, b=0.0, T=1.0)
         rng = np.random.default_rng(5)
         for n_s, n_t in ((3, 2), (2, 3)):
             g = build_grid2d(n_s, n_t, 1.0)
@@ -617,16 +625,16 @@ class TestSheetSolver:
             assert np.max(np.abs(slow[4])) > 1e-2  # order 4 is not void here
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
-    def test_count_route_order_five_matches_subset_sums(self):
-        # the driftless kernel counts the points that dominate all others,
-        # so order n at a node is a^n times the sum, over top cells c below
-        # it, of dW_c times every product of n - 1 other cells with indices
-        # <= c's; enumerated here subset by subset, no Newton's identities
+    def test_driftless_chain_route_order_five_matches_chain_sums(self):
+        # the driftless kernel is a^n/n! on chains, so order n at a node is
+        # a^n times the sum, over top cells c below it, of dW_c times every
+        # product of n - 1 cells that form a chain strictly below c;
+        # enumerated here chain by chain, no prefix sums
         n_s = n_t = 6
         g = build_grid2d(n_s, n_t, 1.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.3, b=0.0, T=1.0)
         noise = np.random.default_rng(12).standard_normal((3, n_s, n_t))
-        assert sheet_solver_route(p, g, 5) == "count"
+        assert sheet_solver_route(p, g, 5) == "chain"
         orders = solve_sheet_chaos_batch(p, g, noise, 5)
         dW = math.sqrt(g.cell_area) * noise
         brute = np.zeros_like(orders)
@@ -636,11 +644,66 @@ class TestSheetSolver:
             for n in range(1, 6):
                 combos = list(itertools.combinations(below, n - 1))
                 subsets = np.array(combos, dtype=int).reshape(len(combos), n - 1, 2)
+                # combinations keep the row-major order of ``below``, so a
+                # subset is a chain iff its t indices never decrease
+                subsets = subsets[np.all(np.diff(subsets[..., 1], axis=1) >= 0, axis=1)]
                 rest = dW[:, subsets[..., 0], subsets[..., 1]].prod(axis=2).sum(axis=1)
                 brute[n][:, i + 1:, j + 1:] += (p.a**n * dW[:, i, j] * rest)[:, None, None]
         for n in range(6):
             scale = np.max(np.abs(brute[n]))
             assert np.max(np.abs(orders[n] - brute[n])) <= 1e-12 * scale, n
+
+    def test_driftless_second_moments_match_the_isometry_recursion(self):
+        # 2e4 replicas in chunks, orders 1-4 at the far corner, 4 standard
+        # errors; a count kernel (the Wick exponential's) would read 13 and
+        # 14 standard errors high at orders 3 and 4
+        a, T, n, R, chunk = 1.3, 1.5, 16, 20_000, 2000
+        g = build_grid2d(n, n, T)
+        p = ModelParams(HurstPair(0.5, 0.5), a=a, b=0.0, T=T)
+        rng = np.random.default_rng(20240814)
+        corner = np.concatenate([
+            solve_sheet_chaos_batch(p, g, rng.standard_normal((chunk, n, n)), 4)[1:, :, -1, -1]
+            for _ in range(R // chunk)
+        ], axis=1)
+        sq = corner**2
+        se = sq.std(axis=1, ddof=1) / math.sqrt(R)
+        z = (sq.mean(axis=1) - _corner_second_moments(a, g, 4)) / se
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_isometry_recursion_converges_to_the_continuum_moments(self):
+        # order n's second moment tends to a^{2n} (st)^n / (n!)^2; order 1
+        # is exact on any grid, and the error of orders 2-4 halves as the
+        # grid doubles
+        a = 1.3
+        limit = np.array([a ** (2 * n) / math.factorial(n) ** 2 for n in range(1, 5)])
+        moments = [_corner_second_moments(a, build_grid2d(n, n, 1.0), 4) for n in (16, 32, 64)]
+        np.testing.assert_allclose([m[2] for m in moments], [0.1810, 0.1585, 0.1465], atol=5e-5)
+        err = np.array([m - limit for m in moments])
+        assert np.all(np.abs(err[:, 0]) <= 1e-14 * limit[0])
+        assert np.all(err[:, 1:] > 0.0)
+        ratios = err[1:, 1:] / err[:-1, 1:]
+        assert np.all((0.4 < ratios) & (ratios < 0.6)), ratios
+
+    def test_driftless_route_takes_grids_above_the_chain_guard(self):
+        # 65 x 64 cells: a cells x cells kernel would take 138 MB, while the
+        # driftless chain kernels are prefix sums over replica arrays
+        g = build_grid2d(65, 64, 1.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
+        R, N = 8, 3
+        noise = np.random.default_rng(14).standard_normal((R, 65, 64))
+        replica = 8 * R * 66 * 65
+        assert sheet_solver_route(p, g, N) == "chain"
+        # the stacked orders, or the running sum and the surface, plus
+        # working arrays (7.9 and 3.9 replica arrays measured)
+        for solve, arrays in ((solve_sheet_chaos_batch, N + 6), (solve_sheet_chaos_total_batch, 5)):
+            tracemalloc.start()
+            try:
+                out = solve(p, g, noise, N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(out))
+            assert peak <= arrays * replica, (solve.__name__, peak / replica)
 
     def test_single_field_wrapper(self):
         g = build_grid2d(4, 4, 1.0)
@@ -655,21 +718,13 @@ class TestSheetSolver:
         line = ModelParams(HurstPair(0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(line, g, np.zeros((1, 4, 4)), 2)
-        # only the tensor route is capped; (1/2, 1/2) routes take any order
+        # only the tensor route is capped; the (1/2, 1/2) chain route takes any order
         tensor = ModelParams(HurstPair(0.3, 0.7), a=1.0, b=0.0, T=1.0)
         with pytest.raises(OrderTooHigh):
             solve_sheet_chaos_batch(tensor, g, np.zeros((1, 4, 4)), 5)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(p, g, np.zeros((4, 4)), 2)
-
-    def test_form_gap_vanishes_through_order_two(self):
-        g = build_grid2d(4, 4, 1.0)
-        f = sample_sheet(0.5, 0.5, g, RngStreamSpec(77))
-        gap = sheet_kernel_form_gap(1.0, g, f, (1.0, 1.0), 3)
-        assert gap[1] == pytest.approx(0.0, abs=1e-12)
-        assert gap[2] == pytest.approx(0.0, abs=1e-12)
-        assert abs(gap[3]) > 1e-6  # the prescriptions genuinely split here
 
 
 class TestPicard:

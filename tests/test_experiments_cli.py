@@ -1,8 +1,10 @@
 """Experiment runners and the CLI wrapper: config handling, reproducibility,
 exit-code protocol, report structure."""
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -352,6 +354,17 @@ class TestImports:
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         assert out.stdout.strip() == "[]"
+
+    def test_every_listed_name_resolves(self):
+        # a function deleted but still listed in a module's __all__ fails
+        # only a star import; the package's own names are plain imports,
+        # which ``import fracsde`` already checks
+        for info in pkgutil.iter_modules(fracsde.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"fracsde.{info.name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert missing == [], info.name
 
     @pytest.mark.parametrize(
         "argv", [a for a in _SMALL_RUNS if a[0] != "operator-check"],
