@@ -53,6 +53,7 @@ __all__ = [
     "solve_sheet_chaos",
     "solve_sheet_chaos_batch",
     "solve_sheet_chaos_total_batch",
+    "solve_sheet_chaos_total_blocks",
     "sheet_solver_route",
     "deterministic_sheet_solution",
     "picard_sheet",
@@ -540,7 +541,9 @@ def _chain_apply(b: float, grid: Grid2D, shift: float) -> Callable:
     return _prefix2d
 
 
-def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
+def _chain_levels(
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int, step
+):
     """Yield ``a^n L_n`` for n = 1..N: chain weights per cell.
 
     ``L_n[c]`` sums, over chains of n cells topped by c, the product of the
@@ -548,8 +551,10 @@ def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
     ``h0`` along the chain from the origin: ``L_n = dW (L_{n-1} P^T)``, where
     ``P[c, c'] = h0(b Δs Δt)`` carries a chain from cell c' to cell c; it
     is strictly lower triangular in row-major cell order (see
-    ``_chain_apply``).  With drift one buffer is updated in place, so a
-    caller reads each level before asking for the next.
+    ``_chain_apply``).  ``step`` applies ``P`` (None when N < 2); the
+    caller builds it, so one ``P`` serves every block of noise.  With drift
+    one buffer is updated in place, so a caller reads each level before
+    asking for the next.
     """
     if N == 0:
         return
@@ -558,13 +563,11 @@ def _chain_levels(a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int):
     L = noise * h0_array(np.multiply.outer(b * sc, tc))
     L *= scale
     yield L
-    if N > 1:
-        step = _chain_apply(b, grid, 0.0)
-        for _ in range(2, N + 1):
-            L = step(L)
-            L *= noise
-            L *= scale
-            yield L
+    for _ in range(2, N + 1):
+        L = step(L)
+        L *= noise
+        L *= scale
+        yield L
 
 
 def _sheet_orders_generic(
@@ -615,11 +618,9 @@ def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
     return "chain"
 
 
-def _sheet_route(p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int) -> str:
-    route = sheet_solver_route(p, grid, N)
+def _check_noise(grid: Grid2D, noise: np.ndarray) -> None:
     if noise.ndim != 3 or noise.shape[1:] != (grid.n_s, grid.n_t):
         raise ValueError("noise must have shape (replicas, n_s, n_t)")
-    return route
 
 
 def solve_sheet_chaos_batch(
@@ -632,14 +633,56 @@ def solve_sheet_chaos_batch(
     applies; each order is its chain weights read out onto the nodes.
     Other regimes fall back to the tensor route.
     """
-    if _sheet_route(p, grid, noise, N) == "generic":
+    route = sheet_solver_route(p, grid, N)
+    _check_noise(grid, noise)
+    if route == "generic":
         return _sheet_orders_generic(p, grid, noise, N)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     readout = _chain_apply(p.b, grid, 0.5)
-    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N), start=1):
+    step = _chain_apply(p.b, grid, 0.0) if N > 1 else None
+    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N, step), start=1):
         orders[n][:, 1:, 1:] = readout(level.copy())  # trmm would overwrite it
     return orders
+
+
+def solve_sheet_chaos_total_blocks(
+    p: ModelParams, grid: Grid2D, count: int, blocks, N: int
+):
+    """Yield ``(r0, total)``: the summed orders 0..N for each block of noise.
+
+    ``blocks`` yields ``(r0, z)``, tiling ``count`` replicas: ``z`` (R, n_s,
+    n_t) holds replicas ``r0 .. r0 + R - 1`` and may be a reused buffer.
+    ``total`` is (R, n_s+1, n_t+1); no bit of it depends on the blocking.
+    The readout is linear, so the chain route runs each block's recursion
+    into its rows of one summed-weight array S under one step kernel
+    ``P``, frees ``P``, and then reads all of S out at once through the
+    node kernel ``Qi`` (with drift one in-place trmm, which packs ``Qi``
+    once, not once a block).  So S, one kernel and one block's arrays are
+    live at a time.  The tensor route sums each block's orders.
+    """
+    if sheet_solver_route(p, grid, N) == "generic":
+        for r0, z in blocks:
+            yield r0, solve_sheet_chaos_batch(p, grid, z, N).sum(axis=0)
+        return
+    step = _chain_apply(p.b, grid, 0.0) if N > 1 else None
+    S = np.zeros((count, grid.n_s, grid.n_t))
+    spans = []
+    for r0, z in blocks:
+        _check_noise(grid, z)
+        rows = S[r0:r0 + len(z)]
+        for level in _chain_levels(p.a, p.b, grid, z, N, step):
+            rows += level
+            del level  # so the recursion's buffer is freed with its block
+        spans.append((r0, len(z)))
+    del step  # free P before Qi is built
+    S = _chain_apply(p.b, grid, 0.5)(S)
+    base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
+    for r0, m in spans:
+        total = np.empty((m, grid.n_s + 1, grid.n_t + 1))
+        total[:] = base
+        total[:, 1:, 1:] += S[r0:r0 + m]
+        yield r0, total
 
 
 def solve_sheet_chaos_total_batch(
@@ -647,22 +690,13 @@ def solve_sheet_chaos_total_batch(
 ) -> np.ndarray:
     """Truncated sheet solution, orders 0..N summed: (R, n_s+1, n_t+1).
 
-    The readout is linear, so the chain route sums the cell weights over
-    orders and reads the sum out once.  The recursion and its kernel
-    are freed before the readout is built, and the surface is allocated
-    after it, so at most two replica-sized arrays are live.  The tensor
-    route sums ``solve_sheet_chaos_batch``'s orders.
+    ``solve_sheet_chaos_total_blocks`` fed the whole batch as one block:
+    on the chain route the summed weights and the recursion's buffer, then
+    the summed weights and the surface, are the live replica-sized arrays
+    besides the caller's noise.
     """
-    if _sheet_route(p, grid, noise, N) == "generic":
-        return solve_sheet_chaos_batch(p, grid, noise, N).sum(axis=0)
-    S = np.zeros(noise.shape)
-    for level in _chain_levels(p.a, p.b, grid, noise, N):
-        S += level
-        del level  # so the recursion's buffer is freed before the readout
-    S = _chain_apply(p.b, grid, 0.5)(S)
-    total = np.empty((noise.shape[0], grid.n_s + 1, grid.n_t + 1))
-    total[:] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    total[:, 1:, 1:] += S
+    blocks = [(0, noise)]
+    ((_, total),) = solve_sheet_chaos_total_blocks(p, grid, len(noise), blocks, N)
     return total
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import fracsde
 
-from fracsde import experiments
+from fracsde import chaos, experiments
 from fracsde.cli import _parser, build_settings, main, parse_config_file
 from fracsde.experiments import (
     EmptyRegion,
@@ -528,6 +528,52 @@ class TestNegativitySetup:
                           "--out", str(out), OPENBLAS_NUM_THREADS=blas)
             outs.append((out / "negativity_surface.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestNegativityBlocks:
+    _ARGV = ["negativity", "--T", "3", "--grid-n", "8", "--epsilon", "0.05",
+             "--samples", str(4096 + 300), "--seed", "5"]
+
+    def test_block_size_does_not_move_results(self, monkeypatch, tmp_path):
+        # two chunks (4096 and 300); blocks of 7 replicas divide neither, and
+        # 4096 a block solves each chunk whole; at 1 and 2 threads
+        outs = []
+        for rows in (7, 4096):
+            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+            for threads in ("1", "2"):
+                out = tmp_path / f"rows{rows}_threads{threads}"
+                assert main(self._ARGV + ["--threads", threads, "--out", str(out)]) == 0
+                report = _strip_wall(json.loads((out / "report.json").read_text()))
+                report["parameters"].pop("threads")
+                outs.append((report, (out / "negativity_surface.csv").read_bytes()))
+        assert all(o == outs[0] for o in outs[1:])
+
+    def test_step_kernel_is_built_once_a_chunk(self, monkeypatch, tmp_path):
+        # one P and one Qi per chunk, however many blocks the chunk draws
+        built = []
+        make = chaos._chain_kernel
+        monkeypatch.setattr(chaos, "_chain_kernel", lambda b, grid, shift: (
+            built.append(shift) or make(b, grid, shift)))
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", 7 * 8 * 8)
+        assert main(self._ARGV + ["--out", str(tmp_path)]) == 0
+        assert sorted(built) == [0.0, 0.0, 0.5, 0.5]
+
+    def test_chunk_holds_one_summed_weight_array_and_one_kernel(self):
+        # grid 32, 2000 replicas: the summed weights take 16.4 MB, a cells x
+        # cells kernel 8.4 MB and a noise block 2.1 MB; a whole-chunk solve
+        # also holds the chunk's noise and a replica-sized recursion buffer
+        # or surface (57 MB)
+        settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
+        cmd_negativity(replace(settings, samples=10))  # imports and caches
+        cells = 32 * 32
+        bound = 8 * (2000 * cells + cells * cells + 4 * experiments._NOISE_BLOCK_VALUES)
+        tracemalloc.start()
+        try:
+            cmd_negativity(settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak / bound
 
 
 class TestSimulateStatistics:

@@ -280,20 +280,20 @@ class TestInverseKernelProfile:
             np.testing.assert_allclose(lib, ref, rtol=1e-10)
 
     def test_matches_mpmath_quadrature_below_half(self):
-        # independent route: Riemann-Liouville integral of u^{1/2-h} at 50
-        # digits; above h ~ 0.4 the oracle's own endpoint singularity limits
-        # it, so the cross-check stays in the operative below-half band
+        # independent route: the Riemann-Liouville integral of u^g
+        # (g = 1/2 - h) is the Beta integral x^{2g} B(g, g+1) / Gamma(g), so
+        # the profile x^{-g} I^g[u^g](x) is Gamma(g+1)/Gamma(2g+1) x^g,
+        # evaluated here by mpmath at 50 digits; it checks the graded
+        # quadrature and, apart from math.gamma, kinv_profile_constant
         mp.mp.dps = 50
         for h in (0.25, 0.3):
             gam = mp.mpf(1) / 2 - mp.mpf(str(h))
+            amp = mp.beta(gam, gam + 1) / mp.gamma(gam)
+            assert abs(kinv_profile_constant(h) / float(amp) - 1.0) < 1e-12, h
             for x in (0.4, 1.0):
-                xm = mp.mpf(str(x))
-                ref = mp.quad(
-                    lambda u: (xm - u) ** (gam - 1) * u**gam, [0, xm], maxdegree=12
-                ) / mp.gamma(gam)
-                ref = float(ref * xm ** (mp.mpf(str(h)) - mp.mpf(1) / 2))
+                ref = float(amp * mp.mpf(str(x)) ** gam)
                 lib = kinv_axis_factor(h, np.array([x]))[0]
-                assert abs(lib - ref) < 1e-5
+                assert abs(lib / ref - 1.0) < 1e-12, (h, x)
 
     def test_regime_and_domain_errors(self):
         with pytest.raises(RegimeUndefined):
