@@ -4,9 +4,14 @@
 Usage: python scripts/compare_runs.py OLD NEW.  Each report.json is compared
 without ``wall_seconds`` and ``parameters.threads``, every other file byte
 for byte; each difference and each file found on one side only is printed.
+A differing CSV is sized: the count of its numeric cells that differ, their
+largest absolute and relative gaps, and the count of other cells that differ.
 """
+import csv
 import json
+import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 
@@ -15,6 +20,32 @@ def _report(path: Path) -> dict:
     report.pop("wall_seconds", None)
     report.get("parameters", {}).pop("threads", None)
     return report
+
+
+def _csv_gap(old: Path, new: Path) -> str:
+    """How two CSV files differ, cell by cell."""
+    tables = [list(csv.reader(p.open(newline=""))) for p in (old, new)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return "tables differ in shape"
+    cells, other, gap_abs, gap_rel = 0, 0, 0.0, 0.0
+    for x, y in zip(*(chain.from_iterable(t) for t in tables)):
+        if x == y:
+            continue
+        try:
+            u, v = float(x), float(y)
+        except ValueError:
+            u = v = math.nan
+        if not (math.isfinite(u) and math.isfinite(v)):
+            other += 1
+            continue
+        cells += 1
+        gap = abs(u - v)
+        gap_abs = max(gap_abs, gap)
+        gap_rel = max(gap_rel, gap / max(abs(u), abs(v)) if gap else 0.0)
+    return (
+        f"{cells} numeric cells, largest gap {gap_abs:.3g} absolute and "
+        f"{gap_rel:.3g} relative; {other} other cells"
+    )
 
 
 def compare(old: Path, new: Path) -> list[str]:
@@ -27,7 +58,8 @@ def compare(old: Path, new: Path) -> list[str]:
             keys = sorted(k for k in a | b if a.get(k) != b.get(k))
             problems += [f"differs: {f} [{k}]" for k in keys]
         elif (old / f).read_bytes() != (new / f).read_bytes():
-            problems.append(f"differs: {f}")
+            gap = f" ({_csv_gap(old / f, new / f)})" if f.suffix == ".csv" else ""
+            problems.append(f"differs: {f}{gap}")
     return problems
 
 

@@ -61,7 +61,8 @@ __all__ = [
 
 # Tensor routes materialise cells**order entries; keep them in check.
 _MAX_TENSOR_ENTRIES = 2**18
-# The drifted chain route holds two cells x cells kernels (268 MB at this size).
+# The drifted chain route holds one cells x cells kernel array (134 MB at this
+# size).
 _MAX_CHAIN_CELLS = 4096
 # Values per buffer in one block of chaos_total_1d (252 rows at 65 nodes).
 # A block's seven buffers (0.9 MB) stay in a 2 MB per-core L2 cache; 2**13
@@ -481,64 +482,94 @@ def _prefix2d(A: np.ndarray) -> np.ndarray:
     return np.cumsum(np.cumsum(A, axis=-2), axis=-1)
 
 
-def _offset_matrix(k: np.ndarray) -> np.ndarray:
-    """Block-Toeplitz matrix ``M[(I, J), (i, j)] = k[I - i, J - j]`` over the cells.
+def _offset_windows(k: np.ndarray) -> np.ndarray:
+    """View ``W[I, J, i, j] = k[I - i, J - j]`` of the offset table ``k``.
 
-    ``k`` is (n_s, n_t); rows and columns run over the n_s x n_t cells in
-    row-major order, and negative offsets read zero, so ``M`` is lower
-    triangular.  It is a window view of the flipped, zero-padded table.
+    ``k`` is (n_s, n_t); negative offsets read zero.  Reshaped to (cells,
+    cells), with cells in row-major order, ``W`` is a block-Toeplitz lower
+    triangular matrix; it is a window view of the flipped, zero-padded
+    table, so nothing of cells x cells size exists until it is copied.
     """
     ns, nt = k.shape
     flipped = np.zeros((2 * ns - 1, 2 * nt - 1))
     flipped[:ns, :nt] = k[::-1, ::-1]
-    windows = sliding_window_view(flipped, (ns, nt))[::-1, ::-1]
-    return windows.reshape(ns * nt, ns * nt)
+    return sliding_window_view(flipped, (ns, nt))[::-1, ::-1]
 
 
-def _chain_kernel(b: float, grid: Grid2D, shift: float) -> np.ndarray:
-    """``h0(b (di + shift) ds (dj + shift) dt)`` over cell offsets, as a matrix.
+def _chain_kernels(b: float, grid: Grid2D) -> tuple[np.ndarray, float]:
+    """Both drifted chain kernels in one (cells, cells) array, and ``q0``.
 
-    ``shift = 0`` gives the cell-to-cell kernel ``P`` with its diagonal
-    zeroed (a chain step moves strictly up); ``shift = 1/2`` gives the
-    cell-to-node kernel ``Qi``, whose row (I, J) is the interior node
-    (I + 1, J + 1), reached from the centres of the cells below it.
+    The offset tables are ``h0(b (di + shift) ds (dj + shift) dt)``.  At
+    ``shift = 0`` they give the cell-to-cell step kernel ``P``, whose
+    diagonal is zero (a chain step moves strictly up); at ``shift = 1/2``
+    the cell-to-node kernel ``Qi``, whose row (I, J) is the interior node
+    (I + 1, J + 1), reached from the centres of the cells below it.  Both
+    are lower triangular over the cells.  The array's lower triangle,
+    diagonal included, is ``P``; its strict upper triangle is the strict
+    lower part of ``Qi``, transposed, filled one block row of cells at a
+    time.  ``Qi``'s diagonal is the constant ``q0 = h0(b ds dt / 4)``.
     """
-    ds = (np.arange(grid.n_s) + shift) * grid.ds
-    dt = (np.arange(grid.n_t) + shift) * grid.dt
-    k = h0_array(np.multiply.outer(b * ds, dt))
-    if shift == 0.0:
-        k[0, 0] = 0.0
-    return _offset_matrix(k)
+    def table(shift: float) -> np.ndarray:
+        ds = (np.arange(grid.n_s) + shift) * grid.ds
+        dt = (np.arange(grid.n_t) + shift) * grid.dt
+        return h0_array(np.multiply.outer(b * ds, dt))
+
+    step, node = table(0.0), table(0.5)
+    q0 = float(node[0, 0])
+    step[0, 0] = node[0, 0] = 0.0
+    ns, nt = grid.n_s, grid.n_t
+    K = np.empty((ns * nt, ns * nt))
+    blocks, windows = K.reshape(ns, nt, ns, nt), _offset_windows(node)
+    blocks[...] = _offset_windows(step)
+    for i in range(ns):
+        # K[(i, j), (I, J)] = Qi[(I, J), (i, j)] = node[I - i, J - j], which
+        # block column 0 of the windows holds for every I - i; it reads zero
+        # where J < j, so adding leaves P's part of the diagonal block
+        blocks[i, :, i:, :] += windows[:ns - i, :, 0, :].transpose(2, 0, 1)
+    return K, q0
 
 
-def _apply_lower(K: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``X @ K.T`` over the cells of ``X`` (R, n_s, n_t), ``K`` lower triangular.
+def _apply_triangle(K: np.ndarray, X: np.ndarray, node: bool) -> np.ndarray:
+    """``X @ T.T`` over the cells of ``X`` (R, n_s, n_t), in place.
 
-    BLAS trmm reads the (cells, R) transpose, F-ordered when ``X`` is
-    C-ordered, as its right operand and overwrites it; any other layout is
-    silently copied by scipy first.
+    ``T`` is the lower triangle of ``K``, diagonal included, or (``node``)
+    the unit lower triangle whose strict part is the strict upper triangle
+    of ``K`` transposed.  BLAS trmm reads only that triangle.  It reads the
+    (cells, R) transpose, F-ordered when ``X`` is C-ordered, as its right
+    operand and overwrites it; any other layout is silently copied by scipy
+    first.
     """
     from scipy.linalg.blas import dtrmm
 
     flat = X.reshape(len(X), -1).T
-    out = dtrmm(1.0, K.T, flat, side=0, lower=0, trans_a=1, overwrite_b=1)
+    if node:
+        out = dtrmm(1.0, K.T, flat, side=0, lower=1, diag=1, overwrite_b=1)
+    else:
+        out = dtrmm(1.0, K.T, flat, side=0, lower=0, trans_a=1, overwrite_b=1)
     return out.T.reshape(X.shape)
 
 
-def _chain_apply(b: float, grid: Grid2D, shift: float) -> Callable:
-    """The map ``X -> X @ K.T`` over cells of the chain kernel ``K`` at ``shift``.
+def _apply_node(K: np.ndarray, q0: float, X: np.ndarray) -> np.ndarray:
+    """``X @ Qi.T`` over cells, in place: a unit-diagonal trmm plus ``(q0 - 1) X``."""
+    rest = (q0 - 1.0) * X
+    out = _apply_triangle(K, X, node=True)
+    out += rest
+    return out
 
-    With drift ``K`` is ``_chain_kernel(b, grid, shift)``, built here and
-    applied in place by trmm.  Without drift every entry is h0(0) = 1, so
-    the node kernel ``Qi`` (shift 1/2) sums the cells below each node, a 2-D
-    prefix sum, and the step kernel ``P`` (shift 0) the cells below each
-    cell but not the cell itself.
+
+def _chain_apply(b: float, grid: Grid2D) -> tuple[Callable, Callable]:
+    """The maps ``X -> X @ P.T`` and ``X -> X @ Qi.T`` over cells.
+
+    ``P`` is the step kernel, ``Qi`` the node kernel.  With drift both are
+    read from the one array of ``_chain_kernels``, built here, and applied
+    in place by trmm.  Without drift every entry is h0(0) = 1, so ``Qi``
+    sums the cells below each node, a 2-D prefix sum, and ``P`` the cells
+    below each cell but not the cell itself.
     """
     if b != 0.0:
-        return partial(_apply_lower, _chain_kernel(b, grid, shift))
-    if shift == 0.0:
-        return lambda X: _prefix2d(X) - X
-    return _prefix2d
+        K, q0 = _chain_kernels(b, grid)
+        return partial(_apply_triangle, K, node=False), partial(_apply_node, K, q0)
+    return (lambda X: _prefix2d(X) - X), _prefix2d
 
 
 def _chain_levels(
@@ -551,10 +582,10 @@ def _chain_levels(
     ``h0`` along the chain from the origin: ``L_n = dW (L_{n-1} P^T)``, where
     ``P[c, c'] = h0(b Δs Δt)`` carries a chain from cell c' to cell c; it
     is strictly lower triangular in row-major cell order (see
-    ``_chain_apply``).  ``step`` applies ``P`` (None when N < 2); the
-    caller builds it, so one ``P`` serves every block of noise.  With drift
-    one buffer is updated in place, so a caller reads each level before
-    asking for the next.
+    ``_chain_kernels``).  ``step`` applies ``P``; the caller takes it from
+    ``_chain_apply``, so one kernel array serves every block of noise.
+    With drift one buffer is updated in place, so a caller reads each level
+    before asking for the next.
     """
     if N == 0:
         return
@@ -598,9 +629,9 @@ def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
     "chain" (Hurst (1/2, 1/2), any drift) or "generic" (the tensor route).
     Raises what the solvers raise: the tensor route's order cap, and, with
     drift, the chain route's refusal of grids above 4096 cells, whose
-    cells x cells kernels would not fit in memory.  Without drift the chain
-    kernels are prefix sums, so any grid is taken; the chain route takes
-    any order.
+    cells x cells kernel array (both chain kernels, see ``_chain_kernels``)
+    would not fit in memory.  Without drift the chain kernels are prefix
+    sums, so any grid is taken; the chain route takes any order.
     """
     if not p.hurst.is_sheet:
         raise ValueError("sheet solver needs a Hurst pair with beta")
@@ -639,49 +670,42 @@ def solve_sheet_chaos_batch(
         return _sheet_orders_generic(p, grid, noise, N)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    readout = _chain_apply(p.b, grid, 0.5)
-    step = _chain_apply(p.b, grid, 0.0) if N > 1 else None
+    step, readout = _chain_apply(p.b, grid)
     for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N, step), start=1):
         orders[n][:, 1:, 1:] = readout(level.copy())  # trmm would overwrite it
     return orders
 
 
-def solve_sheet_chaos_total_blocks(
-    p: ModelParams, grid: Grid2D, count: int, blocks, N: int
-):
+def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int):
     """Yield ``(r0, total)``: the summed orders 0..N for each block of noise.
 
-    ``blocks`` yields ``(r0, z)``, tiling ``count`` replicas: ``z`` (R, n_s,
-    n_t) holds replicas ``r0 .. r0 + R - 1`` and may be a reused buffer.
-    ``total`` is (R, n_s+1, n_t+1); no bit of it depends on the blocking.
-    The readout is linear, so the chain route runs each block's recursion
-    into its rows of one summed-weight array S under one step kernel
-    ``P``, frees ``P``, and then reads all of S out at once through the
-    node kernel ``Qi`` (with drift one in-place trmm, which packs ``Qi``
-    once, not once a block).  So S, one kernel and one block's arrays are
-    live at a time.  The tensor route sums each block's orders.
+    ``blocks`` yields ``(r0, z)``: ``z`` (R, n_s, n_t) holds replicas
+    ``r0 .. r0 + R - 1`` and may be a reused buffer.  ``total`` is (R,
+    n_s+1, n_t+1); no bit of it depends on the blocking.  The readout is
+    linear, so the chain route sums each block's levels into one summed
+    weight array and reads it out through the node kernel as soon as the
+    block's recursion ends.  With drift both kernels sit in one cells x
+    cells array, built once for all blocks; so that array and a few of one
+    block's arrays are live at a time, whatever the replica count.  The
+    tensor route sums each block's orders.
     """
     if sheet_solver_route(p, grid, N) == "generic":
         for r0, z in blocks:
             yield r0, solve_sheet_chaos_batch(p, grid, z, N).sum(axis=0)
         return
-    step = _chain_apply(p.b, grid, 0.0) if N > 1 else None
-    S = np.zeros((count, grid.n_s, grid.n_t))
-    spans = []
+    step, readout = _chain_apply(p.b, grid)
+    base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     for r0, z in blocks:
         _check_noise(grid, z)
-        rows = S[r0:r0 + len(z)]
+        S = np.zeros(z.shape)
         for level in _chain_levels(p.a, p.b, grid, z, N, step):
-            rows += level
-            del level  # so the recursion's buffer is freed with its block
-        spans.append((r0, len(z)))
-    del step  # free P before Qi is built
-    S = _chain_apply(p.b, grid, 0.5)(S)
-    base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    for r0, m in spans:
-        total = np.empty((m, grid.n_s + 1, grid.n_t + 1))
+            S += level
+            del level  # so the recursion's buffer is freed before the readout
+        S = readout(S)
+        total = np.empty((len(z), grid.n_s + 1, grid.n_t + 1))
         total[:] = base
-        total[:, 1:, 1:] += S[r0:r0 + m]
+        total[:, 1:, 1:] += S
+        del S
         yield r0, total
 
 
@@ -691,12 +715,11 @@ def solve_sheet_chaos_total_batch(
     """Truncated sheet solution, orders 0..N summed: (R, n_s+1, n_t+1).
 
     ``solve_sheet_chaos_total_blocks`` fed the whole batch as one block:
-    on the chain route the summed weights and the recursion's buffer, then
-    the summed weights and the surface, are the live replica-sized arrays
-    besides the caller's noise.
+    on the chain route the summed weights and, in turn, the recursion's
+    buffer, the readout's ``(q0 - 1)`` term and the surface are the live
+    replica-sized arrays besides the caller's noise.
     """
-    blocks = [(0, noise)]
-    ((_, total),) = solve_sheet_chaos_total_blocks(p, grid, len(noise), blocks, N)
+    ((_, total),) = solve_sheet_chaos_total_blocks(p, grid, [(0, noise)], N)
     return total
 
 

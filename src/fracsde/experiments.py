@@ -81,21 +81,26 @@ __all__ = [
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
 
-# Values per block of the sheet noise of girsanov-check, sheet simulate and
-# negativity (64 replicas at grid 64, 113 at grid 48): one 2 MB block stays
-# in a per-core L2 cache while it is drawn and read.
+# Values per block of the sheet noise of girsanov-check and sheet simulate
+# (64 replicas at grid 64): one 2 MB block stays in a per-core L2 cache
+# while it is drawn and read.
 _NOISE_BLOCK_VALUES = 2**18
+# Values per block of negativity's noise (227 replicas at grid 48).  Each
+# block makes three trmm calls, and each call packs its whole cells x cells
+# triangle (about 3.5 ms at grid 48), so larger blocks than the others
+# spread that cost; 2**18 saves about 11 MB of peak at grid 48 but runs slower.
+_CHAIN_BLOCK_VALUES = 2**19
 
 
-def _noise_blocks(seed: int, idx: int, count: int, n: int):
+def _noise_blocks(seed: int, idx: int, count: int, n: int, values: int):
     """Yield ``(r0, z)``: chunk ``idx``'s ``count`` n x n standard normal
-    matrices, drawn in stream order into one reused buffer, ``z`` holding
-    replicas ``r0 .. r0 + len(z) - 1``.  The draws are those of one
-    ``standard_normal((count, n, n))`` call on the chunk's stream.  All
-    three sheet commands (girsanov-check, sheet simulate, negativity) draw
-    their noise here."""
+    matrices, drawn in stream order into one reused buffer of about
+    ``values`` values, ``z`` holding replicas ``r0 .. r0 + len(z) - 1``.
+    The draws are those of one ``standard_normal((count, n, n))`` call on
+    the chunk's stream.  All three sheet commands (girsanov-check, sheet
+    simulate, negativity) draw their noise here."""
     rng = RngStreamSpec(seed, idx).generator()
-    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
+    rows = max(1, values // (n * n))
     buf = np.empty((min(rows, count), n, n))
     for r0 in range(0, count, rows):
         z = buf[:count - r0]
@@ -511,9 +516,9 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     sheet_solver_route(p, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
-        blocks = _noise_blocks(settings.seed, idx, count, grid.n_s)
+        blocks = _noise_blocks(settings.seed, idx, count, grid.n_s, _CHAIN_BLOCK_VALUES)
         all_neg, surface = 0, np.zeros(limit.shape)
-        for _, total in solve_sheet_chaos_total_blocks(p, grid, count, blocks, N):
+        for _, total in solve_sheet_chaos_total_blocks(p, grid, blocks, N):
             all_neg += int(np.all(total[:, mask] < 0.0, axis=1).sum())
             # a running sum in replica order: the bits of the chunk's
             # total.sum(axis=0), whatever the block size
@@ -626,16 +631,22 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     refine_change = abs(fine - coarse) / coarse
 
     row_s, row_t = Ls[-1, :], Lt[-1, :]
+    # 2 eps^2 underflows to 0 below eps ~ 1e-154; the compensators and the
+    # log of the predicted mean are then infinite, not an exception
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        var2 = np.float64(2.0 * eps * eps)
+        grid_comp, quad_comp = grid_norm_sq / var2, quad_norm_sq / var2
+        log_mean_quad = (np.float64(T) ** (2 * alpha + 2 * beta) - quad_norm_sq) / var2
 
     def work(idx: int, count: int):
         w_s, xi_s = np.empty((count, n)), np.empty((count, n))
-        for r0, z in _noise_blocks(settings.seed, idx, count, n):
+        for r0, z in _noise_blocks(settings.seed, idx, count, n, _NOISE_BLOCK_VALUES):
             np.matmul(row_s, z, out=w_s[r0:r0 + len(z)])
             np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
         w_tt = w_s @ row_t
         xi = xi_s @ bvec
-        dens_grid = np.exp(xi / eps - grid_norm_sq / (2.0 * eps * eps))
-        dens_quad = np.exp(w_tt / eps - quad_norm_sq / (2.0 * eps * eps))
+        dens_grid = np.exp(xi / eps - grid_comp)
+        dens_quad = np.exp(w_tt / eps - quad_comp)
         shifted = dens_grid * (w_tt - T * T / eps)
         return (
             chunk_moments(dens_grid),
@@ -651,9 +662,10 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     sum_d = mean_grid.estimate * settings.samples
     sum_d2 = math.fsum(p_[3] for p_ in parts)
     ess = sum_d * sum_d / sum_d2 if sum_d2 > 0 else 0.0
-    predicted_quad = math.exp(
-        (T ** (2 * alpha + 2 * beta) - quad_norm_sq) / (2.0 * eps * eps)
-    )
+    try:
+        predicted_quad = math.exp(log_mean_quad)
+    except OverflowError:  # fails its metric and is written as null
+        predicted_quad = math.inf
 
     metrics = (
         _within_4se("density_mean", mean_grid, 1.0, "1"),
@@ -874,7 +886,7 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     def work(idx: int, count: int):
         corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
         values = first = None
-        for r0, z in _noise_blocks(settings.seed, idx, count, n):
+        for r0, z in _noise_blocks(settings.seed, idx, count, n, _NOISE_BLOCK_VALUES):
             if values is None:  # the first block is the largest
                 # the sheet vanishes on the axes: row and column 0 stay 0
                 values = np.zeros((len(z), n + 1, n + 1))
@@ -899,7 +911,8 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     var_corner = combine_moments([p_[0] for p_ in parts], settings.seed)
     decorr = combine_moments([p_[1] for p_ in parts], settings.seed)
     sheet0 = parts[0][2]
-    target = settings.T ** (2.0 * alpha + 2.0 * beta)
+    with np.errstate(over="ignore"):  # an overflow fails its metric
+        target = float(np.float64(settings.T) ** (2.0 * alpha + 2.0 * beta))
     # product covariance of the two rectangle increments; zero exactly at
     # Hurst (1/2, 1/2), nonzero otherwise by long-range dependence
     s_half = grid.s[grid.n_s // 2]

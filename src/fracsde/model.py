@@ -186,8 +186,11 @@ class MonteCarloResult:
     seed: int
 
     def __post_init__(self) -> None:
+        # a non-finite estimate or interval is passed on, for its metric to
+        # fail; only a finite one is checked
         lo, hi = self.ci95
-        if not (lo <= self.estimate <= hi):
+        finite = all(map(math.isfinite, (lo, self.estimate, hi)))
+        if finite and not (lo <= self.estimate <= hi):
             raise ValueError("estimate must lie inside its confidence interval")
 
     @classmethod

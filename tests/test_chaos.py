@@ -595,15 +595,17 @@ class TestSheetSolver:
                 assert np.max(np.abs(drifted[n] - driftless[n])) <= 1e-9 * scale, (b, n)
 
     def test_summed_chain_route_holds_two_replica_arrays(self):
-        # the chain weights and their running sum, then the sum and the
-        # surface, plus the two cells x cells kernels; stacking the orders
-        # (4 replica arrays) or a copied trmm operand breaks the bound
+        # the running sum of the chain weights with, in turn, the weights,
+        # the readout's (q0 - 1) term and the surface, plus one cells x
+        # cells kernel array; stacking the orders (4 replica arrays) or a
+        # copied trmm operand breaks the bound
         R, n = 4000, 16
         g = build_grid2d(n, n, 3.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=0.05, b=-1.0, T=3.0)
         noise = np.random.default_rng(11).standard_normal((R, n, n))
         cells, nodes = n * n, (n + 1) * (n + 1)
-        bound = 8 * (2 * R * nodes + 2 * cells * cells)
+        bound = 8 * (2 * R * nodes + cells * cells)
+        solve_sheet_chaos_total_batch(p, g, noise[:1], 3)  # loads BLAS trmm
         tracemalloc.start()
         try:
             solve_sheet_chaos_total_batch(p, g, noise, 3)

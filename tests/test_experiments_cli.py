@@ -539,7 +539,7 @@ class TestNegativityBlocks:
         # 4096 a block solves each chunk whole; at 1 and 2 threads
         outs = []
         for rows in (7, 4096):
-            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+            monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", rows * 8 * 8)
             for threads in ("1", "2"):
                 out = tmp_path / f"rows{rows}_threads{threads}"
                 assert main(self._ARGV + ["--threads", threads, "--out", str(out)]) == 0
@@ -549,31 +549,38 @@ class TestNegativityBlocks:
         assert all(o == outs[0] for o in outs[1:])
 
     def test_step_kernel_is_built_once_a_chunk(self, monkeypatch, tmp_path):
-        # one P and one Qi per chunk, however many blocks the chunk draws
+        # one array holds both chain kernels; one build per chunk, however
+        # many blocks the chunk draws
         built = []
-        make = chaos._chain_kernel
-        monkeypatch.setattr(chaos, "_chain_kernel", lambda b, grid, shift: (
-            built.append(shift) or make(b, grid, shift)))
-        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", 7 * 8 * 8)
+        make = chaos._chain_kernels
+        monkeypatch.setattr(chaos, "_chain_kernels", lambda b, grid: (
+            built.append(b) or make(b, grid)))
+        monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", 7 * 8 * 8)
         assert main(self._ARGV + ["--out", str(tmp_path)]) == 0
-        assert sorted(built) == [0.0, 0.0, 0.5, 0.5]
+        assert built == [-1.0, -1.0]
 
-    def test_chunk_holds_one_summed_weight_array_and_one_kernel(self):
-        # grid 32, 2000 replicas: the summed weights take 16.4 MB, a cells x
-        # cells kernel 8.4 MB and a noise block 2.1 MB; a whole-chunk solve
-        # also holds the chunk's noise and a replica-sized recursion buffer
-        # or surface (57 MB)
-        settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
-        cmd_negativity(replace(settings, samples=10))  # imports and caches
-        cells = 32 * 32
-        bound = 8 * (2000 * cells + cells * cells + 4 * experiments._NOISE_BLOCK_VALUES)
+    @staticmethod
+    def _peak(settings: RunSettings) -> int:
         tracemalloc.start()
         try:
             cmd_negativity(settings)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound, peak / bound
+
+    def test_chunk_holds_one_kernel_and_a_few_blocks(self):
+        # grid 32: a cells x cells kernel takes 8.4 MB and a block of 512
+        # replicas 4.2 MB; a chunk-wide array of 2000 replicas' summed
+        # weights (16.4 MB) breaks the bound.  The peak must not grow with
+        # the replica count: 4000 replicas, still one chunk, stay within one
+        # block of 2000
+        settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
+        cmd_negativity(replace(settings, samples=10))  # imports and caches
+        cells, block = 32 * 32, 8 * experiments._CHAIN_BLOCK_VALUES
+        peak = self._peak(settings)
+        assert peak <= 8 * cells * cells + 5 * block, peak / 1e6
+        more = self._peak(replace(settings, samples=4000))
+        assert more <= peak + block, (peak / 1e6, more / 1e6)
 
 
 class TestSimulateStatistics:
@@ -737,6 +744,33 @@ class TestStatisticalHonesty:
         assert sup["value"] is None and sup["passed"] is False
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("argv", [
+        # the predicted continuum mean overflows; at 1e-200 2 eps^2 is 0
+        ["girsanov-check", "--epsilon", "0.01"],
+        ["girsanov-check", "--epsilon", "1e-200"],
+        # non-finite Monte Carlo moments
+        ["girsanov-check", "--T", "1e200"],
+        ["euler-study", "--a", "1e200"],
+        ["simulate", "--T", "1e300"],
+    ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate"])
+    def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
+                                                          capsys):
+        sheet = ["--alpha", "0.3", "--beta", "0.3", "--grid-n", "8"]
+        extra = [] if argv[0] == "euler-study" else sheet
+        code = main(argv + extra + ["--samples", "100", "--out", str(tmp_path)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(
+            (tmp_path / "report.json").read_text(), parse_constant=reject
+        )
+        assert report["passed"] is False
+        failed = [m for m in report["metrics"] if not m["passed"]]
+        assert any(m["value"] is None or m["target"] is None for m in failed)
+
     def test_non_finite_setting_exits_two(self, tmp_path, capsys):
         code = main(["operator-check", "--a", "inf", "--out", str(tmp_path)])
         assert code == 2
@@ -768,3 +802,24 @@ class TestCompareRuns:
         run = self._compare(tmp_path / "1", tmp_path / "2")
         assert run.returncode == 1 and "sample_path.csv" in run.stdout
         assert "differs" not in run.stdout
+
+    def test_csv_differences_are_sized(self, tmp_path):
+        # one cell moves in its last bits, one by 0.5, and a flag flips; the
+        # header and the unchanged cells do not count
+        rows = [["s", "mean", "in_window"], ["0.5", "1.0", "True"],
+                ["1.0", "-0.25", "False"]]
+        moved = [["s", "mean", "in_window"], ["0.5", repr(1.0 + 2**-52), "True"],
+                 ["1.0", "0.25", "True"]]
+        for side, table in (("old", rows), ("new", moved)):
+            (tmp_path / side).mkdir()
+            text = "\n".join(",".join(row) for row in table) + "\n"
+            (tmp_path / side / "surface.csv").write_text(text)
+        run = self._compare(tmp_path / "old", tmp_path / "new")
+        assert run.returncode == 1
+        assert run.stdout.strip() == (
+            "differs: surface.csv (2 numeric cells, largest gap 0.5 absolute "
+            "and 2 relative; 1 other cells)"
+        )
+        (tmp_path / "new" / "surface.csv").write_text("s,mean\n0.5,1.0\n")
+        run = self._compare(tmp_path / "old", tmp_path / "new")
+        assert "differs: surface.csv (tables differ in shape)" in run.stdout

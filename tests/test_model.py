@@ -85,6 +85,15 @@ def test_mc_result_interval_invariant():
         MonteCarloResult(1.0, 0.1, 10, (2.0, 3.0), 0)
 
 
+def test_mc_result_passes_non_finite_moments_on():
+    # an overflowed sample gives an infinite mean and an undefined spread;
+    # the estimate reaches its metric, which fails it
+    with np.errstate(invalid="ignore"):
+        r = MonteCarloResult.from_samples(np.array([1.0, np.inf, 2.0]), seed=0)
+    assert r.estimate == np.inf and np.isnan(r.std_error)
+    assert np.isnan(MonteCarloResult(np.nan, 0.1, 10, (2.0, 3.0), 0).estimate)
+
+
 @given(
     xs=st.lists(st.floats(-50, 50), min_size=2, max_size=40),
 )
