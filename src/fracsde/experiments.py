@@ -60,7 +60,7 @@ from .operators import (
     rkhs_norm_sq_separable,
 )
 from .special import VolterraKernelSpec, negativity_interval, volterra_kernel
-from .quad import gauss_legendre_01
+from .quad import QuadratureOverflow, gauss_legendre_01
 
 __all__ = [
     "EmptyRegion",
@@ -586,6 +586,15 @@ def _solve_lower(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _norm_or_inf(norm: Callable[..., float], *args) -> float:
+    """``norm(*args)``, or inf where its quadrature leaves the double range,
+    so that the metrics built on it fail and are written as null."""
+    try:
+        return norm(*args)
+    except QuadratureOverflow:
+        return math.inf
+
+
 def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     """Unit mean of the shift density and centering of the shifted field.
 
@@ -625,9 +634,10 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     avec = _solve_lower(Ls, line.points[1:])
     bvec = _solve_lower(Lt, line.points[1:])
     grid_norm_sq = float(avec @ avec) * float(bvec @ bvec)
-    quad_norm_sq = rkhs_norm_sq_separable(alpha, beta, T)
-    coarse = kinv_norm_sq_discrete(alpha, beta, build_grid2d(n // 2, n // 2, T))
-    fine = kinv_norm_sq_discrete(alpha, beta, grid)
+    quad_norm_sq = _norm_or_inf(rkhs_norm_sq_separable, alpha, beta, T)
+    coarse_grid = build_grid2d(n // 2, n // 2, T)
+    coarse = _norm_or_inf(kinv_norm_sq_discrete, alpha, beta, coarse_grid)
+    fine = _norm_or_inf(kinv_norm_sq_discrete, alpha, beta, grid)
     refine_change = abs(fine - coarse) / coarse
 
     row_s, row_t = Ls[-1, :], Lt[-1, :]
@@ -829,11 +839,12 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
     path0 = parts[0][3]
     exact = cov_fbm(settings.alpha, grid.points[:, None], grid.points[None, :])
     # n - 1 sample variance of the products, hence a t statistic per pair
-    se = np.sqrt(np.maximum(sq - cross**2, 0.0) / (n - 1))
     with np.errstate(invalid="ignore", divide="ignore"):
+        se = np.sqrt(np.maximum(sq - cross**2, 0.0) / (n - 1))
         z = np.abs(cross - exact) / se
     z[se == 0.0] = 0.0
-    max_z = float(np.nanmax(z))
+    # an overflowing variance makes every z-score read 0: no verdict
+    max_z = float(np.nanmax(z)) if np.all(np.isfinite(se)) else math.nan
     # the t(n-1) quantile whose upper tail is the normal tail beyond 5
     # standard errors; tends to 5 as n grows
     critical = float(-stdtrit(n - 1, ndtr(-5.0)))

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureDiverged",
+    "QuadratureOverflow",
     "gauss_legendre_01",
     "graded_nodes",
     "integrate_graded",
@@ -27,6 +28,10 @@ __all__ = [
 
 class QuadratureDiverged(RuntimeError):
     """Refinement failed to stabilise; the integrand is too rough."""
+
+
+class QuadratureOverflow(QuadratureDiverged):
+    """A refined value was inf or nan: the integral left the double range."""
 
 
 # refinement ceiling per half-interval; node generation is superlinear in n,
@@ -131,7 +136,7 @@ def integrate_graded(
         x, w = graded_nodes(a, b, n, e_a, e_b)
         cur = float(np.dot(w, f(x)))
         if not np.isfinite(cur):
-            raise QuadratureDiverged(f"non-finite quadrature value at n={n}")
+            raise QuadratureOverflow(f"non-finite quadrature value at n={n}")
         delta = abs(cur - prev)
         if delta <= tol * max(1.0, abs(cur)):
             return cur
@@ -168,7 +173,7 @@ def refine_rows(
         n *= 2
         cur = value(rows[live], n)
         if not np.all(np.isfinite(cur)):
-            raise QuadratureDiverged(f"non-finite quadrature value at n={n}")
+            raise QuadratureOverflow(f"non-finite quadrature value at n={n}")
         gap = np.abs(cur - prev)
         done = gap <= tol * np.maximum(1.0, np.abs(cur))
         out[live[done]] = cur[done]
@@ -202,9 +207,11 @@ def integrate_graded_rows(
     if not e > -1.0:
         raise ValueError(f"endpoint exponent {e} must be > -1")
     p = 3.0 / (1.0 + e)
-    # per-row scale by Python's float power, one row at a time, as the
-    # rows' bits must not depend on how many share the array
-    scale = np.array([v ** (1.0 + e) for v in b.tolist()])
+    # per-row scale by scalar float64 powers, one row at a time, as the
+    # rows' bits must not depend on how many share the array; past the
+    # double range a scale reads inf, where a Python float power would raise
+    with np.errstate(over="ignore"):
+        scale = np.array([v ** (1.0 + e) for v in b])
 
     def value(rows: np.ndarray, n: int) -> np.ndarray:
         u, w = gauss_legendre_01(n)

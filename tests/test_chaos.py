@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fracsde.chaos as chaos_module
+
 from fracsde.chaos import (
     OrderTooHigh,
     PicardResult,
@@ -32,7 +34,14 @@ from fracsde.chaos import (
     _CHAOS_BLOCK_VALUES,
     _sheet_orders_generic,
 )
-from fracsde.fields import GaussianField, factor_covariance, sample_fbm, sample_sheet, sample_sheet_batch
+from fracsde.fields import (
+    GaussianField,
+    factor_covariance,
+    sample_fbm,
+    sample_fbm_batch,
+    sample_sheet,
+    sample_sheet_batch,
+)
 from fracsde.model import (
     HurstPair,
     ModelParams,
@@ -202,6 +211,14 @@ class TestExactAndChaosSum1D:
 _BLOCK = _CHAOS_BLOCK_VALUES // 65
 
 
+def _assert_matches_orders(got, a, b, alpha, t, B, N):
+    # the per-order oracle, to rounding relative to the summed magnitudes
+    sol = chaos_sum_1d(a, b, alpha, t, B, N)
+    assert np.shape(got) == np.shape(sol.total)
+    bound = 1e-14 * np.sum(np.abs(sol.orders), axis=0)
+    assert np.all(np.abs(got - sol.total) <= bound)
+
+
 class TestChaosTotal1D:
     @pytest.mark.parametrize("N", [0, 1, 2, 28])
     @pytest.mark.parametrize("b", [0.0, -0.7])
@@ -213,26 +230,52 @@ class TestChaosTotal1D:
         B = rng.standard_normal((rows, 65)) * np.maximum(t, 0.1) ** 0.3
         assert np.all(B[:, 0] != 0.0)
         got = chaos_total_1d(1.3, b, 0.3, t, B, N)
-        np.testing.assert_array_equal(got, chaos_sum_1d(1.3, b, 0.3, t, B, N).total)
+        _assert_matches_orders(got, 1.3, b, 0.3, t, B, N)
+        assert np.all(got[:, 0] == 1.0)
 
     def test_scalars_and_single_path(self):
-        # 29 scalar orders are where a pairwise sum would differ from a
-        # sequential one in the last bits
         rng = np.random.default_rng(7)
         for t, B in zip(rng.uniform(0.0, 2.0, 50), 2.0 * rng.standard_normal(50)):
             got = chaos_total_1d(-1.1, 0.4, 0.6, t, B, 28)
             assert np.shape(got) == ()
-            assert got == chaos_sum_1d(-1.1, 0.4, 0.6, t, B, 28).total
+            _assert_matches_orders(got, -1.1, 0.4, 0.6, t, B, 28)
         assert chaos_total_1d(1.0, 0.5, 0.3, 0.0, 0.7, 4) == math.exp(0.0)
         t = np.linspace(0.0, 1.0, 65)
         path = rng.standard_normal(65)
         got = chaos_total_1d(1.3, 0.0, 0.7, t, path, 28)
         assert got.shape == (65,)
-        np.testing.assert_array_equal(got, chaos_sum_1d(1.3, 0.0, 0.7, t, path, 28).total)
+        _assert_matches_orders(got, 1.3, 0.0, 0.7, t, path, 28)
 
-    @pytest.mark.parametrize("a", [1e80, 1e12])
+    def test_time_may_carry_the_rows(self):
+        # t of shape (rows, nodes) against one shared row of noise
+        rng = np.random.default_rng(8)
+        t = rng.uniform(0.0, 3.0, (300, 9))
+        B = rng.standard_normal(9)
+        got = chaos_total_1d(0.8, -0.3, 0.4, t, B, 20)
+        assert got.shape == (300, 9)
+        _assert_matches_orders(got, 0.8, -0.3, 0.4, t, B, 20)
+
+    def test_block_size_does_not_move_bits(self, monkeypatch):
+        t = np.linspace(0.0, 1.0, 65)
+        B = np.random.default_rng(9).standard_normal((1000, 65)) * t**0.7
+        ref = chaos_total_1d(1.3, 0.5, 0.7, t, B, 28)
+        for values in (1, 65, 4 * 65 + 7, 2**13, 2**20):
+            monkeypatch.setattr(chaos_module, "_CHAOS_BLOCK_VALUES", values)
+            np.testing.assert_array_equal(chaos_total_1d(1.3, 0.5, 0.7, t, B, 28), ref)
+
+    def test_exactly_rounded_coefficients_hold_the_tolerance(self):
+        # exact-vs-chaos at alpha 0.7, a 0.5, T 10, b 1, N 60: float partial
+        # sums of the coefficients' exponential series read 1.5e-7 here,
+        # the recurrence 5.6e-9
+        grid = build_grid(32, 10.0)
+        values, _ = sample_fbm_batch(factor_covariance(0.7, grid), 1000, RngStreamSpec(5, 0))
+        got = chaos_total_1d(0.5, 1.0, 0.7, grid.points, values, 60)
+        exact = exact_solution_1d(0.5, 1.0, 0.7, grid.points, values)
+        assert np.max(np.abs(got - exact)) < 1e-8
+
+    @pytest.mark.parametrize("a", [1e80])
     def test_overflow_pattern_matches(self, a):
-        # a = 1e80 gives nan past t = 0; a = 1e12 mixes nan, inf and finite
+        # a = 1e80 gives nan past t = 0 on both routes
         t = np.linspace(0.0, 1.0, 65)
         B = np.random.default_rng(3).standard_normal((300, 65))
         with np.errstate(over="ignore", invalid="ignore"):

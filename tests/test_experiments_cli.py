@@ -43,6 +43,8 @@ _SMALL_RUNS = [
      "--samples", "5000"],
     ["operator-check", "--alpha", "0.25"],
 ]
+# a small sheet model for the overflow cases
+_SHEET = ["--alpha", "0.3", "--beta", "0.3", "--grid-n", "8"]
 
 
 def _run_id(argv: list[str]) -> str:
@@ -744,20 +746,36 @@ class TestStatisticalHonesty:
         assert sup["value"] is None and sup["passed"] is False
         assert report["passed"] is False
 
+    def test_partly_overflowing_chaos_fails_its_metric(self, tmp_path, capsys):
+        # at a = 1e12 the chaos sum is finite in some cells and not in others
+        code = main([
+            "exact-vs-chaos", "--a", "1e12", "--samples", "300",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        sup = {m["name"]: m for m in report["metrics"]}["sup_node_error"]
+        assert sup["passed"] is False
+
     @pytest.mark.parametrize("argv", [
         # the predicted continuum mean overflows; at 1e-200 2 eps^2 is 0
-        ["girsanov-check", "--epsilon", "0.01"],
-        ["girsanov-check", "--epsilon", "1e-200"],
+        ["girsanov-check", "--epsilon", "0.01", *_SHEET],
+        ["girsanov-check", "--epsilon", "1e-200", *_SHEET],
         # non-finite Monte Carlo moments
-        ["girsanov-check", "--T", "1e200"],
+        ["girsanov-check", "--T", "1e200", *_SHEET],
         ["euler-study", "--a", "1e200"],
-        ["simulate", "--T", "1e300"],
-    ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate"])
+        ["simulate", "--T", "1e300", *_SHEET],
+        # the grid's powers and the inverse-kernel quadrature overflow
+        ["girsanov-check", "--T", "1e300", *_SHEET],
+        ["euler-study", "--T", "1e300"],
+        # the product variance overflows, so every standard error is inf
+        ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300"],
+    ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
+            "girsanovT1e300", "eulerT1e300", "simulateLine"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
                                                           capsys):
-        sheet = ["--alpha", "0.3", "--beta", "0.3", "--grid-n", "8"]
-        extra = [] if argv[0] == "euler-study" else sheet
-        code = main(argv + extra + ["--samples", "100", "--out", str(tmp_path)])
+        code = main(argv + ["--samples", "100", "--out", str(tmp_path)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fracsde.quad import (
     QuadratureDiverged,
+    QuadratureOverflow,
     gauss_legendre_01,
     graded_nodes,
     integrate_graded,
@@ -96,6 +97,14 @@ class TestGradedNodes:
         with pytest.raises(ValueError):
             graded_nodes(2.0, 1.0, 8)
 
+    def test_scale_past_the_double_range_is_an_overflow(self):
+        # b^{1+e} overflows for the second row; the first row is unaffected
+        f = lambda rows, v: np.ones_like(v)
+        with pytest.raises(QuadratureOverflow):
+            integrate_graded_rows(f, np.array([2.0, 1e300]), 0.5)
+        assert integrate_graded_rows(f, np.array([2.0]), 0.5)[0] == pytest.approx(
+            2.0**1.5 / 1.5, rel=1e-12)
+
     def test_non_integrable_exponent_rejected(self):
         with pytest.raises(ValueError):
             graded_nodes(0.0, 1.0, 8, e_a=-1.0)
@@ -146,7 +155,7 @@ class TestIntegrateGraded:
             out[x < 1e-3] = np.inf
             return out
 
-        with pytest.raises(QuadratureDiverged):
+        with pytest.raises(QuadratureOverflow):
             integrate_graded(blows_up, 0.0, 1.0, e_a=-0.5, tol=1e-9)
 
 
@@ -176,7 +185,7 @@ class TestRefineRows:
 
     def test_non_finite_value_raises(self):
         value = lambda rows, n: np.where(rows == 2, np.inf, 1.0)
-        with pytest.raises(QuadratureDiverged, match="non-finite"):
+        with pytest.raises(QuadratureOverflow, match="non-finite"):
             refine_rows(value, np.arange(3), 4, 9, 1e-3)
 
 
@@ -207,6 +216,14 @@ class TestIntegrateGradedRows:
         f = lambda rows, v: np.where(rows[:, None] == 1, 1.0 / v, 1.0)
         with pytest.raises(QuadratureDiverged):
             integrate_graded_rows(f, np.array([1.0, 1.0]), 0.0)
+
+    def test_scale_past_the_double_range_is_an_overflow(self):
+        # b^{1+e} overflows for the second row; the first row is unaffected
+        f = lambda rows, v: np.ones_like(v)
+        with pytest.raises(QuadratureOverflow):
+            integrate_graded_rows(f, np.array([2.0, 1e300]), 0.5)
+        assert integrate_graded_rows(f, np.array([2.0]), 0.5)[0] == pytest.approx(
+            2.0**1.5 / 1.5, rel=1e-12)
 
     def test_non_integrable_exponent_rejected(self):
         with pytest.raises(ValueError):
