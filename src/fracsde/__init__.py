@@ -4,7 +4,7 @@ Modules
 -------
 ``model``        parameter and grid dataclasses, seeded stream plumbing
 ``special``      the squared-factorial power series, Hermite batteries,
-                 square-root Volterra kernels and their calibration
+                 square-root Volterra kernels and their closed-form constant
 ``quad``         graded Gauss-Legendre quadrature for endpoint powers
 ``fields``       exact Gaussian samplers for fractional motions and sheets
 ``operators``    adjoint-kernel transfer, fractional integrals and

@@ -26,14 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import GaussianField, increment_transfer_matrix
 from .model import Grid2D, HurstPair, ModelParams, TimeGrid, build_grid
-from .quad import integrate_graded
-from .special import (
-    VolterraKernelSpec,
-    h0,
-    h0_array,
-    kernel_sq_grade,
-    volterra_kernel,
-)
+from .special import VolterraKernelSpec, h0, h0_array
 
 __all__ = [
     "OrderTooHigh",
@@ -52,7 +45,6 @@ __all__ = [
     "discrete_multiple_integral",
     "solve_sheet_chaos",
     "solve_sheet_chaos_batch",
-    "solve_sheet_chaos_total_batch",
     "solve_sheet_chaos_total_blocks",
     "sheet_solver_route",
     "deterministic_sheet_solution",
@@ -358,43 +350,13 @@ def wick_euler_1d(p: ModelParams, n: int, field: GaussianField) -> np.ndarray:
 # Per-order kernel norms
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _volterra_spec(alpha: float) -> VolterraKernelSpec:
-    return VolterraKernelSpec.calibrated(alpha)
-
-
-def _kernel_sq_grid_estimate(alpha: float, T: float, n_grid: int) -> float:
-    """Grid estimate of int_0^T K(T, s)^2 ds: midpoint cells, graded ends.
-
-    The end cells hold the |2 alpha - 1| power behaviour of the squared
-    kernel, so they get dedicated graded quadrature while the smooth
-    interior uses plain midpoint values.
-    """
-    if n_grid < 4:
-        raise ValueError("n_grid must be >= 4")
-    spec = _volterra_spec(alpha)
-    edges = np.linspace(0.0, T, n_grid + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    interior = volterra_kernel(spec, T, mids[1:-1])
-    dt = T / n_grid
-    total = float(interior @ interior) * dt
-    e = kernel_sq_grade(alpha)
-
-    def ksq(s: np.ndarray) -> np.ndarray:
-        return volterra_kernel(spec, T, s) ** 2
-
-    total += integrate_graded(ksq, 0.0, edges[1], e_a=e, e_b=0.0, tol=1e-10)
-    total += integrate_graded(ksq, edges[-2], T, e_a=0.0, e_b=e, tol=1e-10)
-    return total
-
-
-def chaos_norm_decay(p: ModelParams, N: int, n_grid: int = 256) -> np.ndarray:
+def chaos_norm_decay(p: ModelParams, N: int) -> np.ndarray:
     """Discrete L2 norms of the white-noise images of the solution kernels.
 
     The symmetrised order-n kernel is constant a^n / (n+1)! on the cube
     when b = 0, so its pushed norm factorises into per-axis norms of the
-    transferred indicator; each axis contributes the square root of the
-    grid estimate of int K(T, s)^2 ds.  A nonzero drift enters through the
+    transferred indicator; each axis contributes the square root of
+    int_0^T K(T, s)^2 ds = T^{2 alpha}.  A nonzero drift enters through the
     t-slot factor e^{bt}, estimated here by its sup envelope (exact at
     b = 0).  Entry n of the result is the order-n norm.
     """
@@ -402,7 +364,7 @@ def chaos_norm_decay(p: ModelParams, N: int, n_grid: int = 256) -> np.ndarray:
         raise ValueError("norm decay is defined for the one-parameter model")
     if N < 0:
         raise ValueError("truncation must be >= 0")
-    Q = _kernel_sq_grid_estimate(p.hurst.alpha, p.T, n_grid)
+    Q = p.T ** (2.0 * p.hurst.alpha)
     drift = 1.0 if p.b == 0.0 else max(1.0, math.exp(p.b * p.T))
     out = np.empty(N + 1)
     for n in range(N + 1):
@@ -462,7 +424,7 @@ def _axis_transfer(alpha: float, n_cells: int, T: float) -> np.ndarray:
     grid = build_grid(n_cells, T)
     if alpha == 0.5:
         return math.sqrt(grid.dt) * np.eye(n_cells)
-    return increment_transfer_matrix(_volterra_spec(alpha), grid)
+    return increment_transfer_matrix(VolterraKernelSpec.calibrated(alpha), grid)
 
 
 def pushed_kernel_tensor(
@@ -761,20 +723,6 @@ def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int)
         total[:, 1:, 1:] += S
         del S
         yield r0, total
-
-
-def solve_sheet_chaos_total_batch(
-    p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
-) -> np.ndarray:
-    """Truncated sheet solution, orders 0..N summed: (R, n_s+1, n_t+1).
-
-    ``solve_sheet_chaos_total_blocks`` fed the whole batch as one block:
-    on the chain route the summed weights and, in turn, the recursion's
-    buffer, the readout's ``(q0 - 1)`` term and the surface are the live
-    replica-sized arrays besides the caller's noise.
-    """
-    ((_, total),) = solve_sheet_chaos_total_blocks(p, grid, [(0, noise)], N)
-    return total
 
 
 def solve_sheet_chaos(

@@ -53,6 +53,7 @@ from .operators import (
     OperatorRegime,
     frac_derivative_2d,
     frac_integral_2d,
+    girsanov_log_density,
     kinv_apply_F,
     kinv_norm_sq_discrete,
     kstar_indicator_norm_sq,
@@ -598,14 +599,14 @@ def _norm_or_inf(norm: Callable[..., float], *args) -> float:
 def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     """Unit mean of the shift density and centering of the shifted field.
 
-    Two density normalisations are reported side by side.  The grid form
+    Two density normalisations are reported side by side, both assembled
+    by the operator module's ``girsanov_log_density``.  The grid form
     tilts by a functional whose discrete-law variance is the compensator,
     so its mean is exactly 1 up to Monte Carlo noise.  The continuum form
-    is the log-density helper from the operator module (far-corner field
-    value over epsilon, quadrature inverse-kernel norm as compensator);
-    its mean is predicted by the normal moment formula rather than pinned
-    at 1, and it is checked against that prediction.  Pass metrics ride on
-    the grid form.
+    takes the far-corner field value over epsilon, with the quadrature
+    inverse-kernel norm as compensator; its mean is predicted by the normal
+    moment formula rather than pinned at 1, and it is checked against that
+    prediction.  Pass metrics ride on the grid form.
 
     Each replica draws its whole n x n sheet noise Z (V = L_s Z L_t') but
     reads only two linear functionals of it: the far-corner value
@@ -641,12 +642,11 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     refine_change = abs(fine - coarse) / coarse
 
     row_s, row_t = Ls[-1, :], Lt[-1, :]
-    # 2 eps^2 underflows to 0 below eps ~ 1e-154; the compensators and the
-    # log of the predicted mean are then infinite, not an exception
+    # 2 eps^2 underflows to 0 below eps ~ 1e-154; the log of the predicted
+    # mean is then infinite, not an exception
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        var2 = np.float64(2.0 * eps * eps)
-        grid_comp, quad_comp = grid_norm_sq / var2, quad_norm_sq / var2
-        log_mean_quad = (np.float64(T) ** (2 * alpha + 2 * beta) - quad_norm_sq) / var2
+        log_mean_quad = ((np.float64(T) ** (2 * alpha + 2 * beta) - quad_norm_sq)
+                         / np.float64(2.0 * eps * eps))
 
     def work(idx: int, count: int):
         w_s, xi_s = np.empty((count, n)), np.empty((count, n))
@@ -655,8 +655,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
             np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
         w_tt = w_s @ row_t
         xi = xi_s @ bvec
-        dens_grid = np.exp(xi / eps - grid_comp)
-        dens_quad = np.exp(w_tt / eps - quad_comp)
+        dens_grid = np.exp(girsanov_log_density(eps, xi, grid_norm_sq))
+        dens_quad = np.exp(girsanov_log_density(eps, w_tt, quad_norm_sq))
         shifted = dens_grid * (w_tt - T * T / eps)
         return (
             chunk_moments(dens_grid),

@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import GaussianField
 from .model import Grid2D, TimeGrid
 from .quad import (
     gauss_legendre_01,
@@ -776,19 +775,19 @@ def kinv_norm_sq_discrete(
     return s_norm * _axis_norm_sq_discrete(beta, grid.t, tol)
 
 
-def girsanov_log_density(
-    epsilon: float, field: GaussianField, kinvF_norm_sq: float
-) -> float:
+def girsanov_log_density(epsilon: float, w, kinvF_norm_sq: float):
     """log of the change-of-measure density for the shifted sheet:
 
         W(T, T) / epsilon  -  ||K^{-1} F||^2 / (2 epsilon^2).
 
-    ``kinvF_norm_sq`` is whatever norm convention the caller adjudicated;
-    this function only assembles the exponent.
+    ``w`` is W(T, T), a float or an array of values, and the result has its
+    shape; any Gaussian functional whose variance is the norm tilts the same
+    way.  ``kinvF_norm_sq`` is whatever norm convention the caller
+    adjudicated; this function only assembles the exponent.  Below
+    epsilon ~ 1e-154, 2 epsilon^2 underflows to 0 and the compensator reads
+    inf rather than raising.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
-    vals = np.asarray(field.values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("girsanov density needs a sheet field")
-    return float(vals[-1, -1] / epsilon - kinvF_norm_sq / (2.0 * epsilon**2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return w / epsilon - kinvF_norm_sq / np.float64(2.0 * epsilon * epsilon)

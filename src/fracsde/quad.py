@@ -5,7 +5,8 @@ to integrate f ~ (x-a)^e near a (e > -1), substitute x = a + (b-a) u^p with
 p = 1/(1+e), which maps the singular factor to a bounded one.  Integrals are
 refined by doubling the node count until two successive values agree.
 ``refine_rows`` refines a batch of integrals together, each row on its
-own; ``integrate_graded_rows`` uses it for a batch over (0, b_i).
+own; ``integrate_graded`` runs it on one row, ``integrate_graded_rows`` on
+a batch over (0, b_i).
 """
 from __future__ import annotations
 
@@ -124,26 +125,13 @@ def integrate_graded(
 
     Doubles the per-half node count until two successive estimates agree to
     ``tol`` (relative to max(1, |I|)).  Raises QuadratureDiverged otherwise.
+    This is ``refine_rows`` on a single row.
     """
-    x, w = graded_nodes(a, b, n0, e_a, e_b)
-    prev = float(np.dot(w, f(x)))
-    n = n0
-    delta = np.inf
-    for _ in range(max_doublings):
-        if 2 * n > _N_MAX:
-            break
-        n *= 2
+    def value(rows: np.ndarray, n: int) -> np.ndarray:
         x, w = graded_nodes(a, b, n, e_a, e_b)
-        cur = float(np.dot(w, f(x)))
-        if not np.isfinite(cur):
-            raise QuadratureOverflow(f"non-finite quadrature value at n={n}")
-        delta = abs(cur - prev)
-        if delta <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureDiverged(
-        f"no convergence by n={n} (last delta {delta:.3e})"
-    )
+        return np.array([np.dot(w, f(x))])
+
+    return float(refine_rows(value, np.zeros(1, dtype=int), n0, max_doublings, tol)[0])
 
 
 def refine_rows(

@@ -14,8 +14,10 @@ Three families live here:
   + s^{alpha-1/2} (1/2-alpha) int_0^{t/s-1} th^{alpha-3/2}
   (1 - (1+th)^{alpha-1/2}) d th]
   of the moving-average representation of fractional Brownian motion.  The
-  constant ``d`` is fixed numerically by the variance calibration
-  int_0^1 K(1, s)^2 ds = 1, which forces Var B_t = t^{2 alpha}.
+  constant ``d`` is the closed form
+  d = sqrt(2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha))),
+  the normalisation c_H of the square-root kernel K_H of fBm, for which
+  int_0^t K(t, s)^2 ds = t^{2 alpha}, i.e. Var B_t = t^{2 alpha}.
 """
 from __future__ import annotations
 
@@ -25,12 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quad import gauss_legendre_01, graded_nodes, integrate_graded
+from .quad import gauss_legendre_01, integrate_graded
 
 __all__ = [
     "NoInterval",
     "DomainError",
-    "CalibrationFailed",
     "h0",
     "h0_array",
     "NegativityInterval",
@@ -53,10 +54,6 @@ class NoInterval(ValueError):
 
 class DomainError(ValueError):
     """Kernel evaluated outside 0 < s < t."""
-
-
-class CalibrationFailed(RuntimeError):
-    """The integral fixing the kernel normalisation constant failed or is invalid."""
 
 
 # ----------------------------------------------------------------------------
@@ -371,19 +368,14 @@ def kernel_sq_integral(spec: VolterraKernelSpec, t: float, tol: float = 1e-10) -
 def calibrate_d_alpha(alpha: float) -> float:
     """Normalisation d with int_0^1 K(1, s)^2 ds = 1, in closed form.
 
-    The integral is proportional to d^2 (both kernel pieces carry d), so
-    d = 1 / sqrt(q1) with q1 the integral at d = 1.
+    d = c_H = sqrt(2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha)))
+    (Nualart, The Malliavin Calculus and Related Topics, 2nd ed., 5.1;
+    Decreusefond and Ustunel, Potential Analysis 10, 1999); it is exactly 1
+    at alpha = 1/2.  ``kernel_sq_integral`` checks the isometry against it.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    if alpha == 0.5:
-        return 1.0
-    try:
-        q1 = kernel_sq_integral(VolterraKernelSpec(alpha, 1.0), 1.0)
-    except (ValueError, RuntimeError) as exc:
-        raise CalibrationFailed(f"calibration failed for alpha={alpha}: {exc}") from exc
-    if not (np.isfinite(q1) and q1 > 0.0):
-        raise CalibrationFailed(
-            f"calibration failed for alpha={alpha}: reference integral {q1} invalid"
-        )
-    return 1.0 / math.sqrt(q1)
+    return math.sqrt(
+        2.0 * alpha * math.gamma(1.5 - alpha)
+        / (math.gamma(alpha + 0.5) * math.gamma(2.0 - 2.0 * alpha))
+    )

@@ -265,6 +265,16 @@ class TestExitCodes:
         failed = [m for m in report["metrics"] if not m["passed"]]
         assert failed and failed[0]["detail"]["corrupted"] is True
 
+    def test_operator_check_at_alpha_one_tenth_exits_two(self, tmp_path, capsys):
+        # the kernel constant is closed-form at every alpha, but the
+        # indicator norm's graded quadrature still stalls at alpha = 0.1
+        code = main(["operator-check", "--alpha", "0.1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: QuadratureDiverged:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_usage_error_exits_two(self, tmp_path, capsys):
         # drifted Euler scheme is undefined
         code = main([

@@ -7,6 +7,7 @@ inverse-kernel axis profile against both its Gamma-ratio closed form and an
 independent high-precision mpmath quadrature.
 """
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from scipy.special import gamma as sp_gamma
 
 from fracsde import operators
-from fracsde.fields import GaussianField, cov_fbm
+from fracsde.fields import cov_fbm
 from fracsde.model import build_grid, build_grid2d
 from fracsde.operators import (
     GridFunction1D,
@@ -150,8 +151,8 @@ class TestAdjointKernelMap:
         # nodes: the norms of the sheet-chain benchmark's operator checks,
         # whose pieces all converge at 96 nodes, and K* sin at s = 0.01,
         # whose two pieces converge at different levels
-        pins = {0.25: (0.7071067800318571, -0.07911967470593001),
-                0.75: (0.35355339059117186, 0.5387466787412063)}
+        pins = {0.25: (0.7071067861676394, -0.07911967504920284),
+                0.75: (0.35355339058746316, 0.5387466787383806)}
         for alpha, (norm_sq, sine) in pins.items():
             spec = VolterraKernelSpec.calibrated(alpha)
             assert kstar_indicator_norm_sq(spec, 0.5, 1.0) == norm_sq, alpha
@@ -415,30 +416,31 @@ class TestInverseKernelProfile:
             kinv_norm_sq_discrete(0.5, 0.5, build_grid2d(8, 8, 1.0))
 
 
-def _corner_field(w: float) -> GaussianField:
-    g = build_grid2d(2, 2, 1.0)
-    values = np.zeros((3, 3))
-    values[-1, -1] = w
-    return GaussianField(grid=g, values=values, white_noise=np.zeros((2, 2)))
-
-
 class TestGirsanovExponent:
     def test_hand_value(self):
-        assert girsanov_log_density(2.0, _corner_field(2.0), 1.0) == pytest.approx(0.875)
+        assert girsanov_log_density(2.0, 2.0, 1.0) == pytest.approx(0.875)
 
     def test_zero_field_is_pure_compensator(self):
-        assert girsanov_log_density(1.0, _corner_field(0.0), 0.5) == pytest.approx(-0.25)
-        assert math.exp(girsanov_log_density(1.0, _corner_field(0.0), 0.5)) < 1.0
+        assert girsanov_log_density(1.0, 0.0, 0.5) == pytest.approx(-0.25)
+        assert math.exp(girsanov_log_density(1.0, 0.0, 0.5)) < 1.0
 
     def test_large_epsilon_kills_the_exponent(self):
-        val = girsanov_log_density(1e12, _corner_field(1.3), 0.7)
+        val = girsanov_log_density(1e12, 1.3, 0.7)
         assert abs(val) < 1e-11
 
+    def test_array_of_corner_values(self):
+        w = np.array([-1.0, 0.0, 2.0])
+        out = girsanov_log_density(2.0, w, 1.0)
+        assert out.shape == (3,)
+        assert out.tolist() == [girsanov_log_density(2.0, v, 1.0) for v in w]
+
+    def test_tiny_epsilon_gives_an_infinite_compensator(self):
+        # 2 eps^2 underflows to 0: the exponent reads -inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert girsanov_log_density(1e-200, np.array([1.0]), 1.0)[0] == -math.inf
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            girsanov_log_density(0.0, _corner_field(1.0), 1.0)
-        path = GaussianField(
-            grid=build_grid(2, 1.0), values=np.zeros(3), white_noise=np.zeros(2)
-        )
-        with pytest.raises(ValueError):
-            girsanov_log_density(1.0, path, 1.0)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                girsanov_log_density(eps, 1.0, 1.0)

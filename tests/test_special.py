@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from scipy.special import iv, j0, jn_zeros
 
 from fracsde.special import (
-    CalibrationFailed,
     DomainError,
     NegativityInterval,
     NoInterval,
@@ -242,6 +241,42 @@ class TestVolterraKernel:
         assert abs(calibrate_d_alpha(0.25) - 0.645998000937991) < 1e-8
         assert abs(calibrate_d_alpha(0.3) - 0.7302829339349545) < 1e-8
         assert abs(calibrate_d_alpha(0.75) - 1.0696446350375963) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.45, 0.55, 0.7, 0.75, 0.8])
+    def test_closed_form_constant_meets_the_isometry(self, alpha):
+        # the isometry int_0^1 K(1, s)^2 ds = 1 fixes d: at d = 1 the
+        # integral is 1/d^2, by graded quadrature of the kernel alone
+        q1 = kernel_sq_integral(VolterraKernelSpec(alpha, 1.0), 1.0)
+        assert calibrate_d_alpha(alpha) == pytest.approx(1.0 / math.sqrt(q1), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha,rel", [(0.25, 1e-12), (0.3, 1e-12), (0.75, 2e-11)])
+    def test_kernel_against_40_digit_mpmath(self, alpha, rel):
+        # the kernel with its constant, both evaluated by mpmath at 40 digits.
+        # Below 1/2 the library reads 3.1e-13 at worst.  Above 1/2 its own
+        # 160-node rule limits it: the tail integrand carries a u^{1/(alpha+1/2)}
+        # term, and at alpha = 0.75, s = 0.5 the kernel reads 1.03e-11
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            q = a - mp.mpf(1) / 2
+            c = mp.sqrt(2 * a * mp.gamma(mp.mpf(3) / 2 - a)
+                        / (mp.gamma(a + mp.mpf(1) / 2) * mp.gamma(2 - 2 * a)))
+            spec = VolterraKernelSpec.calibrated(alpha)
+            for t, s in ((1.0, 0.1), (1.0, 0.5), (1.0, 0.9), (2.0, 0.7)):
+                tail = mp.quad(lambda th: th ** (a - mp.mpf(3) / 2) * (1 - (1 + th) ** q),
+                               [0, mp.mpf(t) / s - 1])
+                oracle = c * ((t - mp.mpf(s)) ** q + mp.mpf(s) ** q * (-q) * tail)
+                lib = volterra_kernel(spec, t, np.array([s]))[0]
+                assert abs(lib - oracle) <= rel * abs(oracle), (alpha, t, s)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9, 0.95])
+    def test_calibrated_spec_builds_across_the_range(self, alpha):
+        spec = VolterraKernelSpec.calibrated(alpha)
+        assert math.isfinite(spec.d_alpha) and spec.d_alpha > 0.0
+
+    def test_calibration_rejects_alpha_outside_the_unit_interval(self):
+        for alpha in (0.0, 1.0, -0.2):
+            with pytest.raises(ValueError):
+                calibrate_d_alpha(alpha)
 
     def test_calibration_continuity_near_half(self):
         assert abs(calibrate_d_alpha(0.49) - 1.0) < 0.1
