@@ -25,7 +25,6 @@ from .model import (
 )
 from .special import (
     NegativityInterval,
-    VolterraKernelSpec,
     h0,
     h0_array,
     hermite_all,

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import GaussianField, increment_transfer_matrix
 from .model import Grid2D, HurstPair, ModelParams, TimeGrid, build_grid
-from .special import VolterraKernelSpec, h0, h0_array
+from .special import h0, h0_array
 
 __all__ = [
     "OrderTooHigh",
@@ -182,32 +182,6 @@ def _chaos_inputs(a: float, b: float, alpha: float, t, B_t, truncation: int):
     return B, t_arr > 0.0, a * a * t_arr ** (2.0 * alpha), np.exp(b * t_arr)
 
 
-def _chaos_orders(a: float, B, live, a2var, e0, truncation: int):
-    """Yield the orders 0..truncation of the chaos sum, one after another.
-
-    The variance-scaled Hermite recurrence
-    Q_{k+1} = a / (k+1) (B Q_k - a t^{2 alpha} Q_{k-1}) needs neither the
-    division by t^alpha nor its powers.  Three buffers rotate, so a yielded
-    order stays valid while the next two are drawn.
-    """
-    # zeroing the noise at t = 0 keeps every order above 0 exactly 0 there
-    aB = np.where(live, a * B, 0.0)
-    buf = np.empty((3,) + aB.shape)
-    buf[0, ...] = e0
-    yield buf[0, ...]
-    if truncation >= 1:
-        np.multiply(aB, buf[0, ...], out=buf[1, ...])
-        yield buf[1, ...]
-    correction = np.empty(aB.shape)
-    for k in range(1, truncation):
-        nxt = buf[(k + 1) % 3, ...]  # a view even for scalar inputs
-        np.multiply(aB, buf[k % 3, ...], out=nxt)
-        np.multiply(a2var, buf[(k - 1) % 3, ...], out=correction)
-        nxt -= correction
-        nxt *= 1.0 / (k + 1)
-        yield nxt
-
-
 def chaos_sum_1d(
     a: float, b: float, alpha: float, t, B_t, truncation: int
 ) -> TruncatedChaosSolution:
@@ -221,11 +195,26 @@ def chaos_sum_1d(
     This is the per-order oracle: it stores every order.  When only the sum
     is wanted, ``chaos_total_1d`` evaluates it as one polynomial in a B_t
     from two cache-sized buffers; it agrees with ``.total`` to rounding.
+
+    The orders come from the variance-scaled Hermite recurrence
+    Q_{k+1} = a / (k+1) (B Q_k - a t^{2 alpha} Q_{k-1}), which needs neither
+    the division by t^alpha nor its powers.
     """
-    terms = np.broadcast_arrays(*_chaos_inputs(a, b, alpha, t, B_t, truncation))
-    orders = np.empty((truncation + 1,) + terms[0].shape)
-    for k, order in enumerate(_chaos_orders(a, *terms, truncation)):
-        orders[k, ...] = order
+    B, live, a2var, e0 = np.broadcast_arrays(
+        *_chaos_inputs(a, b, alpha, t, B_t, truncation)
+    )
+    # zeroing the noise at t = 0 keeps every order above 0 exactly 0 there
+    aB = np.where(live, a * B, 0.0)
+    orders = np.empty((truncation + 1,) + aB.shape)
+    orders[0, ...] = e0
+    if truncation >= 1:
+        np.multiply(aB, orders[0, ...], out=orders[1, ...])
+    for k in range(1, truncation):
+        # orders[k, ...] is a view even for scalar inputs; orders[k] is not
+        nxt = orders[k + 1, ...]
+        np.multiply(aB, orders[k, ...], out=nxt)
+        nxt -= a2var * orders[k - 1, ...]
+        nxt *= 1.0 / (k + 1)
     return TruncatedChaosSolution(truncation=truncation, orders=orders)
 
 
@@ -424,7 +413,7 @@ def _axis_transfer(alpha: float, n_cells: int, T: float) -> np.ndarray:
     grid = build_grid(n_cells, T)
     if alpha == 0.5:
         return math.sqrt(grid.dt) * np.eye(n_cells)
-    return increment_transfer_matrix(VolterraKernelSpec.calibrated(alpha), grid)
+    return increment_transfer_matrix(alpha, grid)
 
 
 def pushed_kernel_tensor(

@@ -60,7 +60,7 @@ from .operators import (
     power_gap_integral,
     rkhs_norm_sq_separable,
 )
-from .special import VolterraKernelSpec, negativity_interval, volterra_kernel
+from .special import negativity_interval, volterra_kernel
 from .quad import QuadratureOverflow, gauss_legendre_01
 
 __all__ = [
@@ -710,8 +710,7 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
 def _corrupt_indicator_norm(alpha: float, t: float) -> float:
     # deliberately ungraded rule; misses the endpoint singularity
     nodes, weights = gauss_legendre_01(8)
-    spec = VolterraKernelSpec.calibrated(alpha)
-    vals = volterra_kernel(spec, t, t * nodes) ** 2
+    vals = volterra_kernel(alpha, t, t * nodes) ** 2
     return float(t * np.sum(weights * vals))
 
 
@@ -733,8 +732,7 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     if settings.debug_corrupt_quadrature:
         norm_fn = _corrupt_indicator_norm
     else:
-        spec = VolterraKernelSpec.calibrated(alpha)
-        norm_fn = lambda _, t: kstar_indicator_norm_sq(spec, t, T)
+        norm_fn = lambda _, t: kstar_indicator_norm_sq(alpha, t, T)
     norm_err = max(
         abs(norm_fn(alpha, t) - t ** (2.0 * alpha)) for t in (0.5 * T, T)
     )

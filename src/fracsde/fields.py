@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import Grid2D, RngStreamSpec, TimeGrid, build_grid
 from .quad import gauss_legendre_01
-from .special import VolterraKernelSpec, volterra_kernel
+from .special import volterra_kernel
 
 __all__ = [
     "NotPositiveDefinite",
@@ -183,19 +183,19 @@ def sample_sheet_batch(
     return values, z
 
 
-def volterra_projection_matrix(spec: VolterraKernelSpec, grid: TimeGrid) -> np.ndarray:
+def volterra_projection_matrix(alpha: float, grid: TimeGrid) -> np.ndarray:
     """C[j, i] = cell-averaged kernel int_{cell_i} K(t_j, s) ds / sqrt(dt).
 
     Applied to iid normals xi, the vector C xi has covariance C C', the cell
     discretisation of the exact covariance; the Cholesky sampler stays the
     production route, this one ties field values to their white noise.
     """
-    return _projection_matrix(spec, grid.n_steps, grid.T)
+    return _projection_matrix(alpha, grid.n_steps, grid.T)
 
 
-# Projection matrices are quadrature-heavy; memoise per (kernel, grid) shape.
+# Projection matrices are quadrature-heavy; memoise per (alpha, n_steps, T).
 @lru_cache(maxsize=32)
-def _projection_matrix(spec: VolterraKernelSpec, n_steps: int, T: float) -> np.ndarray:
+def _projection_matrix(alpha: float, n_steps: int, T: float) -> np.ndarray:
     grid = build_grid(n_steps, T)
     t = grid.points
     n = grid.n_steps
@@ -207,34 +207,34 @@ def _projection_matrix(spec: VolterraKernelSpec, n_steps: int, T: float) -> np.n
         for i in range(j):
             a, b = t[i], t[i + 1]
             # cell touching t_j: grade for the (t_j - s)^{alpha-1/2} factor
-            if i == j - 1 and spec.alpha < 0.5:
-                p = 1.0 / (spec.alpha + 0.5)
+            if i == j - 1 and alpha < 0.5:
+                p = 1.0 / (alpha + 0.5)
                 s = b - (b - a) * u**p
                 ws = w * (b - a) * p * u ** (p - 1.0)
             else:
                 s = a + (b - a) * u
                 ws = w * (b - a)
-            C[j - 1, i] = float(volterra_kernel(spec, tj, s) @ ws) / np.sqrt(dt)
+            C[j - 1, i] = float(volterra_kernel(alpha, tj, s) @ ws) / np.sqrt(dt)
     return C
 
 
-def increment_transfer_matrix(spec: VolterraKernelSpec, grid: TimeGrid) -> np.ndarray:
+def increment_transfer_matrix(alpha: float, grid: TimeGrid) -> np.ndarray:
     """M with Delta B_k = sum_i M[k, i] xi_i; rows are increments of C.
 
     At alpha = 1/2 this is exactly sqrt(dt) * I: white-noise cells coincide
     with the increment cells of the motion.
     """
-    C = volterra_projection_matrix(spec, grid)
+    C = volterra_projection_matrix(alpha, grid)
     return np.diff(C, axis=0, prepend=0.0)
 
 
 def sample_fbm_volterra(
-    spec: VolterraKernelSpec, grid: TimeGrid, n_replicas: int, rng_spec: RngStreamSpec
+    alpha: float, grid: TimeGrid, n_replicas: int, rng_spec: RngStreamSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paths driven through the Volterra kernel: (values, noise) batch."""
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    C = volterra_projection_matrix(spec, grid)
+    C = volterra_projection_matrix(alpha, grid)
     z = rng_spec.generator().standard_normal((n_replicas, grid.n_steps))
     out = np.zeros((n_replicas, grid.n_steps + 1))
     out[:, 1:] = z @ C.T  # C already carries the 1/sqrt(dt) white-noise scale
@@ -242,21 +242,22 @@ def sample_fbm_volterra(
 
 
 def sample_sheet_volterra(
-    spec_s: VolterraKernelSpec,
-    spec_t: VolterraKernelSpec,
+    alpha: float,
+    beta: float,
     grid: Grid2D,
     n_replicas: int,
     rng_spec: RngStreamSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sheet replicas driven through the kernel on both axes.
 
+    ``alpha`` is the exponent along s and ``beta`` the one along t.
     V = C_s Xi C_t' so rectangle increments are exactly M_s Xi M_t' with the
     per-axis increment transfer matrices.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    Cs = volterra_projection_matrix(spec_s, build_grid(grid.n_s, grid.T))
-    Ct = volterra_projection_matrix(spec_t, build_grid(grid.n_t, grid.T))
+    Cs = volterra_projection_matrix(alpha, build_grid(grid.n_s, grid.T))
+    Ct = volterra_projection_matrix(beta, build_grid(grid.n_t, grid.T))
     z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
     values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
     values[:, 1:, 1:] = Cs @ z @ Ct.T

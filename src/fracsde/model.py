@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 # numpy loads np.random on first use; load it here, not in the first chunk map
-import numpy.random
+import numpy.random  # noqa: F401
 
 __all__ = [
     "HurstOutOfRange",

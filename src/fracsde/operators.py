@@ -42,12 +42,7 @@ from .quad import (
     integrate_graded_rows,
     refine_rows,
 )
-from .special import (
-    VolterraKernelSpec,
-    kernel_sq_grade,
-    volterra_kernel,
-    volterra_kernel_dt_dist,
-)
+from .special import kernel_sq_grade, volterra_kernel, volterra_kernel_dt_dist
 
 __all__ = [
     "RegimeUndefined",
@@ -140,7 +135,7 @@ class OperatorRegime:
 # ----------------------------------------------------------------------------
 
 def _inner_increment_integral(
-    spec: VolterraKernelSpec,
+    alpha: float,
     phi: Callable[[np.ndarray], np.ndarray],
     s: np.ndarray,
     phi_s: np.ndarray,
@@ -162,10 +157,9 @@ def _inner_increment_integral(
     """
     out = np.zeros(len(s))
     eps = np.finfo(float).eps
-    a = spec.alpha
     # slivers below float resolution contribute O(width^{alpha+1/2})
     live = np.flatnonzero(hi - lo > 4096.0 * eps * np.maximum(1.0, np.abs(hi)))
-    if a == 0.5 or not live.size:
+    if alpha == 0.5 or not live.size:
         return out
     lo_in = np.nextafter(lo, hi)
     hi_in = np.nextafter(hi, lo)
@@ -176,7 +170,7 @@ def _inner_increment_integral(
     # differently, and a row must keep the bits it has when alone
     ylo = np.array([math.log(d) if d > 0.0 else -np.inf for d in d_lo.tolist()])
     yhi = np.array([math.log(d) for d in span.tolist()])
-    p = 1.0 / (a + 0.5)
+    p = 1.0 / (alpha + 0.5)
 
     def value(rows: np.ndarray, n: int) -> np.ndarray:
         u, w = gauss_legendre_01(n)
@@ -194,7 +188,7 @@ def _inner_increment_integral(
         # flip it across a jump; the kernel derivative sees the exact gap
         r_phi = np.clip(s[rows, None] + D, lo_in[rows, None], hi_in[rows, None])
         f = (phi(r_phi) - phi_s[rows, None]) * volterra_kernel_dt_dist(
-            spec, D, s[rows, None]
+            alpha, D, s[rows, None]
         )
         # one dot per row: a batched matvec would sum in another order
         return np.array([row @ w_row for row, w_row in zip(f, W)])
@@ -204,7 +198,7 @@ def _inner_increment_integral(
 
 
 def _kstar_points(
-    spec: VolterraKernelSpec,
+    alpha: float,
     phi: Callable[[np.ndarray], np.ndarray],
     s: np.ndarray,
     T: float,
@@ -227,9 +221,9 @@ def _kstar_points(
         hi += edges[1:]
     owner = np.array(owner)
     phi_s = phi(s)
-    val = volterra_kernel(spec, T, s) * phi_s
+    val = volterra_kernel(alpha, T, s) * phi_s
     pieces = _inner_increment_integral(
-        spec, phi, s[owner], phi_s[owner], np.array(lo), np.array(hi), tol
+        alpha, phi, s[owner], phi_s[owner], np.array(lo), np.array(hi), tol
     )
     # unbuffered and in order: each point adds its pieces left to right
     np.add.at(val, owner, pieces)
@@ -237,7 +231,7 @@ def _kstar_points(
 
 
 def kstar_pointwise(
-    spec: VolterraKernelSpec,
+    alpha: float,
     phi: Callable[[np.ndarray], np.ndarray],
     s: float,
     T: float,
@@ -251,11 +245,11 @@ def kstar_pointwise(
     phi inside (0, T); the increment integral is split there so each piece
     sees a smooth integrand.
     """
-    return float(_kstar_points(spec, phi, np.array([s]), T, breakpoints, tol)[0])
+    return float(_kstar_points(alpha, phi, np.array([s]), T, breakpoints, tol)[0])
 
 
 def kstar_indicator_norm_sq(
-    spec: VolterraKernelSpec, t: float, T: float, tol: float = 1e-6
+    alpha: float, t: float, T: float, tol: float = 1e-6
 ) -> float:
     """||K* 1_[0,t]||^2 over (0, T) by nested quadrature.
 
@@ -269,11 +263,11 @@ def kstar_indicator_norm_sq(
     phi = lambda r: np.where(r <= t, 1.0, 0.0)
 
     def sq(s_arr: np.ndarray) -> np.ndarray:
-        vals = _kstar_points(spec, phi, s_arr, T, (t,), tol=1e-9)
+        vals = _kstar_points(alpha, phi, s_arr, T, (t,), tol=1e-9)
         # Python's float power, not np.square: the two differ in the last bit
         return np.array([v**2 for v in vals.tolist()])
 
-    e = kernel_sq_grade(spec.alpha)
+    e = kernel_sq_grade(alpha)
     left = integrate_graded(sq, 0.0, t, e_a=e, e_b=e, n0=64,
                             tol=tol, max_doublings=5)
     right = 0.0
@@ -291,11 +285,10 @@ def kstar_apply(phi: GridFunction1D, alpha: float, tol: float = 1e-8) -> GridFun
     of K* phi are singular and returned as nan.  Cost grows like n^2
     adaptive integrals, so this is a verification tool, not a sampler.
     """
-    spec = VolterraKernelSpec.calibrated(alpha)
     x = phi.grid.points
     y = np.asarray(phi.samples, dtype=float)
     out = np.full(len(x), np.nan)
-    out[1:-1] = _kstar_points(spec, lambda r: np.interp(r, x, y), x[1:-1],
+    out[1:-1] = _kstar_points(alpha, lambda r: np.interp(r, x, y), x[1:-1],
                               phi.grid.T, tuple(x[1:-1].tolist()), tol)
     return GridFunction1D(phi.grid, out)
 

@@ -17,7 +17,9 @@ Three families live here:
   constant ``d`` is the closed form
   d = sqrt(2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha))),
   the normalisation c_H of the square-root kernel K_H of fBm, for which
-  int_0^t K(t, s)^2 ds = t^{2 alpha}, i.e. Var B_t = t^{2 alpha}.
+  int_0^t K(t, s)^2 ds = t^{2 alpha}, i.e. Var B_t = t^{2 alpha}.  The
+  Hurst exponent alpha is the kernel's only parameter: every kernel function
+  takes it and reads d from ``calibrate_d_alpha``.
 """
 from __future__ import annotations
 
@@ -38,9 +40,7 @@ __all__ = [
     "negativity_interval",
     "hermite",
     "hermite_all",
-    "VolterraKernelSpec",
     "volterra_kernel",
-    "volterra_kernel_dt",
     "volterra_kernel_dt_dist",
     "calibrate_d_alpha",
     "kernel_sq_grade",
@@ -226,7 +226,15 @@ def hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
 # Volterra kernel of the fBm representation
 # ----------------------------------------------------------------------------
 
-def _f1_integral(alpha: float, z: np.ndarray, nq: int) -> np.ndarray:
+# Nodes of the fixed Gauss-Legendre rule for the kernel's tail integral.  Under
+# th = A u^p the integrand carries non-integer powers u^{kp}, which the rule
+# resolves only algebraically: against 40-digit mpmath the kernel is off by
+# about 1e-11 relative above alpha = 1/2 (1.03e-11 at alpha = 0.75, s = 0.5)
+# and by at most 3.1e-13 below it.
+_F1_NODES = 160
+
+
+def _f1_integral(alpha: float, z: np.ndarray) -> np.ndarray:
     """int_0^{z-1} th^{alpha-3/2} (1 - (1+th)^{alpha-1/2}) d th for z >= 1.
 
     Near th = 0 the integrand behaves like (1/2-alpha) th^{alpha-1/2}; the
@@ -245,7 +253,7 @@ def _f1_integral(alpha: float, z: np.ndarray, nq: int) -> np.ndarray:
     def bracket(th: np.ndarray) -> np.ndarray:
         return -np.expm1(q * np.log1p(th))
 
-    u, w = gauss_legendre_01(nq)
+    u, w = gauss_legendre_01(_F1_NODES)
     p = 1.0 / (alpha + 0.5)
     # near piece: [0, min(U, 1)]
     A = np.minimum(U[pos], 1.0)
@@ -268,72 +276,40 @@ def _f1_integral(alpha: float, z: np.ndarray, nq: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VolterraKernelSpec:
-    """Kernel parameters: Hurst exponent, normalisation, quadrature resolution."""
-
-    alpha: float
-    d_alpha: float
-    quadrature_n: int = 160
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha={self.alpha} not in (0, 1)")
-        if self.d_alpha <= 0.0:
-            raise ValueError("d_alpha must be positive")
-        if self.quadrature_n < 8:
-            raise ValueError("quadrature_n too small")
-
-    @classmethod
-    def calibrated(cls, alpha: float, quadrature_n: int = 160) -> "VolterraKernelSpec":
-        return cls(alpha, calibrate_d_alpha(alpha), quadrature_n)
-
-
-def volterra_kernel(spec: VolterraKernelSpec, t: float, s: np.ndarray) -> np.ndarray:
+def volterra_kernel(alpha: float, t: float, s: np.ndarray) -> np.ndarray:
     """K(t, s) for 0 < s < t; vectorised over s."""
+    d = calibrate_d_alpha(alpha)
     s = np.asarray(s, dtype=float)
     if not t > 0.0:
         raise DomainError(f"t={t} must be > 0")
     if np.any(s <= 0.0) or np.any(s >= t):
         raise DomainError("kernel requires 0 < s < t")
-    a = spec.alpha
-    q = a - 0.5
-    if a == 0.5:
-        return np.full_like(s, spec.d_alpha)
-    corr = spec.d_alpha * (0.5 - a) * _f1_integral(a, t / s, spec.quadrature_n)
-    return spec.d_alpha * (t - s) ** q + s**q * corr
-
-
-def volterra_kernel_dt(spec: VolterraKernelSpec, r: np.ndarray, s: float) -> np.ndarray:
-    """dK/dr (r, s) = d (alpha-1/2) (r-s)^{alpha-3/2} (r/s)^{alpha-1/2}.
-
-    Closed form obtained by differentiating the kernel in its first argument;
-    the two pieces of K collapse into a single power product.
-    """
-    r = np.asarray(r, dtype=float)
-    if not s > 0.0 or np.any(r <= s):
-        raise DomainError("derivative requires 0 < s < r")
-    return volterra_kernel_dt_dist(spec, r - s, s)
+    q = alpha - 0.5
+    if alpha == 0.5:
+        return np.full_like(s, d)
+    corr = d * (0.5 - alpha) * _f1_integral(alpha, t / s)
+    return d * (t - s) ** q + s**q * corr
 
 
 def volterra_kernel_dt_dist(
-    spec: VolterraKernelSpec, dist: np.ndarray, s: float | np.ndarray
+    alpha: float, dist: np.ndarray, s: float | np.ndarray
 ) -> np.ndarray:
     """dK/dr (s + dist, s) parametrised by the exact gap dist = r - s > 0.
 
+    Differentiating the kernel in its first argument collapses its two
+    pieces into d (alpha-1/2) dist^{alpha-3/2} (1 + dist/s)^{alpha-1/2}.
     Quadratures that grade into the r -> s singularity construct the gap
     directly; recomputing r - s by subtraction there would leave only noise.
     ``s`` may be an array that broadcasts against ``dist`` (one s per row).
     """
+    d = calibrate_d_alpha(alpha)
     dist = np.asarray(dist, dtype=float)
     if not np.all(np.asarray(s) > 0.0) or np.any(dist <= 0.0):
         raise DomainError("derivative requires 0 < s and dist > 0")
-    a = spec.alpha
-    if a == 0.5:
+    if alpha == 0.5:
         return np.zeros_like(dist)
-    return (
-        spec.d_alpha * (a - 0.5) * dist ** (a - 1.5) * (1.0 + dist / s) ** (a - 0.5)
-    )
+    q = alpha - 0.5
+    return d * q * dist ** (alpha - 1.5) * (1.0 + dist / s) ** q
 
 
 def kernel_sq_grade(alpha: float) -> float:
@@ -345,6 +321,8 @@ def kernel_sq_grade(alpha: float) -> float:
     (p = 1/|q|) and is raised when needed so the x^{2q} factor maps to a
     positive power.  Returned as the equivalent exponent e = 1/p - 1.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha={alpha} not in (0, 1)")
     q = alpha - 0.5
     if q == 0.0:
         return 0.0
@@ -357,10 +335,10 @@ def kernel_sq_grade(alpha: float) -> float:
     return 1.0 / p - 1.0
 
 
-def kernel_sq_integral(spec: VolterraKernelSpec, t: float, tol: float = 1e-10) -> float:
+def kernel_sq_integral(alpha: float, t: float, tol: float = 1e-10) -> float:
     """int_0^t K(t, s)^2 ds, graded at both endpoints for the kernel powers."""
-    e = kernel_sq_grade(spec.alpha)
-    f = lambda s: volterra_kernel(spec, t, s) ** 2
+    e = kernel_sq_grade(alpha)
+    f = lambda s: volterra_kernel(alpha, t, s) ** 2
     return integrate_graded(f, 0.0, t, e_a=e, e_b=e, n0=96, tol=tol)
 
 

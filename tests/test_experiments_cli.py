@@ -275,6 +275,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+    def test_operator_check_outside_the_unit_interval_exits_two(
+        self, tmp_path, capsys, alpha
+    ):
+        # the norm identity's grading exponent is the first thing to see
+        # alpha; at 0 it would divide by 1 + 2 (alpha - 1/2) = 0
+        code = main(["operator-check", "--alpha", alpha, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: ValueError:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_usage_error_exits_two(self, tmp_path, capsys):
         # drifted Euler scheme is undefined
         code = main([

@@ -25,7 +25,6 @@ from fracsde.fields import (
     volterra_projection_matrix,
 )
 from fracsde.model import RngStreamSpec, build_grid, build_grid2d
-from fracsde.special import VolterraKernelSpec
 
 
 class TestCovariance:
@@ -229,53 +228,47 @@ class TestSheetSampling:
 
 class TestVolterraRoute:
     def test_brownian_transfer_is_scaled_identity(self):
-        spec = VolterraKernelSpec.calibrated(0.5)
         g = build_grid(8, 1.0)
-        M = increment_transfer_matrix(spec, g)
+        M = increment_transfer_matrix(0.5, g)
         np.testing.assert_allclose(M, math.sqrt(g.dt) * np.eye(8), atol=1e-14)
 
     def test_projection_covariance_matches_exact_law(self):
         # C C' is the cell discretisation of the exact covariance; the gap
         # shrinks under refinement and stays small at n=16
         for alpha in (0.3, 0.7):
-            spec = VolterraKernelSpec.calibrated(alpha)
             errs = []
             for n in (16, 32):
                 g = build_grid(n, 1.0)
-                C = volterra_projection_matrix(spec, g)
+                C = volterra_projection_matrix(alpha, g)
                 R = fbm_covariance(alpha, g.points[1:])
                 errs.append(np.max(np.abs(C @ C.T - R)))
             assert errs[0] < 0.02, alpha
             assert errs[1] < errs[0], alpha
 
     def test_projection_matrix_cache_is_bounded(self):
-        spec = VolterraKernelSpec.calibrated(0.3)
-        C = volterra_projection_matrix(spec, build_grid(8, 1.0))
-        assert volterra_projection_matrix(spec, build_grid(8, 1.0)) is C
+        C = volterra_projection_matrix(0.3, build_grid(8, 1.0))
+        assert volterra_projection_matrix(0.3, build_grid(8, 1.0)) is C
         info = _projection_matrix.cache_info()
         assert info.hits >= 1
         assert info.maxsize is not None and info.maxsize > 0
 
     def test_volterra_path_reconstruction(self):
-        spec = VolterraKernelSpec.calibrated(0.7)
         g = build_grid(8, 1.0)
-        values, z = sample_fbm_volterra(spec, g, 2, RngStreamSpec(21))
-        C = volterra_projection_matrix(spec, g)
+        values, z = sample_fbm_volterra(0.7, g, 2, RngStreamSpec(21))
+        C = volterra_projection_matrix(0.7, g)
         np.testing.assert_allclose(values[:, 1:], z @ C.T, atol=1e-14)
         assert np.all(values[:, 0] == 0.0)
 
     def test_volterra_sheet_increment_identity(self):
         # rectangle increments of the sampled sheet equal M_s Xi M_t'
-        spec_s = VolterraKernelSpec.calibrated(0.3)
-        spec_t = VolterraKernelSpec.calibrated(0.7)
         g = build_grid2d(4, 4, 1.0)
-        values, z = sample_sheet_volterra(spec_s, spec_t, g, 3, RngStreamSpec(31))
+        values, z = sample_sheet_volterra(0.3, 0.7, g, 3, RngStreamSpec(31))
         line = build_grid(4, 1.0)
-        Cs = volterra_projection_matrix(spec_s, line)
-        Ct = volterra_projection_matrix(spec_t, line)
+        Cs = volterra_projection_matrix(0.3, line)
+        Ct = volterra_projection_matrix(0.7, line)
         oracle = np.einsum("ij,rjk,lk->ril", Cs, z, Ct)
         np.testing.assert_allclose(values[:, 1:, 1:], oracle, rtol=0, atol=1e-13)
-        Ms = increment_transfer_matrix(spec_s, line)
-        Mt = increment_transfer_matrix(spec_t, line)
+        Ms = increment_transfer_matrix(0.3, line)
+        Mt = increment_transfer_matrix(0.7, line)
         inc = np.diff(np.diff(values, axis=1), axis=2)
         np.testing.assert_allclose(inc, Ms @ z @ Mt.T, atol=1e-12)

@@ -39,7 +39,7 @@ from fracsde.operators import (
 )
 from fracsde.operators import _axis_norm_sq, _kstar_points
 from fracsde.quad import integrate_graded
-from fracsde.special import VolterraKernelSpec, kernel_sq_grade, volterra_kernel
+from fracsde.special import kernel_sq_grade, volterra_kernel
 
 
 class TestRegime:
@@ -71,22 +71,20 @@ class TestAdjointKernelMap:
     def test_constant_input_gives_kernel_section(self):
         # increments of a constant vanish, so K* 1 collapses to K(T, .)
         for alpha in (0.3, 0.7):
-            spec = VolterraKernelSpec.calibrated(alpha)
             for s in (0.2, 0.5, 0.9):
-                val = kstar_pointwise(spec, np.ones_like, s, 1.0)
-                ref = float(volterra_kernel(spec, 1.0, np.array([s]))[0])
+                val = kstar_pointwise(alpha, np.ones_like, s, 1.0)
+                ref = float(volterra_kernel(alpha, 1.0, np.array([s]))[0])
                 assert abs(val - ref) < 1e-12
 
     def test_indicator_gives_truncated_kernel_section(self):
         # 1_[0, t] maps to K(t, .) on (0, t) and to 0 beyond t
-        spec = VolterraKernelSpec.calibrated(0.3)
         t = 0.7
         phi = lambda r: np.where(r <= t, 1.0, 0.0)
         for s in (0.2, 0.5):
-            val = kstar_pointwise(spec, phi, s, 1.0, breakpoints=(t,))
-            ref = float(volterra_kernel(spec, t, np.array([s]))[0])
+            val = kstar_pointwise(0.3, phi, s, 1.0, breakpoints=(t,))
+            ref = float(volterra_kernel(0.3, t, np.array([s]))[0])
             assert abs(val - ref) < 1e-6
-        assert kstar_pointwise(spec, phi, 0.8, 1.0, breakpoints=(t,)) == 0.0
+        assert kstar_pointwise(0.3, phi, 0.8, 1.0, breakpoints=(t,)) == 0.0
 
     def test_linearity_on_grid_samples(self):
         g = build_grid(8, 1.0)
@@ -107,22 +105,20 @@ class TestAdjointKernelMap:
     def test_indicator_norm_is_power_of_t(self):
         # ||K* 1_[0,t]||^2 = t^{2 alpha}; includes the t = 0.7, alpha = 0.3 case
         for alpha, t in ((0.3, 0.7), (0.3, 1.0), (0.75, 0.5)):
-            spec = VolterraKernelSpec.calibrated(alpha)
-            val = kstar_indicator_norm_sq(spec, t, 1.0)
+            val = kstar_indicator_norm_sq(alpha, t, 1.0)
             assert abs(val - t ** (2.0 * alpha)) < 1e-4, (alpha, t)
 
     def test_isometry_seed_cross_inner_product(self):
         # <K* 1_[0,t], K* 1_[0,u]> = R(t, u), the covariance link
         t_, u_, T = 0.3, 0.7, 1.0
         for alpha in (0.3, 0.7):
-            spec = VolterraKernelSpec.calibrated(alpha)
             p1 = lambda r: np.where(r <= t_, 1.0, 0.0)
             p2 = lambda r: np.where(r <= u_, 1.0, 0.0)
 
             def prod(s_arr):
                 return np.array(
-                    [kstar_pointwise(spec, p1, float(s), T, breakpoints=(t_,), tol=1e-7)
-                     * kstar_pointwise(spec, p2, float(s), T, breakpoints=(u_,), tol=1e-7)
+                    [kstar_pointwise(alpha, p1, float(s), T, breakpoints=(t_,), tol=1e-7)
+                     * kstar_pointwise(alpha, p2, float(s), T, breakpoints=(u_,), tol=1e-7)
                      for s in np.atleast_1d(s_arr)]
                 )
 
@@ -138,11 +134,10 @@ class TestAdjointKernelMap:
         # indicator every piece converges at 96 nodes; under the sine the
         # pieces at s = 0.01 need 192 or 384, so a batch that refines a
         # converged row again, or drops a live one, moves some point's bits
-        spec = VolterraKernelSpec.calibrated(alpha)
         s = np.array([0.01, 0.2, t - 1e-3, t + 1e-3, 0.9])
         for phi in (lambda r: np.where(r <= t, 1.0, 0.0), np.sin):
-            batch = _kstar_points(spec, phi, s, 1.0, (t,), tol=1e-9)
-            alone = [kstar_pointwise(spec, phi, v, 1.0, breakpoints=(t,))
+            batch = _kstar_points(alpha, phi, s, 1.0, (t,), tol=1e-9)
+            alone = [kstar_pointwise(alpha, phi, v, 1.0, breakpoints=(t,))
                      for v in s]
             assert batch.tolist() == alone
 
@@ -154,22 +149,19 @@ class TestAdjointKernelMap:
         pins = {0.25: (0.7071067861676394, -0.07911967504920284),
                 0.75: (0.35355339058746316, 0.5387466787383806)}
         for alpha, (norm_sq, sine) in pins.items():
-            spec = VolterraKernelSpec.calibrated(alpha)
-            assert kstar_indicator_norm_sq(spec, 0.5, 1.0) == norm_sq, alpha
-            assert kstar_pointwise(spec, np.sin, 0.01, 1.0, breakpoints=(0.5,)) == sine
+            assert kstar_indicator_norm_sq(alpha, 0.5, 1.0) == norm_sq, alpha
+            assert kstar_pointwise(alpha, np.sin, 0.01, 1.0, breakpoints=(0.5,)) == sine
 
     def test_diagonal_isometry_matches_norm(self):
         # (t, u) = (0.5, 0.5) reduces to the indicator norm identity
-        spec = VolterraKernelSpec.calibrated(0.5)
-        val = kstar_indicator_norm_sq(spec, 0.5, 1.0)
+        val = kstar_indicator_norm_sq(0.5, 0.5, 1.0)
         assert abs(val - cov_fbm(0.5, 0.5, 0.5)) < 1e-6
 
     def test_pointwise_domain(self):
-        spec = VolterraKernelSpec.calibrated(0.3)
         with pytest.raises(ValueError):
-            kstar_pointwise(spec, np.ones_like, 0.0, 1.0)
+            kstar_pointwise(0.3, np.ones_like, 0.0, 1.0)
         with pytest.raises(ValueError):
-            kstar_indicator_norm_sq(spec, 1.5, 1.0)
+            kstar_indicator_norm_sq(0.3, 1.5, 1.0)
 
 
 class TestTensorFractionalOperators:

@@ -17,7 +17,6 @@ from fracsde.special import (
     DomainError,
     NegativityInterval,
     NoInterval,
-    VolterraKernelSpec,
     calibrate_d_alpha,
     h0,
     h0_array,
@@ -27,10 +26,12 @@ from fracsde.special import (
     kernel_sq_integral,
     negativity_interval,
     volterra_kernel,
-    volterra_kernel_dt,
     volterra_kernel_dt_dist,
 )
 from fracsde.special import _h0_negative_window
+from fracsde.fields import volterra_projection_matrix
+from fracsde.model import build_grid
+from fracsde.operators import kstar_indicator_norm_sq
 
 
 class TestH0:
@@ -232,10 +233,9 @@ class TestHermite:
 
 class TestVolterraKernel:
     def test_brownian_case_is_constant_one(self):
-        spec = VolterraKernelSpec.calibrated(0.5)
-        assert spec.d_alpha == 1.0
+        assert calibrate_d_alpha(0.5) == 1.0
         s = np.array([0.1, 0.4, 0.9])
-        assert np.all(volterra_kernel(spec, 1.0, s) == 1.0)
+        assert np.all(volterra_kernel(0.5, 1.0, s) == 1.0)
 
     def test_calibration_constants_frozen(self):
         assert abs(calibrate_d_alpha(0.25) - 0.645998000937991) < 1e-8
@@ -244,10 +244,10 @@ class TestVolterraKernel:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.45, 0.55, 0.7, 0.75, 0.8])
     def test_closed_form_constant_meets_the_isometry(self, alpha):
-        # the isometry int_0^1 K(1, s)^2 ds = 1 fixes d: at d = 1 the
-        # integral is 1/d^2, by graded quadrature of the kernel alone
-        q1 = kernel_sq_integral(VolterraKernelSpec(alpha, 1.0), 1.0)
-        assert calibrate_d_alpha(alpha) == pytest.approx(1.0 / math.sqrt(q1), rel=1e-8)
+        # the isometry int_0^1 K(1, s)^2 ds = 1 fixes d; graded quadrature of
+        # the kernel with the closed-form d must meet it.  int K_d^2 is
+        # d^2 int K_1^2, so rel 2e-8 here is rel 1e-8 on d = 1/sqrt(int K_1^2)
+        assert kernel_sq_integral(alpha, 1.0) == pytest.approx(1.0, rel=2e-8)
 
     @pytest.mark.parametrize("alpha,rel", [(0.25, 1e-12), (0.3, 1e-12), (0.75, 2e-11)])
     def test_kernel_against_40_digit_mpmath(self, alpha, rel):
@@ -260,18 +260,18 @@ class TestVolterraKernel:
             q = a - mp.mpf(1) / 2
             c = mp.sqrt(2 * a * mp.gamma(mp.mpf(3) / 2 - a)
                         / (mp.gamma(a + mp.mpf(1) / 2) * mp.gamma(2 - 2 * a)))
-            spec = VolterraKernelSpec.calibrated(alpha)
             for t, s in ((1.0, 0.1), (1.0, 0.5), (1.0, 0.9), (2.0, 0.7)):
                 tail = mp.quad(lambda th: th ** (a - mp.mpf(3) / 2) * (1 - (1 + th) ** q),
                                [0, mp.mpf(t) / s - 1])
                 oracle = c * ((t - mp.mpf(s)) ** q + mp.mpf(s) ** q * (-q) * tail)
-                lib = volterra_kernel(spec, t, np.array([s]))[0]
+                lib = volterra_kernel(alpha, t, np.array([s]))[0]
                 assert abs(lib - oracle) <= rel * abs(oracle), (alpha, t, s)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9, 0.95])
     def test_calibrated_spec_builds_across_the_range(self, alpha):
-        spec = VolterraKernelSpec.calibrated(alpha)
-        assert math.isfinite(spec.d_alpha) and spec.d_alpha > 0.0
+        d = calibrate_d_alpha(alpha)
+        assert math.isfinite(d) and d > 0.0
+        assert np.all(np.isfinite(volterra_kernel(alpha, 1.0, np.array([0.1, 0.5, 0.9]))))
 
     def test_calibration_rejects_alpha_outside_the_unit_interval(self):
         for alpha in (0.0, 1.0, -0.2):
@@ -285,69 +285,68 @@ class TestVolterraKernel:
     def test_squared_integral_calibration(self):
         # int_0^t K(t,s)^2 ds = t^{2 alpha}
         for alpha in (0.25, 0.5, 0.75):
-            spec = VolterraKernelSpec.calibrated(alpha)
             for t in (0.5, 1.0):
-                val = kernel_sq_integral(spec, t)
+                val = kernel_sq_integral(alpha, t)
                 assert abs(val - t ** (2.0 * alpha)) < 1e-4
 
     def test_spot_value_against_mpmath_oracle(self):
         # independent quadrature of the defining integral, 30 digits
         mp.mp.dps = 30
         for alpha, t, s in ((0.75, 1.0, 0.5), (0.3, 1.0, 0.5), (0.6, 2.0, 0.7)):
-            spec = VolterraKernelSpec.calibrated(alpha)
+            d = calibrate_d_alpha(alpha)
             q = alpha - 0.5
             z = t / s
             f1 = float(mp.quad(lambda th: th ** (alpha - 1.5) * (1 - (1 + th) ** q),
                                [0, z - 1.0]))
-            oracle = spec.d_alpha * (t - s) ** q + s**q * spec.d_alpha * (0.5 - alpha) * f1
-            lib = float(volterra_kernel(spec, t, np.array([s]))[0])
+            oracle = d * (t - s) ** q + s**q * d * (0.5 - alpha) * f1
+            lib = float(volterra_kernel(alpha, t, np.array([s]))[0])
             assert abs(lib - oracle) < 1e-6, (alpha, lib, oracle)
 
     def test_domain_errors(self):
-        spec = VolterraKernelSpec.calibrated(0.3)
         with pytest.raises(DomainError):
-            volterra_kernel(spec, 1.0, np.array([1.0]))
+            volterra_kernel(0.3, 1.0, np.array([1.0]))
         with pytest.raises(DomainError):
-            volterra_kernel(spec, 1.0, np.array([0.0]))
+            volterra_kernel(0.3, 1.0, np.array([0.0]))
         with pytest.raises(DomainError):
-            volterra_kernel(spec, 0.0, np.array([0.5]))
+            volterra_kernel(0.3, 0.0, np.array([0.5]))
         with pytest.raises(DomainError):
-            volterra_kernel_dt(spec, np.array([0.2]), 0.5)
+            volterra_kernel_dt_dist(0.3, np.array([0.1]), 0.0)
         with pytest.raises(DomainError):
-            volterra_kernel_dt_dist(spec, np.array([-0.1]), 0.5)
+            volterra_kernel_dt_dist(0.3, np.array([-0.1]), 0.5)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            VolterraKernelSpec(alpha=1.0, d_alpha=1.0)
-        with pytest.raises(ValueError):
-            VolterraKernelSpec(alpha=0.3, d_alpha=0.0)
-        with pytest.raises(ValueError):
-            VolterraKernelSpec(alpha=0.3, d_alpha=1.0, quadrature_n=4)
+        # alpha is the kernel's only parameter; each entry point refuses one
+        # outside (0, 1) before doing any work
+        grid = build_grid(4, 1.0)
+        for alpha in (0.0, 1.0, -0.2, math.nan):
+            with pytest.raises(ValueError):
+                volterra_kernel(alpha, 1.0, np.array([0.5]))
+            with pytest.raises(ValueError):
+                volterra_kernel_dt_dist(alpha, np.array([0.1]), 0.5)
+            with pytest.raises(ValueError):
+                kernel_sq_integral(alpha, 1.0)
+            with pytest.raises(ValueError):
+                kernel_sq_grade(alpha)
+            with pytest.raises(ValueError):
+                volterra_projection_matrix(alpha, grid)
+            with pytest.raises(ValueError):
+                kstar_indicator_norm_sq(alpha, 0.5, 1.0)
 
     def test_time_derivative_matches_finite_difference(self):
-        spec = VolterraKernelSpec.calibrated(0.7)
         s, r, h = 0.4, 0.8, 1e-6
         # K is differentiated in its first argument: difference K(r+h,s)-K(r-h,s)
-        kp = volterra_kernel(spec, r + h, np.array([s]))[0]
-        km = volterra_kernel(spec, r - h, np.array([s]))[0]
+        kp = volterra_kernel(0.7, r + h, np.array([s]))[0]
+        km = volterra_kernel(0.7, r - h, np.array([s]))[0]
         fd = (kp - km) / (2.0 * h)
-        an = volterra_kernel_dt(spec, np.array([r]), s)[0]
+        an = volterra_kernel_dt_dist(0.7, np.array([r - s]), s)[0]
         assert abs(fd - an) < 1e-4 * max(1.0, abs(an))
-
-    def test_derivative_dist_form_agrees(self):
-        spec = VolterraKernelSpec.calibrated(0.3)
-        r = np.array([0.6, 0.9])
-        a = volterra_kernel_dt(spec, r, 0.5)
-        b = volterra_kernel_dt_dist(spec, r - 0.5, 0.5)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_grade_at_half_is_zero(self):
         assert kernel_sq_grade(0.5) == 0.0
 
     def test_scaling_self_similarity(self):
         # K(ct, cs) = c^{alpha-1/2} K(t, s)
-        spec = VolterraKernelSpec.calibrated(0.65)
         c = 2.0
-        base = volterra_kernel(spec, 1.0, np.array([0.3, 0.7]))
-        scaled = volterra_kernel(spec, c, c * np.array([0.3, 0.7]))
+        base = volterra_kernel(0.65, 1.0, np.array([0.3, 0.7]))
+        scaled = volterra_kernel(0.65, c, c * np.array([0.3, 0.7]))
         np.testing.assert_allclose(scaled, c ** (0.65 - 0.5) * base, rtol=1e-9)
