@@ -61,6 +61,11 @@ _MAX_CHAIN_CELLS = 4096
 # 4096 paths x 65 nodes at N = 20 (one thread, Xeon with 2 MB L2 per core)
 # a call took 13.8, 10.7, 9.4, 8.7, 8.2 and 9.7 ms at 2**12 to 2**17; the
 # whole exact-vs-chaos run could not tell 2**14 from 2**15 or 2**16.
+# exact-vs-chaos cuts each chunk into row blocks of this size too, and runs
+# the sum, the exact solution and their gap on one block while it is in
+# cache; block-sized temporaries are reused from the heap, where freed
+# chunk-sized ones went back to the OS and faulted in again (75k minor
+# faults in a 100k-replica run, about 1k with blocks and chunk buffers).
 _CHAOS_BLOCK_VALUES = 2**14
 
 
@@ -248,6 +253,21 @@ def _horner_coefficients(y: float, e0: float, truncation: int) -> tuple[float, .
     return tuple(coefficients)
 
 
+@lru_cache(maxsize=16)
+def _horner_table(a2var: bytes, e0: bytes, truncation: int) -> np.ndarray:
+    """Read-only (N+1, nodes) table of every node's ``_horner_coefficients``.
+
+    Keyed by the float64 bytes of a^2 t^{2 alpha} and e^{bt}, so a caller
+    that sums a chunk block by block on one time grid assembles it once.
+    """
+    table = np.array([
+        _horner_coefficients(-0.5 * v, g, truncation)
+        for v, g in zip(np.frombuffer(a2var).tolist(), np.frombuffer(e0).tolist())
+    ]).T
+    table.setflags(write=False)
+    return table
+
+
 def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
     """The summed chaos of ``chaos_sum_1d``, as one polynomial in x = a B_t.
 
@@ -257,8 +277,10 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
         c_j = e^{bt} E_{(N-j)//2}(y) / j!,  y = -a^2 t^{2 alpha} / 2,
 
     with E_m the exponential series cut after y^m.  The coefficients live
-    on the shape of ``t`` and are memoised per node (``_horner_coefficients``),
-    each exactly rounded.  Blocks of leading rows run Horner's rule in place
+    on the shape of ``t``, each exactly rounded; they are memoised per node
+    (``_horner_coefficients``) and their table per time grid
+    (``_horner_table``), so calls on row blocks of one chunk pay for the
+    table once.  Blocks of leading rows run Horner's rule in place
     in the output, two array passes per order, against one block-sized
     buffer of x; inputs with fewer than two dimensions run as one row.  The
     sum agrees with ``chaos_sum_1d(...).total`` to rounding, not bit for
@@ -267,10 +289,9 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
     B, live, a2var, e0 = _chaos_inputs(a, b, alpha, t, B_t, truncation)
     shape = np.broadcast_shapes(B.shape, live.shape)
     full = (1,) * (2 - len(shape)) + shape
-    table = np.array([
-        _horner_coefficients(-0.5 * v, g, truncation)
-        for v, g in zip(a2var.ravel().tolist(), e0.ravel().tolist())
-    ]).T.reshape((truncation + 1,) + (1,) * (len(full) - live.ndim) + live.shape)
+    table = _horner_table(a2var.tobytes(), e0.tobytes(), truncation).reshape(
+        (truncation + 1,) + (1,) * (len(full) - live.ndim) + live.shape
+    )
     table = np.broadcast_to(table, (truncation + 1,) + full)
     B = np.broadcast_to(B, full)
     # zeroing a at t = 0 leaves only order 0 there
@@ -293,12 +314,16 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
 # Wick-corrected Euler scheme
 # ----------------------------------------------------------------------------
 
-def wick_euler_paths(p: ModelParams, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+def wick_euler_paths(
+    p: ModelParams, grid: TimeGrid, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Scheme trajectories for an array of sampled paths (..., n_steps+1).
 
     The correction bracket t_{k+1}^{2a} - t_k^{2a} - dt^{2a} vanishes at
     k = 0, so the first step is plain Euler for every alpha and grid.  The
-    scheme runs step-major, one contiguous row of paths per step.
+    scheme runs step-major, one row of paths per step; rows are contiguous
+    when ``values`` (and ``out``, which receives the trajectories if given,
+    in the shape of ``values``) are transposes of node-major arrays.
     """
     if p.b != 0.0:
         raise ValueError("scheme is stated for the driftless equation")
@@ -316,7 +341,11 @@ def wick_euler_paths(p: ModelParams, grid: TimeGrid, values: np.ndarray) -> np.n
         dt_power = np.float64(grid.dt) ** (2.0 * alpha)
         c = t[1:] ** (2.0 * alpha) - t[:-1] ** (2.0 * alpha) - dt_power
     V = np.moveaxis(values, -1, 0)
-    X = np.empty(V.shape)
+    if out is None:
+        out = np.moveaxis(np.empty(V.shape), 0, -1)
+    elif out.shape != values.shape:
+        raise ValueError(f"out of shape {out.shape} is not {values.shape}")
+    X = np.moveaxis(out, -1, 0)
     X[0, ...] = 1.0
     step = np.empty(V.shape[1:])
     for k in range(grid.n_steps):
@@ -325,7 +354,7 @@ def wick_euler_paths(p: ModelParams, grid: TimeGrid, values: np.ndarray) -> np.n
         step += 1.0
         step -= 0.5 * a * a * c[k]
         np.multiply(X[k, ...], step, out=X[k + 1, ...])
-    return np.moveaxis(X, 0, -1)
+    return out
 
 
 def wick_euler_1d(p: ModelParams, n: int, field: GaussianField) -> np.ndarray:

@@ -16,6 +16,7 @@ and the run's seed; an experiment passes iff all its metrics pass.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -24,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chaos import (
+    _CHAOS_BLOCK_VALUES,
     chaos_norm_decay,
     chaos_total_1d,
     deterministic_sheet_solution,
@@ -91,6 +93,25 @@ _NOISE_BLOCK_VALUES = 2**18
 # triangle (about 3.5 ms at grid 48), so larger blocks than the others
 # spread that cost; 2**18 saves about 11 MB of peak at grid 48 but runs slower.
 _CHAIN_BLOCK_VALUES = 2**19
+
+
+class _ChunkBuffers(threading.local):
+    """Float arrays reused by every chunk a thread runs, one set per thread.
+
+    ``take(*shapes)`` returns C-contiguous arrays of those shapes, each a
+    view of the thread's own flat array, so a chunk allocates nothing
+    chunk-sized.  Each flat array holds ``_CHUNK_REPLICAS`` times the size
+    given for one replica; pages are touched only as chunks use them.  The
+    arrays live as long as the object, so keep it local to a command.
+    """
+
+    def __init__(self, *per_replica: int) -> None:
+        self.flat = [np.empty(_CHUNK_REPLICAS * size) for size in per_replica]
+
+    def take(self, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        return tuple(
+            f[:math.prod(shape)].reshape(shape) for f, shape in zip(self.flat, shapes)
+        )
 
 
 def _noise_blocks(seed: int, idx: int, count: int, n: int, values: int):
@@ -328,6 +349,9 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     Two metrics: the sup-node error of the truncated sum over all sampled
     paths (tolerance 1e-8 at the default truncation) and the Monte Carlo
     mean of X_T against its closed-form value e^{bT} (4 standard errors).
+    A chunk samples into its thread's reused buffers and evaluates both
+    solutions on cache-sized row blocks (``_CHAOS_BLOCK_VALUES``); a nan
+    anywhere makes the sup-node error nan, so the metric fails.
     """
     if settings.beta is not None:
         raise ValueError("exact-vs-chaos is a one-parameter experiment")
@@ -337,15 +361,26 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     grid = build_grid(settings.grid_n, settings.T)
     factor = factor_covariance(settings.alpha, grid)
 
+    n = grid.n_steps
+    buffers = _ChunkBuffers(n + 1, n)
+    rows = max(1, _CHAOS_BLOCK_VALUES // (n + 1))
+
     def work(idx: int, count: int):
-        values, _ = sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))
-        chaos = chaos_total_1d(p.a, p.b, settings.alpha, grid.points, values, N)
-        exact = exact_solution_1d(p.a, p.b, settings.alpha, grid.points, values)
-        sup = float(np.max(np.abs(chaos - exact)))
-        return sup, chunk_moments(exact[:, -1])
+        values, z = buffers.take((count, n + 1), (count, n))
+        sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+        terminal = np.empty(count)
+        sup = 0.0
+        for r0 in range(0, count, rows):
+            block = values[r0:r0 + rows]
+            chaos = chaos_total_1d(p.a, p.b, settings.alpha, grid.points, block, N)
+            exact = exact_solution_1d(p.a, p.b, settings.alpha, grid.points, block)
+            # np.maximum keeps a nan, where max() would drop it
+            sup = np.maximum(sup, np.max(np.abs(chaos - exact)))
+            terminal[r0:r0 + rows] = exact[:, -1]
+        return sup, chunk_moments(terminal)
 
     parts = _map_chunks(work, settings.samples, settings.threads)
-    sup_err = max(p_[0] for p_ in parts)
+    sup_err = float(np.max([p_[0] for p_ in parts]))
     mean_T = combine_moments([p_[1] for p_ in parts], settings.seed)
     target = math.exp(p.b * p.T)
 
@@ -378,6 +413,8 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
 
     All step counts share paths sampled on the finest grid (coarser grids
     read every 2^k-th node), so the trend across n is a coupled comparison.
+    A chunk samples node-major into its thread's reused buffers, so the
+    scheme's step-major loop reads and writes contiguous rows.
     The convergence verdict per Hurst exponent is err(128) < err(8) / 2;
     the threshold case alpha = 1/2 is reported, not asserted.  The Hurst
     exponents and step counts are fixed, so the report echoes ``alpha``,
@@ -392,18 +429,25 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
     T = settings.T
     fine = build_grid(n_fine, T)
     errors: dict[float, dict[int, MonteCarloResult]] = {}
+    buffers = _ChunkBuffers(n_fine + 1, n_fine, n_fine + 1)
 
     for alpha in _EULER_ALPHAS:
         p = ModelParams(HurstPair(alpha), settings.a, 0.0, T)
         factor = factor_covariance(alpha, fine)
 
         def work(idx: int, count: int, p=p, factor=factor):
-            values, _ = sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))
+            # node-major: the scheme's step-major loop reads contiguous rows
+            nodes, z, paths = buffers.take(
+                (n_fine + 1, count), (count, n_fine), (n_fine + 1, count)
+            )
+            values = nodes.T
+            sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
             limit = exact_solution_1d(p.a, 0.0, p.hurst.alpha, T, values[:, -1])
             out = []
             for n in _EULER_STEPS:
-                sub = values[:, :: n_fine // n]
-                x_hat = wick_euler_paths(p, build_grid(n, T), sub)[:, -1]
+                x_hat = wick_euler_paths(
+                    p, build_grid(n, T), values[:, :: n_fine // n], out=paths[:n + 1].T
+                )[:, -1]
                 out.append(chunk_moments((x_hat - limit) ** 2))
             return out
 
@@ -822,12 +866,17 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
     grid = build_grid(settings.grid_n, settings.T)
     factor = factor_covariance(settings.alpha, grid)
 
+    n = grid.n_steps
+    buffers = _ChunkBuffers(n + 1, n, n + 1)
+
     def work(idx: int, count: int):
-        values, _ = sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))
-        first = values[0] if idx == 0 else None
+        values, z, sq = buffers.take((count, n + 1), (count, n), (count, n + 1))
+        sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+        # the buffer is reused by the next chunk
+        first = values[0].copy() if idx == 0 else None
         # (B_s B_u)^2 = B_s^2 B_u^2, so the product-estimator variance needs
         # only the elementwise-squared Gram matrix
-        sq = values**2
+        np.square(values, out=sq)
         return count, values.T @ values, sq.T @ sq, first
 
     parts = _map_chunks(work, settings.samples, settings.threads)

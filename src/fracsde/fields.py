@@ -149,15 +149,38 @@ def sample_fbm(factor: CovarianceFactor, rng_spec: RngStreamSpec) -> GaussianFie
 
 
 def sample_fbm_batch(
-    factor: CovarianceFactor, n_replicas: int, rng_spec: RngStreamSpec
+    factor: CovarianceFactor,
+    n_replicas: int,
+    rng_spec: RngStreamSpec,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, noise) for many replicas at once: shapes (R, n+1), (R, n)."""
+    """(values, noise) for many replicas at once: shapes (R, n+1), (R, n).
+
+    ``out=(values, noise)`` fills those float arrays instead of fresh ones
+    and returns them, with the same bits; a wrong shape, a dtype other than
+    float64 or non-C-contiguous noise (the draws fill it in memory order)
+    raises ``ValueError`` before any draw.  ``values`` may have either
+    memory order: node-major callers pass the transpose of an (n+1, R)
+    array.  The product is one GEMM over all R rows; split into blocks of
+    a few rows, the BLAS kernel rounds differently.
+    """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     n = factor.grid.n_steps
-    z = rng_spec.generator().standard_normal((n_replicas, n))
-    values = np.zeros((n_replicas, n + 1))
-    values[:, 1:] = z @ factor.lower_triangular.T
+    shapes = (n_replicas, n + 1), (n_replicas, n)
+    if out is None:
+        values, z = np.empty(shapes[0]), np.empty(shapes[1])
+    else:
+        values, z = out
+        if (values.shape, z.shape) != shapes or not (
+            z.flags.c_contiguous and values.dtype == z.dtype == np.float64
+        ):
+            raise ValueError(
+                f"out must be float64 arrays of shapes {shapes}, the noise C-contiguous"
+            )
+    rng_spec.generator().standard_normal(out=z)
+    values[:, 0] = 0.0
+    np.matmul(z, factor.lower_triangular.T, out=values[:, 1:])
     return values, z
 
 

@@ -297,6 +297,20 @@ class TestChaosTotal1D:
             with pytest.raises(ValueError, match="time must be >= 0"):
                 f(1.0, 0.0, 0.5, np.array([0.5, -0.1]), np.zeros((3, 2)), 4)
 
+    def test_table_is_assembled_once_per_time_grid(self):
+        # row blocks of one chunk share the grid row, so they share the table
+        t = np.linspace(0.0, 2.0, 33)
+        B = np.random.default_rng(5).standard_normal((40, 33))
+        chaos_module._horner_table.cache_clear()
+        whole = chaos_total_1d(0.9, 0.2, 0.4, t, B, 24)
+        blocks = [chaos_total_1d(0.9, 0.2, 0.4, t, B[r:r + 7], 24) for r in range(0, 40, 7)]
+        info = chaos_module._horner_table.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        # the shared table is read-only
+        table = chaos_module._horner_table(np.ones(3).tobytes(), np.ones(3).tobytes(), 4)
+        assert table.shape == (5, 3) and not table.flags.writeable
+
     def test_holds_blocks_not_orders(self):
         # the 29 stacked orders of this chunk take 62 MB; the running total
         # holds its output and one block's buffers
@@ -405,6 +419,22 @@ class TestWickEuler:
         p = ModelParams(HurstPair(0.3), a=1.0, b=0.5, T=1.0)
         with pytest.raises(ValueError):
             wick_euler_paths(p, build_grid(4, 1.0), np.zeros(5))
+
+    def test_writes_into_a_node_major_out(self):
+        # euler-study's layout: paths and trajectories are transposes of
+        # (nodes, paths) arrays, and coarse grids read strided node rows
+        p = ModelParams(HurstPair(0.7), a=1.2, b=0.0, T=1.0)
+        nodes = np.random.default_rng(13).standard_normal((129, 300)).cumsum(axis=0)
+        paths = np.full((129, 300), np.nan)
+        for n in (8, 128):
+            g = build_grid(n, 1.0)
+            sub = nodes.T[:, :: 128 // n]
+            out = paths[:n + 1].T
+            X = wick_euler_paths(p, g, sub, out=out)
+            assert X is out
+            np.testing.assert_array_equal(X, _euler_columns(p, g, sub))
+        with pytest.raises(ValueError, match="out of shape"):
+            wick_euler_paths(p, build_grid(8, 1.0), nodes.T[:, ::16], out=paths[:8].T)
 
     def test_grid_mismatch_rejected(self):
         p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)

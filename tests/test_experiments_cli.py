@@ -27,8 +27,21 @@ from fracsde.experiments import (
     cmd_operator_check,
     cmd_simulate,
 )
-from fracsde.fields import factor_covariance, sample_sheet_batch
-from fracsde.model import RngStreamSpec, build_grid, build_grid2d
+from fracsde.chaos import chaos_total_1d, exact_solution_1d, wick_euler_paths
+from fracsde.fields import factor_covariance, sample_fbm_batch, sample_sheet_batch
+from fracsde.model import (
+    HurstPair,
+    ModelParams,
+    RngStreamSpec,
+    build_grid,
+    build_grid2d,
+    chunk_moments,
+)
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 # every command; the sampling ones span two replica chunks (4096 each)
 _SMALL_RUNS = [
@@ -606,6 +619,151 @@ class TestNegativityBlocks:
         assert peak <= 8 * cells * cells + 5 * block, peak / 1e6
         more = self._peak(replace(settings, samples=4000))
         assert more <= peak + block, (peak / 1e6, more / 1e6)
+
+
+def _same_bits(got, want) -> None:
+    """Equal structure, and arrays and floats equal bit for bit (nan too)."""
+    if isinstance(want, (tuple, list)):
+        assert isinstance(got, (tuple, list)) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_bits(g, w)
+    elif want is None:
+        assert got is None
+    else:
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def _line_chunks(settings: RunSettings, alpha: float, n: int):
+    """(chunk index, fresh values) of the sampler's default call, one a chunk."""
+    factor = factor_covariance(alpha, build_grid(n, settings.T))
+    for idx, count in experiments._chunk_layout(settings.samples):
+        yield idx, sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))[0]
+
+
+def _one_shot_exact_vs_chaos(s: RunSettings) -> list:
+    # the chunk work as first written: each chunk sums the chaos and the
+    # exact solution over all its paths at once
+    p, t = s.model_params(), build_grid(s.grid_n, s.T).points
+    N = 20 if s.truncation is None else s.truncation
+    parts = []
+    for _, values in _line_chunks(s, s.alpha, s.grid_n):
+        with np.errstate(all="ignore"):
+            chaos = chaos_total_1d(p.a, p.b, s.alpha, t, values, N)
+            exact = exact_solution_1d(p.a, p.b, s.alpha, t, values)
+            parts.append((np.max(np.abs(chaos - exact)), chunk_moments(exact[:, -1])))
+    return [parts]
+
+
+def _one_shot_euler_study(s: RunSettings) -> list:
+    n_fine = experiments._EULER_STEPS[-1]
+    maps = []
+    for alpha in experiments._EULER_ALPHAS:
+        p = ModelParams(HurstPair(alpha), s.a, 0.0, s.T)
+        parts = []
+        for _, values in _line_chunks(s, alpha, n_fine):
+            limit = exact_solution_1d(s.a, 0.0, alpha, s.T, values[:, -1])
+            parts.append([
+                chunk_moments((wick_euler_paths(
+                    p, build_grid(n, s.T), values[:, :: n_fine // n]
+                )[:, -1] - limit) ** 2)
+                for n in experiments._EULER_STEPS
+            ])
+        maps.append(parts)
+    return maps
+
+
+def _one_shot_simulate(s: RunSettings) -> list:
+    parts = []
+    for idx, values in _line_chunks(s, s.alpha, s.grid_n):
+        sq = values**2
+        parts.append((len(values), values.T @ values, sq.T @ sq,
+                      values[0] if idx == 0 else None))
+    return [parts]
+
+
+class TestLineChunkBuffers:
+    """The line commands' chunks run on reused per-thread buffers and row
+    blocks; every chunk result keeps the bits of the one-shot chunk work."""
+
+    COMMANDS = {
+        "exact-vs-chaos": (experiments.cmd_exact_vs_chaos, _one_shot_exact_vs_chaos,
+                           dict(alpha=0.3, grid_n=64, truncation=28)),
+        "euler-study": (experiments.cmd_euler_study, _one_shot_euler_study,
+                        dict(a=0.25)),
+        "simulate": (cmd_simulate, _one_shot_simulate, dict(alpha=0.25, grid_n=8)),
+    }
+
+    @staticmethod
+    def _chunk_results(monkeypatch, command, settings) -> tuple[list, object]:
+        maps = []
+        original = experiments._map_chunks
+
+        def recording(work, total, threads):
+            maps.append(original(work, total, threads))
+            return maps[-1]
+
+        monkeypatch.setattr(experiments, "_map_chunks", recording)
+        report = command(settings)
+        return maps, report
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ragged", [1, 7, 100])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_chunks_keep_the_one_shot_bits(self, name, ragged, threads, monkeypatch):
+        # two full chunks and a ragged third, shorter than one row block
+        command, one_shot, model = self.COMMANDS[name]
+        settings = RunSettings(samples=2 * 4096 + ragged, seed=5, threads=threads,
+                               **model)
+        maps, report = self._chunk_results(monkeypatch, command, settings)
+        want = one_shot(settings)
+        _same_bits(maps, want)
+        if name == "exact-vs-chaos":
+            sup = {m.name: m for m in report.metrics}["sup_node_error"].value
+            assert sup == max(part[0] for part in want[0])
+
+    def test_non_finite_chunks_are_written_as_null(self, monkeypatch, tmp_path):
+        # at a = 1e80 every chunk's error is nan; a Python max() over row
+        # blocks would drop it
+        settings = RunSettings(alpha=0.3, a=1e80, samples=2 * 4096 + 7, seed=5)
+        with np.errstate(all="ignore"):
+            maps, _ = self._chunk_results(monkeypatch, experiments.cmd_exact_vs_chaos,
+                                          settings)
+        want = _one_shot_exact_vs_chaos(settings)
+        assert all(np.isnan(part[0]) for part in want[0])
+        _same_bits(maps, want)
+        code = main(["exact-vs-chaos", "--alpha", "0.3", "--a", "1e80", "--samples",
+                     str(settings.samples), "--seed", "5", "--out", str(tmp_path)])
+        assert code == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        sup = {m["name"]: m for m in report["metrics"]}["sup_node_error"]
+        assert sup["value"] is None and sup["passed"] is False
+
+    def test_first_path_is_not_overwritten_by_later_chunks(self):
+        settings = RunSettings(alpha=0.25, grid_n=8, samples=3 * 4096, seed=5)
+        report = cmd_simulate(settings)
+        _, first = next(_line_chunks(settings, 0.25, 8))
+        _, rows = report.tables["sample_path"]
+        assert [row[1] for row in rows] == first[0].tolist()
+
+    def test_coefficient_table_is_assembled_once(self):
+        chaos._horner_table.cache_clear()
+        experiments.cmd_exact_vs_chaos(
+            RunSettings(alpha=0.3, grid_n=64, truncation=28, samples=3 * 4096)
+        )
+        assert chaos._horner_table.cache_info().misses == 1
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_chunks_do_not_fault_in_fresh_pages(self):
+        # Linux-specific in practice: ru_minflt counts minor page faults.
+        # The one-shot chunk work freed its chunk-sized arrays, and glibc
+        # handed their pages back, about 3000 faults a chunk at grid 64; the
+        # reused buffers fault in about 1000 pages once per command
+        settings = RunSettings(alpha=0.3, grid_n=64, truncation=28, samples=8 * 4096)
+        experiments.cmd_exact_vs_chaos(replace(settings, samples=10))  # caches
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        experiments.cmd_exact_vs_chaos(settings)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 8 * 3000 / 4, faults
 
 
 class TestSimulateStatistics:

@@ -138,6 +138,41 @@ class TestPathSampling:
         with pytest.raises(ValueError):
             sample_fbm_batch(fac, 0, RngStreamSpec(1))
 
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_batch_into_buffers_keeps_the_bits(self, n, rows):
+        # node-major (F-ordered) values are what euler-study passes
+        fac = factor_covariance(0.3, build_grid(n, 1.0))
+        spec = RngStreamSpec(9, 2)
+        values, z = sample_fbm_batch(fac, rows, spec)
+        # the sampler as first written: one draw of (rows, n), one product
+        z_ref = spec.generator().standard_normal((rows, n))
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(values[:, 1:], z_ref @ fac.lower_triangular.T)
+        assert np.all(values[:, 0] == 0.0)
+        for order in ("C", "F"):
+            out = (np.full((rows, n + 1), np.nan, order=order), np.full((rows, n), np.nan))
+            got = sample_fbm_batch(fac, rows, spec, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            np.testing.assert_array_equal(got[0], values)
+            np.testing.assert_array_equal(got[1], z)
+
+    def test_batch_buffers_are_checked_before_any_draw(self):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew before checking the buffers")
+
+        fac = factor_covariance(0.3, build_grid(8, 1.0))
+        bad = [
+            (np.empty((5, 8)), np.empty((5, 8))),  # values one node short
+            (np.empty((5, 9)), np.empty((4, 8))),  # noise one replica short
+            (np.empty((5, 9)), np.empty((5, 8), order="F")),  # drawn in memory order
+            (np.empty((5, 9)), np.empty((5, 8), dtype=np.float32)),
+        ]
+        for values, z in bad:
+            with pytest.raises(ValueError, match="out"):
+                sample_fbm_batch(fac, 5, NoDraws(), out=(values, z))
+
     def test_terminal_variance_monte_carlo(self):
         # Var B_T = T^{2 alpha}; 2e4 replicas, 4 standard errors
         alpha, T, R = 0.3, 1.5, 20_000
