@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -35,6 +36,9 @@ _COMMANDS = {
     "girsanov-check": cmd_girsanov_check,
     "operator-check": cmd_operator_check,
 }
+
+# the messages of numpy's floating-point warnings
+_FLOAT_WARNING = "(overflow|underflow|invalid value|divide by zero) encountered"
 
 _PARSERS = {
     "int": int,
@@ -119,11 +123,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        report = _COMMANDS[args.command](build_settings(args))
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    # a value past the double range reads inf or nan and fails its metric;
+    # numpy's floating-point warning would only repeat that on stderr.  The
+    # filter list is process-wide, so it also holds in the pool's worker
+    # threads, which do not inherit an np.errstate
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FLOAT_WARNING, RuntimeWarning)
+        try:
+            report = _COMMANDS[args.command](build_settings(args))
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     _write_outputs(report, Path(args.out))
     for m in report.metrics:
         verdict = "PASS" if m.passed else "FAIL"

@@ -10,10 +10,13 @@ Three families live here:
 * probabilist Hermite polynomials H_n (three-term recurrence), which turn
   one-parameter chaos sums into closed form.
 
-* the Volterra kernel K(t, s) = d [(t-s)^{alpha-1/2}
-  + s^{alpha-1/2} (1/2-alpha) int_0^{t/s-1} th^{alpha-3/2}
-  (1 - (1+th)^{alpha-1/2}) d th]
-  of the moving-average representation of fractional Brownian motion.  The
+* the Volterra kernel
+  K(t, s) = d (t-s)^{alpha-1/2} 2F1(alpha-1/2, 1/2-alpha; alpha+1/2; 1-t/s)
+  of the moving-average representation of fractional Brownian motion
+  (Decreusefond and Ustunel, Potential Analysis 10, 1999; Nualart, The
+  Malliavin Calculus and Related Topics, 2nd ed., 5.1.3).  It is the closed
+  form of d [(t-s)^{alpha-1/2} + s^{alpha-1/2} (1/2-alpha)
+  int_0^{t/s-1} th^{alpha-3/2} (1 - (1+th)^{alpha-1/2}) d th].  The
   constant ``d`` is the closed form
   d = sqrt(2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha))),
   the normalisation c_H of the square-root kernel K_H of fBm, for which
@@ -29,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quad import gauss_legendre_01, integrate_graded
+from .quad import integrate_graded
 
 __all__ = [
     "NoInterval",
@@ -226,56 +229,6 @@ def hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
 # Volterra kernel of the fBm representation
 # ----------------------------------------------------------------------------
 
-# Nodes of the fixed Gauss-Legendre rule for the kernel's tail integral.  Under
-# th = A u^p the integrand carries non-integer powers u^{kp}, which the rule
-# resolves only algebraically: against 40-digit mpmath the kernel is off by
-# about 1e-11 relative above alpha = 1/2 (1.03e-11 at alpha = 0.75, s = 0.5)
-# and by at most 3.1e-13 below it.
-_F1_NODES = 160
-
-
-def _f1_integral(alpha: float, z: np.ndarray) -> np.ndarray:
-    """int_0^{z-1} th^{alpha-3/2} (1 - (1+th)^{alpha-1/2}) d th for z >= 1.
-
-    Near th = 0 the integrand behaves like (1/2-alpha) th^{alpha-1/2}; the
-    substitution th = u^{1/(alpha+1/2)} removes that power.  The bracket is
-    evaluated as -expm1((alpha-1/2) log1p(th)) to avoid cancellation.  For
-    z - 1 > 1 the tail over [1, z-1] is integrated in log coordinates.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    q = alpha - 0.5
-    out = np.zeros_like(z)
-    U = z - 1.0
-    pos = U > 0.0
-    if not np.any(pos):
-        return out
-
-    def bracket(th: np.ndarray) -> np.ndarray:
-        return -np.expm1(q * np.log1p(th))
-
-    u, w = gauss_legendre_01(_F1_NODES)
-    p = 1.0 / (alpha + 0.5)
-    # near piece: [0, min(U, 1)]
-    A = np.minimum(U[pos], 1.0)
-    th = (A[:, None] * u[None, :] ** p)
-    vals = th ** (alpha - 1.5) * bracket(th)
-    jac = A[:, None] * p * u[None, :] ** (p - 1.0)
-    # one sum per row: a matvec would round by the row count, and a point
-    # of K(t, s) must keep the bits it has alone
-    near = np.sum(vals * jac * w, axis=1)
-    # far piece: [1, U] in log coordinates, only where U > 1
-    far = np.zeros_like(near)
-    big = U[pos] > 1.0
-    if np.any(big):
-        L = np.log(U[pos][big])
-        y = L[:, None] * u[None, :]
-        th = np.exp(y)
-        vals = th ** (alpha - 0.5) * bracket(th)  # extra th from d th = th dy
-        far[big] = np.sum(vals * w, axis=1) * L
-    out[pos] = near + far
-    return out
-
-
 def volterra_kernel(alpha: float, t: float, s: np.ndarray) -> np.ndarray:
     """K(t, s) for 0 < s < t; vectorised over s."""
     d = calibrate_d_alpha(alpha)
@@ -284,11 +237,11 @@ def volterra_kernel(alpha: float, t: float, s: np.ndarray) -> np.ndarray:
         raise DomainError(f"t={t} must be > 0")
     if np.any(s <= 0.0) or np.any(s >= t):
         raise DomainError("kernel requires 0 < s < t")
+    from scipy.special import hyp2f1
+
+    g = t - s
     q = alpha - 0.5
-    if alpha == 0.5:
-        return np.full_like(s, d)
-    corr = d * (0.5 - alpha) * _f1_integral(alpha, t / s)
-    return d * (t - s) ** q + s**q * corr
+    return d * g**q * hyp2f1(q, -q, alpha + 0.5, -g / s)
 
 
 def volterra_kernel_dt_dist(

@@ -952,13 +952,19 @@ class TestStatisticalHonesty:
         ["euler-study", "--T", "1e300"],
         # the product variance overflows, so every standard error is inf
         ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300"],
+        # the chaos sum overflows, in the calling thread and in the pool's
+        # worker threads, which do not inherit an np.errstate
+        ["exact-vs-chaos", "--a", "1e80"],
+        ["exact-vs-chaos", "--a", "1e80", "--threads", "2"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
-            "girsanovT1e300", "eulerT1e300", "simulateLine"])
+            "girsanovT1e300", "eulerT1e300", "simulateLine", "chaos",
+            "chaosThreads2"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
-                                                          capsys):
+                                                          capsys, recwarn):
         code = main(argv + ["--samples", "100", "--out", str(tmp_path)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
