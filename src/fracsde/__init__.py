@@ -3,15 +3,21 @@
 Modules
 -------
 ``model``        parameter and grid dataclasses, seeded stream plumbing
-``special``      the squared-factorial power series, Hermite batteries,
-                 square-root Volterra kernels and their closed-form constant
+``special``      the squared-factorial series h0 in Bessel form, Hermite
+                 batteries, square-root Volterra kernels and their
+                 closed-form constant
 ``quad``         graded Gauss-Legendre quadrature for endpoint powers
 ``fields``       exact Gaussian samplers for fractional motions and sheets
 ``operators``    adjoint-kernel transfer, fractional integrals and
                  derivatives, the inverse-kernel map and the shift density
-``chaos``        chaos-expansion solvers, Wick-corrected Euler scheme,
-                 Picard iteration for the deterministic sheet equation
+``chaos``        chaos-expansion solvers (the Brownian-sheet chain
+                 recursion), Wick-corrected Euler scheme, the closed-form
+                 deterministic sheet profile
 ``experiments``  reproducible Monte Carlo studies behind the CLI
+
+The slow independent routes that the tests compare against (the tensor
+evaluator of discrete multiple integrals, the Volterra projection, Picard
+iteration, nested-quadrature norms) live in ``tests/oracles.py``.
 """
 from .model import (
     Grid2D,
@@ -34,21 +40,18 @@ from .special import (
 from .fields import (
     GaussianField,
     cov_fbm,
-    cov_sheet,
     sample_fbm,
     sample_fbm_batch,
     sample_sheet,
     sample_sheet_batch,
 )
 from .operators import (
-    GridFunction1D,
     GridFunction2D,
     OperatorRegime,
     frac_derivative_2d,
     frac_integral_2d,
     girsanov_log_density,
     kinv_apply_F,
-    kstar_apply,
     rkhs_norm_sq_separable,
 )
 from .chaos import (
@@ -57,7 +60,6 @@ from .chaos import (
     chaos_total_1d,
     deterministic_sheet_solution,
     exact_solution_1d,
-    picard_sheet,
     solve_sheet_chaos,
     wick_euler_1d,
 )

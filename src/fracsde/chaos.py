@@ -1,58 +1,47 @@
 """Chaos-expansion solvers for the linear Skorohod equation.
 
-Three computational routes live here.  The one-parameter solution has a
-closed form through Hermite polynomials, so truncated sums and the exact
-exponential are both cheap and can be compared pathwise.  Discrete multiple
-integrals realize low-order Wiener integrals against retained white noise:
-kernels are pushed to white-noise coordinates through the per-axis transfer
-matrices and summed off-diagonally (inclusion-exclusion over the partition
-lattice).  For the sheet, the kernel is supported on chains of points, so
-the off-diagonal sums collapse into one recursion over grid cells that
-extends a chain by one cell per order: by prefix sums when the drift
-vanishes and through triangular cells x cells kernels otherwise.
+The one-parameter solution has a closed form through Hermite polynomials,
+so truncated sums and the exact exponential are both cheap and can be
+compared pathwise.  For the Brownian sheet, Hurst (1/2, 1/2), the white-noise
+cells coincide with the sheet increments and the solution kernel is
+supported on chains of points, so each chaos order is one recursion over
+grid cells that extends a chain by one cell per order: by prefix sums when
+the drift vanishes and through triangular cells x cells kernels otherwise.
+Other Hurst pairs are refused; the tests keep a tensor evaluator of
+discrete multiple integrals for any pair as their oracle.
 
-The Wick-corrected Euler scheme and the Picard solver for the deterministic
-sheet equation close the loop for the convergence and negativity studies.
+The Wick-corrected Euler scheme and the closed-form deterministic sheet
+profile close the loop for the convergence and negativity studies.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import GaussianField, increment_transfer_matrix
-from .model import Grid2D, HurstPair, ModelParams, TimeGrid, build_grid
+from .fields import GaussianField
+from .model import Grid2D, ModelParams, TimeGrid
 from .special import h0, h0_array
 
 __all__ = [
-    "OrderTooHigh",
     "TruncatedChaosSolution",
-    "PicardResult",
-    "kernel_1d_eval",
-    "kernel_sheet_eval",
     "exact_solution_1d",
     "chaos_sum_1d",
     "chaos_total_1d",
     "wick_euler_1d",
     "wick_euler_paths",
     "chaos_norm_decay",
-    "pushed_kernel_tensor",
-    "offdiagonal_contraction",
-    "discrete_multiple_integral",
     "solve_sheet_chaos",
     "solve_sheet_chaos_batch",
     "solve_sheet_chaos_total_blocks",
-    "sheet_solver_route",
+    "check_sheet_solve",
     "deterministic_sheet_solution",
-    "picard_sheet",
 ]
 
-# Tensor routes materialise cells**order entries; keep them in check.
-_MAX_TENSOR_ENTRIES = 2**18
 # The drifted chain route holds one cells x cells kernel array (134 MB at this
 # size).
 _MAX_CHAIN_CELLS = 4096
@@ -67,10 +56,6 @@ _MAX_CHAIN_CELLS = 4096
 # chunk-sized ones went back to the OS and faulted in again (75k minor
 # faults in a 100k-replica run, about 1k with blocks and chunk buffers).
 _CHAOS_BLOCK_VALUES = 2**14
-
-
-class OrderTooHigh(ValueError):
-    """Discrete multiple integrals are capped at order 4."""
 
 
 @dataclass(frozen=True)
@@ -96,67 +81,6 @@ class TruncatedChaosSolution:
         for order in self.orders[1:]:
             total += order
         return total[()]
-
-
-# ----------------------------------------------------------------------------
-# Explicit kernels
-# ----------------------------------------------------------------------------
-
-def kernel_1d_eval(n: int, a: float, b: float, t: float, args) -> float:
-    """Order-n solution kernel of the one-parameter equation at time t.
-
-    Constant (a^n / n!) e^{bt} on the cube [0, t]^n, zero outside.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    args = np.asarray(args, dtype=float).reshape(-1)
-    if args.size != n:
-        raise ValueError(f"expected {n} arguments, got {args.size}")
-    if n and (np.any(args < 0.0) or np.any(args > t)):
-        return 0.0
-    return a**n / math.factorial(n) * math.exp(b * t)
-
-
-def _chain_sort(pts: np.ndarray) -> Union[np.ndarray, None]:
-    # sort by s, ties by t; the set is a chain iff t is then non-decreasing
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    q = pts[order]
-    if np.any(np.diff(q[:, 1]) < 0.0):
-        return None
-    return q
-
-
-def kernel_sheet_eval(n: int, a: float, b: float, z, args) -> float:
-    """Order-n sheet kernel at evaluation corner z = (s, t).
-
-    The kernel is supported on chains: the points must be totally ordered
-    by the coordinatewise partial order and inside [0, z].  Its value
-    a^n / n! multiplies drift factors h0(b ds dt) over consecutive chain
-    increments (starting from the origin, closing at z).  Without drift
-    every factor is h0(0) = 1, so the kernel is a^n / n! on chains: the
-    Skorohod integral of I_{n-1}(g) is I_n of its symmetrisation, so only
-    the top point of a chain carries the others.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    s, t = float(z[0]), float(z[1])
-    pts = np.asarray(args, dtype=float).reshape(-1, 2) if n else np.empty((0, 2))
-    if pts.shape[0] != n:
-        raise ValueError(f"expected {n} points, got {pts.shape[0]}")
-    if n == 0:
-        return h0(b * s * t)
-    lead = a**n / math.factorial(n)
-    if np.any(pts < 0.0) or np.any(pts[:, 0] > s) or np.any(pts[:, 1] > t):
-        return 0.0
-    q = _chain_sort(pts)
-    if q is None:
-        return 0.0
-    val = lead
-    prev_s, prev_t = 0.0, 0.0
-    for qs, qt in q:
-        val *= h0(b * (qs - prev_s) * (qt - prev_t))
-        prev_s, prev_t = qs, qt
-    return val * h0(b * (s - prev_s) * (t - prev_t))
 
 
 # ----------------------------------------------------------------------------
@@ -391,124 +315,6 @@ def chaos_norm_decay(p: ModelParams, N: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Discrete multiple integrals
-# ----------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _set_partitions(n: int) -> tuple:
-    """All partitions of {0..n-1} as tuples of blocks."""
-    if n == 0:
-        return ((),)
-    out = []
-    for p in _set_partitions(n - 1):
-        out.append(p + ((n - 1,),))
-        for i in range(len(p)):
-            out.append(p[:i] + (p[i] + (n - 1,),) + p[i + 1:])
-    return tuple(out)
-
-
-def offdiagonal_contraction(g: np.ndarray, xi: np.ndarray):
-    """Sum of g(i_1..i_n) xi_{i_1}..xi_{i_n} over pairwise-distinct indices.
-
-    Inclusion-exclusion over the partition lattice: each coincidence
-    pattern contributes a full contraction of g against powered noise,
-    weighted by the Moebius coefficient prod (-1)^{|B|-1} (|B|-1)!.
-    ``xi`` may carry leading batch axes; the result has the batch shape.
-    """
-    n = g.ndim
-    xi = np.asarray(xi, dtype=float)
-    batch = xi.shape[:-1]
-    flat = xi.reshape(-1, xi.shape[-1])
-    total = np.zeros(flat.shape[0])
-    letters = "abcd"
-    for blocks in _set_partitions(n):
-        coef = 1.0
-        for blk in blocks:
-            coef *= (-1.0) ** (len(blk) - 1) * math.factorial(len(blk) - 1)
-        pos = {}
-        for bi, blk in enumerate(blocks):
-            for k in blk:
-                pos[k] = letters[bi]
-        gsub = "".join(pos[k] for k in range(n))
-        opsub = ",".join("z" + letters[bi] for bi in range(len(blocks)))
-        operands = [flat ** len(blk) for blk in blocks]
-        total += coef * np.einsum(f"{gsub},{opsub}->z", g, *operands)
-    if batch:
-        return total.reshape(batch)
-    return float(total[0])
-
-
-def _axis_transfer(alpha: float, n_cells: int, T: float) -> np.ndarray:
-    grid = build_grid(n_cells, T)
-    if alpha == 0.5:
-        return math.sqrt(grid.dt) * np.eye(n_cells)
-    return increment_transfer_matrix(alpha, grid)
-
-
-def pushed_kernel_tensor(
-    kernel: Callable, n: int, grid: Union[TimeGrid, Grid2D], regime: HurstPair
-) -> np.ndarray:
-    """Kernel sampled at cell centers and pushed to white-noise coordinates.
-
-    ``kernel`` receives an array of n cell centers: shape (n,) on a time
-    grid, (n, 2) on a product grid.  Each tensor axis is contracted with the
-    per-axis increment transfer matrix (tensorized across coordinates for
-    the sheet), yielding the coefficient array g against which the retained
-    standard-normal noise integrates.
-    """
-    if n < 1:
-        raise ValueError("tensor route needs order >= 1")
-    if isinstance(grid, Grid2D):
-        if regime.beta is None:
-            raise ValueError("sheet grid needs a Hurst pair with beta")
-        sc, tc = grid.cell_centers()
-        centers = np.column_stack(
-            [np.repeat(sc, grid.n_t), np.tile(tc, grid.n_s)]
-        )
-        M = np.kron(
-            _axis_transfer(regime.alpha, grid.n_s, grid.T),
-            _axis_transfer(regime.beta, grid.n_t, grid.T),
-        )
-    else:
-        t = grid.points
-        centers = (t[:-1] + t[1:]) / 2.0
-        M = _axis_transfer(regime.alpha, grid.n_steps, grid.T)
-    m = centers.shape[0]
-    if m**n > _MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"order-{n} tensor on {m} cells exceeds the size guard; coarsen the grid"
-        )
-    f = np.empty((m,) * n)
-    for idx in np.ndindex(f.shape):
-        f[idx] = kernel(centers[list(idx)])
-    g = f
-    for _ in range(n):
-        g = np.tensordot(g, M, axes=([0], [0]))
-    return g
-
-
-def discrete_multiple_integral(
-    kernel, n: int, field: GaussianField, regime: HurstPair
-) -> float:
-    """Discrete order-n Wiener integral of ``kernel`` against the field's noise.
-
-    The field must have been generated through the transfer projection that
-    matches ``regime`` on its grid for pathwise identities (telescoping of
-    indicator kernels); at Hurst 1/2 the Cholesky sampler already is that
-    projection.  Law-level statements (orthogonality across orders, moment
-    identities) need only the retained noise.
-    """
-    if n > 4:
-        raise OrderTooHigh(f"order {n} > 4 not supported")
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if n == 0:
-        return float(kernel(np.empty((0,)))) if callable(kernel) else float(kernel)
-    g = pushed_kernel_tensor(kernel, n, field.grid, regime)
-    return offdiagonal_contraction(g, field.white_noise.reshape(-1))
-
-
-# ----------------------------------------------------------------------------
 # Sheet solver
 # ----------------------------------------------------------------------------
 
@@ -635,52 +441,29 @@ def _chain_levels(
         yield L
 
 
-def _sheet_orders_generic(
-    p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
-) -> np.ndarray:
-    """Transfer-matrix route for arbitrary Hurst pairs; small grids only."""
-    R = noise.shape[0]
-    xi = noise.reshape(R, -1)
-    orders = np.zeros((N + 1, R, grid.n_s + 1, grid.n_t + 1))
-    orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    for n in range(1, N + 1):
-        for i in range(1, grid.n_s + 1):
-            for j in range(1, grid.n_t + 1):
-                z = (grid.s[i], grid.t[j])
-                g = pushed_kernel_tensor(
-                    lambda pts: kernel_sheet_eval(n, p.a, p.b, z, pts),
-                    n,
-                    grid,
-                    p.hurst,
-                )
-                orders[n][:, i, j] = offdiagonal_contraction(g, xi)
-    return orders
+def check_sheet_solve(p: ModelParams, grid: Grid2D, N: int) -> None:
+    """Validate a sheet solve before any noise is drawn or read.
 
-
-def sheet_solver_route(p: ModelParams, grid: Grid2D, N: int) -> str:
-    """Validate a sheet solve and name its route, before any noise is drawn.
-
-    "chain" (Hurst (1/2, 1/2), any drift) or "generic" (the tensor route).
-    Raises what the solvers raise: the tensor route's order cap, and, with
-    drift, the chain route's refusal of grids above 4096 cells, whose
-    cells x cells kernel array (both chain kernels, see ``_chain_kernels``)
-    would not fit in memory.  Without drift the chain kernels are prefix
-    sums, so any grid is taken; the chain route takes any order.
+    The solvers run the chain recursion, which holds at Hurst (1/2, 1/2)
+    only; any other pair is refused.  With drift, grids above 4096 cells
+    are refused too: their cells x cells kernel array (both chain kernels,
+    see ``_chain_kernels``) would not fit in memory.  Without drift the
+    chain kernels are prefix sums, so any grid is taken; any order is.
     """
     if not p.hurst.is_sheet:
         raise ValueError("sheet solver needs a Hurst pair with beta")
     if N < 0:
         raise ValueError("truncation must be >= 0")
     if p.hurst.alpha != 0.5 or p.hurst.beta != 0.5:
-        if N > 4:
-            raise OrderTooHigh(f"order {N} > 4 not supported")
-        return "generic"
+        raise ValueError(
+            f"sheet solver runs the Brownian sheet, Hurst (0.5, 0.5), not "
+            f"({p.hurst.alpha}, {p.hurst.beta})"
+        )
     if p.b != 0.0:
         if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
             raise ValueError("chain recursion holds cells x cells matrices; grid too large")
         # load the chain route's trmm here, at set-up, not in the first chunk
         from scipy.linalg.blas import dtrmm  # noqa: F401
-    return "chain"
 
 
 def _check_noise(grid: Grid2D, noise: np.ndarray) -> None:
@@ -696,12 +479,10 @@ def solve_sheet_chaos_batch(
     Returns (N+1, R, n_s+1, n_t+1).  At Hurst (1/2, 1/2) the white-noise
     cells coincide with the sheet increments and the chain recursion
     applies; each order is its chain weights read out onto the nodes.
-    Other regimes fall back to the tensor route.
+    Other Hurst pairs are refused (``check_sheet_solve``).
     """
-    route = sheet_solver_route(p, grid, N)
+    check_sheet_solve(p, grid, N)
     _check_noise(grid, noise)
-    if route == "generic":
-        return _sheet_orders_generic(p, grid, noise, N)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     step, readout = _chain_apply(p.b, grid)
@@ -720,13 +501,9 @@ def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int)
     weight array and reads it out through the node kernel as soon as the
     block's recursion ends.  With drift both kernels sit in one cells x
     cells array, built once for all blocks; so that array and a few of one
-    block's arrays are live at a time, whatever the replica count.  The
-    tensor route sums each block's orders.
+    block's arrays are live at a time, whatever the replica count.
     """
-    if sheet_solver_route(p, grid, N) == "generic":
-        for r0, z in blocks:
-            yield r0, solve_sheet_chaos_batch(p, grid, z, N).sum(axis=0)
-        return
+    check_sheet_solve(p, grid, N)
     step, readout = _chain_apply(p.b, grid)
     base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     for r0, z in blocks:
@@ -763,54 +540,3 @@ def deterministic_sheet_solution(a: float, s, t):
     if x.ndim == 0:
         return h0(float(x))
     return h0_array(x)
-
-
-@dataclass(frozen=True)
-class PicardResult:
-    values: np.ndarray
-    iterations: int
-    converged: bool
-    rule: str
-
-
-def _cumulative_2d(g: np.ndarray, s: np.ndarray, t: np.ndarray, rule: str) -> np.ndarray:
-    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
-
-    if rule == "rectangle":
-        ds = s[1] - s[0]
-        dt = t[1] - t[0]
-        out = np.zeros_like(g)
-        out[1:, 1:] = _prefix2d(g[:-1, :-1]) * ds * dt
-        return out
-    if rule == "trapezoid":
-        inner = cumulative_trapezoid(g, x=t, axis=1, initial=0.0)
-        return cumulative_trapezoid(inner, x=s, axis=0, initial=0.0)
-    if rule == "simpson":
-        inner = cumulative_simpson(g, x=t, axis=1, initial=0.0)
-        return cumulative_simpson(inner, x=s, axis=0, initial=0.0)
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def picard_sheet(
-    a: float,
-    grid: Grid2D,
-    rule: str = "simpson",
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> PicardResult:
-    """Fixed point of g = 1 + a iint_{[0,s]x[0,t]} g by Picard iteration.
-
-    The contraction factor decays like (|a| T^2)^k / (k!)^2, so the stop
-    criterion (sup-norm change below tol) is reached in a handful of
-    iterations.  ``rule`` picks the cumulative quadrature; the default
-    follows the accuracy needed at 64x64 grids rather than the cheapest
-    rule (see the trade-off measurements in the tests).
-    """
-    g = np.ones((grid.n_s + 1, grid.n_t + 1))
-    for it in range(1, max_iter + 1):
-        gn = 1.0 + a * _cumulative_2d(g, grid.s, grid.t, rule)
-        delta = float(np.max(np.abs(gn - g)))
-        g = gn
-        if delta <= tol:
-            return PicardResult(values=g, iterations=it, converged=True, rule=rule)
-    return PicardResult(values=g, iterations=max_iter, converged=False, rule=rule)

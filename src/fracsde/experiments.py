@@ -28,9 +28,9 @@ from .chaos import (
     _CHAOS_BLOCK_VALUES,
     chaos_norm_decay,
     chaos_total_1d,
+    check_sheet_solve,
     deterministic_sheet_solution,
     exact_solution_1d,
-    sheet_solver_route,
     solve_sheet_chaos_total_blocks,
     wick_euler_paths,
 )
@@ -558,7 +558,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     limit = deterministic_sheet_solution(-a, grid.s[:, None], grid.t[None, :])
     margin = float((-NEGATIVITY_DELTA - limit[mask]).min())
     p = ModelParams(HurstPair(0.5, 0.5), a * settings.epsilon, -a, T)
-    sheet_solver_route(p, grid, N)  # refuse an oversized grid before drawing
+    check_sheet_solve(p, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
         blocks = _noise_blocks(settings.seed, idx, count, grid.n_s, _CHAIN_BLOCK_VALUES)
@@ -934,6 +934,10 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     n = settings.grid_n
+    if n < 2:
+        # one cell leaves the first rectangle increment V(0, 0) = 0, and the
+        # decorrelation check would compare 0 with its target 0
+        raise ValueError(f"sheet simulate needs grid_n >= 2, got {n}")
     grid = build_grid2d(n, n, settings.T)
     alpha, beta = settings.alpha, settings.beta
     line = build_grid(n, settings.T)

@@ -4,10 +4,8 @@ Sampling is by Cholesky factorisation of the exact covariance on the grid
 (time zero excluded, where the field is identically 0).  The sheet factorises:
 its covariance is the product of the two one-parameter covariances, so a
 matrix normal V = L_s Z L_t' with Z iid standard normal has exactly the right
-law.  A second, independent route expresses the motion through its Volterra
-kernel acting on white noise; it is kept as a cross-check of the kernel
-implementation and as the noise-consistent driver for discrete chaos sums,
-not as the production sampler.
+law.  (The tests keep a second, independent route as their oracle: the
+motion expressed through its Volterra kernel acting on white noise.)
 
 Every sampled field keeps the standard-normal draws that generated it
 (``GaussianField.white_noise``): the discrete Skorohod machinery integrates
@@ -16,31 +14,23 @@ against that noise, not against the field increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .model import Grid2D, RngStreamSpec, TimeGrid, build_grid
-from .quad import gauss_legendre_01
-from .special import volterra_kernel
+from .model import Grid2D, RngStreamSpec, TimeGrid
 
 __all__ = [
     "NotPositiveDefinite",
     "GaussianField",
     "CovarianceFactor",
     "cov_fbm",
-    "cov_sheet",
     "fbm_covariance",
     "factor_covariance",
     "sample_fbm",
     "sample_fbm_batch",
     "sample_sheet",
     "sample_sheet_batch",
-    "volterra_projection_matrix",
-    "increment_transfer_matrix",
-    "sample_fbm_volterra",
-    "sample_sheet_volterra",
 ]
 
 
@@ -59,11 +49,6 @@ def cov_fbm(alpha: float, s, u):
     p = 2.0 * alpha
     out = 0.5 * (s**p + u**p - np.abs(s - u) ** p)
     return float(out) if out.ndim == 0 else out
-
-
-def cov_sheet(alpha: float, beta: float, s, t, u, v):
-    """Product covariance of the sheet: R_alpha(s, u) * R_beta(t, v)."""
-    return cov_fbm(alpha, s, u) * cov_fbm(beta, t, v)
 
 
 def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
@@ -203,85 +188,4 @@ def sample_sheet_batch(
     z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
     values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
     values[:, 1:, 1:] = Ls @ z @ Lt.T
-    return values, z
-
-
-def volterra_projection_matrix(alpha: float, grid: TimeGrid) -> np.ndarray:
-    """C[j, i] = cell-averaged kernel int_{cell_i} K(t_j, s) ds / sqrt(dt).
-
-    Applied to iid normals xi, the vector C xi has covariance C C', the cell
-    discretisation of the exact covariance; the Cholesky sampler stays the
-    production route, this one ties field values to their white noise.
-    """
-    return _projection_matrix(alpha, grid.n_steps, grid.T)
-
-
-# Projection matrices are quadrature-heavy; memoise per (alpha, n_steps, T).
-@lru_cache(maxsize=32)
-def _projection_matrix(alpha: float, n_steps: int, T: float) -> np.ndarray:
-    grid = build_grid(n_steps, T)
-    t = grid.points
-    n = grid.n_steps
-    dt = grid.dt
-    u, w = gauss_legendre_01(24)
-    C = np.zeros((n, n))
-    for j in range(1, n + 1):
-        tj = t[j]
-        for i in range(j):
-            a, b = t[i], t[i + 1]
-            # cell touching t_j: grade for the (t_j - s)^{alpha-1/2} factor
-            if i == j - 1 and alpha < 0.5:
-                p = 1.0 / (alpha + 0.5)
-                s = b - (b - a) * u**p
-                ws = w * (b - a) * p * u ** (p - 1.0)
-            else:
-                s = a + (b - a) * u
-                ws = w * (b - a)
-            C[j - 1, i] = float(volterra_kernel(alpha, tj, s) @ ws) / np.sqrt(dt)
-    return C
-
-
-def increment_transfer_matrix(alpha: float, grid: TimeGrid) -> np.ndarray:
-    """M with Delta B_k = sum_i M[k, i] xi_i; rows are increments of C.
-
-    At alpha = 1/2 this is exactly sqrt(dt) * I: white-noise cells coincide
-    with the increment cells of the motion.
-    """
-    C = volterra_projection_matrix(alpha, grid)
-    return np.diff(C, axis=0, prepend=0.0)
-
-
-def sample_fbm_volterra(
-    alpha: float, grid: TimeGrid, n_replicas: int, rng_spec: RngStreamSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paths driven through the Volterra kernel: (values, noise) batch."""
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    C = volterra_projection_matrix(alpha, grid)
-    z = rng_spec.generator().standard_normal((n_replicas, grid.n_steps))
-    out = np.zeros((n_replicas, grid.n_steps + 1))
-    out[:, 1:] = z @ C.T  # C already carries the 1/sqrt(dt) white-noise scale
-    return out, z
-
-
-def sample_sheet_volterra(
-    alpha: float,
-    beta: float,
-    grid: Grid2D,
-    n_replicas: int,
-    rng_spec: RngStreamSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sheet replicas driven through the kernel on both axes.
-
-    ``alpha`` is the exponent along s and ``beta`` the one along t.
-    V = C_s Xi C_t' so rectangle increments are exactly M_s Xi M_t' with the
-    per-axis increment transfer matrices.
-    """
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    Cs = volterra_projection_matrix(alpha, build_grid(grid.n_s, grid.T))
-    Ct = volterra_projection_matrix(beta, build_grid(grid.n_t, grid.T))
-    z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
-    values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
-    values[:, 1:, 1:] = Cs @ z @ Ct.T
     return values, z

@@ -1,7 +1,7 @@
 """Fractional operators: the adjoint kernel map, power integrals/derivatives,
 and the inverse kernel map for the separable linear drift.
 
-``kstar_pointwise`` realises the adjoint operator
+``_kstar_points`` realises the adjoint operator
 
     (K* phi)(s) = K(T, s) phi(s) + int_s^T (phi(r) - phi(s)) dK/dr (r, s) dr
 
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Grid2D, TimeGrid
+from .model import Grid2D
 from .quad import (
     gauss_legendre_01,
     integrate_graded,
@@ -48,11 +48,8 @@ __all__ = [
     "RegimeUndefined",
     "IllConditionedOrder",
     "RoughInput",
-    "GridFunction1D",
     "GridFunction2D",
     "OperatorRegime",
-    "kstar_pointwise",
-    "kstar_apply",
     "kstar_indicator_norm_sq",
     "fractional_integral_matrix",
     "marchaud_derivative_matrix",
@@ -60,7 +57,6 @@ __all__ = [
     "frac_derivative_2d",
     "power_gap_integral",
     "kinv_axis_factor",
-    "kinv_profile_constant",
     "kinv_apply_F",
     "kinv_norm_sq_discrete",
     "rkhs_norm_sq_separable",
@@ -78,18 +74,6 @@ class IllConditionedOrder(ValueError):
 
 class RoughInput(ValueError):
     """Input too rough for the difference-quotient derivative form."""
-
-
-@dataclass(frozen=True)
-class GridFunction1D:
-    """Function samples at the nodes of a time grid."""
-
-    grid: TimeGrid
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.samples.shape != (self.grid.n_steps + 1,):
-            raise ValueError("sample count must match the grid")
 
 
 @dataclass(frozen=True)
@@ -230,24 +214,6 @@ def _kstar_points(
     return val
 
 
-def kstar_pointwise(
-    alpha: float,
-    phi: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    T: float,
-    breakpoints: Sequence[float] = (),
-    tol: float = 1e-9,
-) -> float:
-    """(K* phi)(s) for scalar s in (0, T).
-
-    ``phi`` must be vectorised: it maps an array of points to the array of
-    its values, of the same shape.  ``breakpoints`` lists jump locations of
-    phi inside (0, T); the increment integral is split there so each piece
-    sees a smooth integrand.
-    """
-    return float(_kstar_points(alpha, phi, np.array([s]), T, breakpoints, tol)[0])
-
-
 def kstar_indicator_norm_sq(
     alpha: float, t: float, T: float, tol: float = 1e-6
 ) -> float:
@@ -255,8 +221,8 @@ def kstar_indicator_norm_sq(
 
     The outer integral is split at the indicator's jump; endpoint grading
     follows the kernel powers s^{2 alpha - 1} and (t - s)^{2 alpha - 1}.
-    Each outer level evaluates K* at all its nodes in one batch, with the
-    inner tolerance of ``kstar_pointwise``.
+    Each outer level evaluates K* at all its nodes in one batch, with an
+    inner tolerance of 1e-9.
     """
     if not 0.0 < t <= T:
         raise ValueError(f"t={t} must lie in (0, {T}]")
@@ -275,22 +241,6 @@ def kstar_indicator_norm_sq(
         right = integrate_graded(sq, t, T, e_a=0.0, e_b=0.0, n0=16,
                                  tol=tol, max_doublings=4)
     return left + right
-
-
-def kstar_apply(phi: GridFunction1D, alpha: float, tol: float = 1e-8) -> GridFunction1D:
-    """K* applied to the linear interpolant of grid samples.
-
-    Interior nodes get the pointwise value, split at every sample node so
-    each quadrature piece sees a smooth integrand; the two endpoint values
-    of K* phi are singular and returned as nan.  Cost grows like n^2
-    adaptive integrals, so this is a verification tool, not a sampler.
-    """
-    x = phi.grid.points
-    y = np.asarray(phi.samples, dtype=float)
-    out = np.full(len(x), np.nan)
-    out[1:-1] = _kstar_points(alpha, lambda r: np.interp(r, x, y), x[1:-1],
-                              phi.grid.T, tuple(x[1:-1].tolist()), tol)
-    return GridFunction1D(phi.grid, out)
 
 
 # ----------------------------------------------------------------------------
@@ -679,21 +629,6 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     base = np.array([v ** (1.0 - 2.0 * h) for v in x.tolist()])
     gap = g * power_gap_integral(h, x, tol=tol)
     return pre * (base + gap) / math.gamma(1.0 - g)
-
-
-def kinv_profile_constant(h: float) -> float:
-    """Amplitude Gamma(3/2-h)/Gamma(2-2h) that the axis profile scales by.
-
-    Document of record for the separable drift: the two-parameter map
-    factorises, and the product of the two axis amplitudes is the constant
-    in front of t^{1/2-alpha} s^{1/2-beta}.  The numeric route above never
-    uses this value.
-    """
-    if h == 0.5:
-        raise RegimeUndefined("amplitude undefined at h = 1/2")
-    if not (0.0 < h < 1.0):
-        raise ValueError(f"h={h} not in (0, 1)")
-    return math.gamma(1.5 - h) / math.gamma(2.0 - 2.0 * h)
 
 
 @lru_cache(maxsize=16)

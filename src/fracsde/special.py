@@ -2,10 +2,12 @@
 
 Three families live here:
 
-* ``h0`` -- the entire function h0(x) = sum_n x^n / (n!)^2.  It is the
-  deterministic profile of the sheet equation and the building block of the
-  sheet chaos kernels.  On the negative axis it oscillates and dips below
-  zero; ``negativity_interval`` locates the deepest negative window.
+* ``h0`` -- the entire function h0(x) = sum_n x^n / (n!)^2, evaluated as
+  the Bessel function I0(2 sqrt(x)) for x >= 0 and J0(2 sqrt(-x)) for
+  x < 0.  It is the deterministic profile of the sheet equation and the
+  building block of the sheet chaos kernels.  On the negative axis it
+  oscillates and dips below zero; ``negativity_interval`` locates the
+  deepest negative window.
 
 * probabilist Hermite polynomials H_n (three-term recurrence), which turn
   one-parameter chaos sums into closed form.
@@ -32,8 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quad import integrate_graded
-
 __all__ = [
     "NoInterval",
     "DomainError",
@@ -41,13 +41,11 @@ __all__ = [
     "h0_array",
     "NegativityInterval",
     "negativity_interval",
-    "hermite",
     "hermite_all",
     "volterra_kernel",
     "volterra_kernel_dt_dist",
     "calibrate_d_alpha",
     "kernel_sq_grade",
-    "kernel_sq_integral",
 ]
 
 
@@ -64,57 +62,29 @@ class DomainError(ValueError):
 # ----------------------------------------------------------------------------
 
 def h0(x: float) -> float:
-    """h0(x) = sum_{n>=0} x^n/(n!)^2 by direct series, Kahan-compensated.
-
-    Terms alternate for x < 0; summation stops once terms fall below
-    1e-16 of the running sum and the index has cleared the growth region.
-    Raises OverflowError when the value exceeds float range (x ~ 1.26e5).
-
-    Cancellation bounds the absolute accuracy for x < 0 by roughly
-    eps * max_n |x|^n/(n!)^2 ~ eps * e^{2 sqrt(|x|)}: full precision up to
-    |x| ~ 50, ~1e-7 at |x| = 100.  Solver arguments stay well inside that.
-    """
-    x = float(x)
-    s = 1.0
-    comp = 0.0
-    term = 1.0
-    n = 0
-    n_min = math.sqrt(abs(x)) + 40.0
-    while True:
-        n += 1
-        term *= x / (n * n)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if not math.isfinite(s):
-            raise OverflowError(f"h0({x}) exceeds float range")
-        if n > n_min and abs(term) < 1e-16 * abs(s):
-            break
-        if n > 200_000:  # unreachable for finite results; safety stop
-            break
-    return s
+    """h0 at one point, as a float; see ``h0_array``."""
+    return float(h0_array(float(x)))
 
 
 def h0_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised h0 via Horner evaluation with a shared term count.
+    """h0(x) = sum_n x^n/(n!)^2 elementwise, through its Bessel forms.
 
-    Intended for the bounded arguments that occur in kernels and solvers
-    (|x| up to a few hundred); the term count follows the largest argument.
+    h0(x) = I0(2 sqrt(x)) for x >= 0 and J0(2 sqrt(-x)) for x < 0; each form
+    is evaluated on its own entries only.  Summing the series instead
+    cancels catastrophically on the negative axis.  Raises OverflowError
+    when a value is not finite: I0 leaves the double range near
+    x = 1.27e5.
     """
+    from scipy.special import i0, j0
+
     x = np.asarray(x, dtype=float)
-    m = float(np.max(np.abs(x))) if x.size else 0.0
-    if m > 1e4:
-        raise OverflowError("h0_array arguments too large; use scalar h0")
-    n_terms = int(2.0 * math.sqrt(m)) + 30
-    c = 1.0
-    coeffs = [1.0]
-    for n in range(1, n_terms + 1):
-        c /= n * n
-        coeffs.append(c)
-    out = np.zeros_like(x)
-    for c in reversed(coeffs):
-        out = out * x + c
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = i0(2.0 * np.sqrt(x[pos]))
+    neg = ~pos
+    out[neg] = j0(2.0 * np.sqrt(-x[neg]))
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("h0 exceeds the double range")
     return out
 
 
@@ -201,18 +171,6 @@ def negativity_interval(delta: float) -> NegativityInterval:
 # probabilist Hermite polynomials
 # ----------------------------------------------------------------------------
 
-def hermite(n: int, x: float) -> float:
-    """H_n(x) with H_{n+1} = x H_n - n H_{n-1}, H_0 = 1, H_1 = x."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if n == 0:
-        return 1.0
-    hm, h = 1.0, float(x)
-    for k in range(1, n):
-        hm, h = h, x * h - k * hm
-    return h
-
-
 def hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     """All orders 0..n_max at once; shape (n_max+1,) + x.shape."""
     x = np.asarray(x, dtype=float)
@@ -288,13 +246,6 @@ def kernel_sq_grade(alpha: float) -> float:
     return 1.0 / p - 1.0
 
 
-def kernel_sq_integral(alpha: float, t: float, tol: float = 1e-10) -> float:
-    """int_0^t K(t, s)^2 ds, graded at both endpoints for the kernel powers."""
-    e = kernel_sq_grade(alpha)
-    f = lambda s: volterra_kernel(alpha, t, s) ** 2
-    return integrate_graded(f, 0.0, t, e_a=e, e_b=e, n0=96, tol=tol)
-
-
 @lru_cache(maxsize=32)
 def calibrate_d_alpha(alpha: float) -> float:
     """Normalisation d with int_0^1 K(1, s)^2 ds = 1, in closed form.
@@ -302,7 +253,7 @@ def calibrate_d_alpha(alpha: float) -> float:
     d = c_H = sqrt(2 alpha Gamma(3/2-alpha) / (Gamma(alpha+1/2) Gamma(2-2 alpha)))
     (Nualart, The Malliavin Calculus and Related Topics, 2nd ed., 5.1;
     Decreusefond and Ustunel, Potential Analysis 10, 1999); it is exactly 1
-    at alpha = 1/2.  ``kernel_sq_integral`` checks the isometry against it.
+    at alpha = 1/2.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha={alpha} not in (0, 1)")

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from fracsde.chaos import chaos_norm_decay, deterministic_sheet_solution, picard_sheet
+from fracsde.chaos import chaos_norm_decay, deterministic_sheet_solution
 from fracsde.experiments import (
     RunSettings,
     cmd_exact_vs_chaos,
@@ -19,6 +19,7 @@ from fracsde.experiments import (
     cmd_simulate,
 )
 from fracsde.model import HurstPair, ModelParams, build_grid2d
+from oracles import picard_sheet
 
 
 def _metric(report, name):

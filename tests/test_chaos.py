@@ -1,38 +1,29 @@
-"""Chaos solvers: explicit kernels, Hermite sums, discrete multiple integrals,
-sheet recursions, Wick-corrected Euler, Picard fixed point, norm decay."""
+"""Chaos solvers: Hermite sums, sheet recursions, Wick-corrected Euler, norm
+decay; and the test oracles they are checked against (explicit sheet
+kernels, discrete multiple integrals, the Picard fixed point)."""
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import fracsde.chaos as chaos_module
 
 from fracsde.chaos import (
-    OrderTooHigh,
-    PicardResult,
     TruncatedChaosSolution,
     chaos_norm_decay,
     chaos_sum_1d,
     chaos_total_1d,
+    check_sheet_solve,
     deterministic_sheet_solution,
-    discrete_multiple_integral,
     exact_solution_1d,
-    kernel_1d_eval,
-    kernel_sheet_eval,
-    offdiagonal_contraction,
-    picard_sheet,
-    pushed_kernel_tensor,
-    sheet_solver_route,
     solve_sheet_chaos,
     solve_sheet_chaos_batch,
     solve_sheet_chaos_total_blocks,
     wick_euler_1d,
     wick_euler_paths,
     _CHAOS_BLOCK_VALUES,
-    _sheet_orders_generic,
 )
 from fracsde.fields import (
     GaussianField,
@@ -49,7 +40,15 @@ from fracsde.model import (
     build_grid,
     build_grid2d,
 )
-from fracsde.special import h0, h0_array, hermite, hermite_all
+from fracsde.special import h0, h0_array, hermite_all
+from oracles import (
+    _sheet_orders_generic,
+    hermite,
+    kernel_sheet_eval,
+    offdiagonal_contraction,
+    picard_sheet,
+    pushed_kernel_tensor,
+)
 
 
 def _summed_orders(p, g, noise, N):
@@ -59,31 +58,6 @@ def _summed_orders(p, g, noise, N):
 
 
 class TestExplicitKernels:
-    def test_line_kernel_constant_on_cube(self):
-        assert kernel_1d_eval(2, 2.0, 0.0, 1.0, (0.3, 0.9)) == 2.0
-        assert kernel_1d_eval(0, 5.0, 0.0, 1.0, ()) == 1.0
-        assert kernel_1d_eval(3, 1.0, 0.0, 2.0, (0.1, 1.5, 1.9)) == pytest.approx(1.0 / 6.0)
-
-    def test_line_kernel_vanishes_off_cube(self):
-        assert kernel_1d_eval(2, 2.0, 0.0, 1.0, (0.3, 1.2)) == 0.0
-        assert kernel_1d_eval(1, 2.0, 0.0, 1.0, (-0.1,)) == 0.0
-
-    def test_line_kernel_drift_factor(self):
-        val = kernel_1d_eval(1, 1.0, 0.7, 2.0, (0.5,))
-        assert val == pytest.approx(math.exp(1.4))
-
-    def test_line_kernel_validation(self):
-        with pytest.raises(ValueError):
-            kernel_1d_eval(-1, 1.0, 0.0, 1.0, ())
-        with pytest.raises(ValueError):
-            kernel_1d_eval(2, 1.0, 0.0, 1.0, (0.5,))
-
-    @given(st.permutations([0.15, 0.45, 0.75]))
-    def test_line_kernel_symmetric(self, pts):
-        assert kernel_1d_eval(3, 1.3, 0.2, 1.0, pts) == kernel_1d_eval(
-            3, 1.3, 0.2, 1.0, (0.15, 0.45, 0.75)
-        )
-
     def test_sheet_kernel_order_zero(self):
         assert kernel_sheet_eval(0, 1.0, 0.5, (0.8, 0.6), ()) == pytest.approx(
             h0(0.5 * 0.8 * 0.6)
@@ -451,28 +425,20 @@ def _two_cell_field(inc: tuple[float, float]) -> GaussianField:
 
 
 class TestDiscreteMultipleIntegrals:
-    def test_order_zero_returns_kernel_value(self):
-        f = _two_cell_field((0.5, -0.3))
-        val = discrete_multiple_integral(lambda pts: 7.0, 0, f, HurstPair(0.5))
-        assert val == 7.0
-
     def test_order_one_telescopes_to_terminal_value(self):
         # indicator kernel at Hurst 1/2: sum of increments = B_T
         g = build_grid(8, 1.0)
         f = sample_fbm(factor_covariance(0.5, g), RngStreamSpec(3))
-        val = discrete_multiple_integral(lambda pts: 1.0, 1, f, HurstPair(0.5))
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, f.grid, HurstPair(0.5))
+        val = offdiagonal_contraction(tensor, f.white_noise)
         assert val == pytest.approx(f.values[-1], rel=1e-10)
 
     def test_order_two_two_cells_hand_value(self):
         # sum over distinct pairs of dB_i dB_j = 2 (0.5)(-0.3) = -0.3
         f = _two_cell_field((0.5, -0.3))
-        val = discrete_multiple_integral(lambda pts: 1.0, 2, f, HurstPair(0.5))
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 2, f.grid, HurstPair(0.5))
+        val = offdiagonal_contraction(tensor, f.white_noise)
         assert val == pytest.approx(-0.3, rel=1e-12)
-
-    def test_order_cap(self):
-        f = _two_cell_field((0.1, 0.2))
-        with pytest.raises(OrderTooHigh):
-            discrete_multiple_integral(lambda pts: 1.0, 5, f, HurstPair(0.5))
 
     def test_moment_identities_monte_carlo(self):
         # orthogonality across orders and discrete second moments, 1e4
@@ -619,7 +585,7 @@ class TestSheetSolver:
                 tracemalloc.stop()
             assert peak < 2**20
         with pytest.raises(ValueError, match="grid too large"):
-            sheet_solver_route(p, g, 3)
+            check_sheet_solve(p, g, 3)
 
     @pytest.mark.parametrize("n_s,n_t,T", [(16, 16, 3.0), (4, 3, 0.7), (3, 4, 0.7)])
     @pytest.mark.parametrize("b", [0.0, -1.0, -1.3])
@@ -640,23 +606,6 @@ class TestSheetSolver:
             assert np.max(np.abs(total - ref)) <= 1e-12 * scale
             summed = orders.sum(axis=0)
             assert np.max(np.abs(total - summed)) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("alpha,beta,b", [(0.5, 0.5, 0.0), (0.3, 0.7, 0.4)])
-    def test_total_is_the_sum_of_orders_off_the_chain_route(self, alpha, beta, b):
-        g = build_grid2d(3, 2, 1.0)
-        p = ModelParams(HurstPair(alpha, beta), a=0.9, b=b, T=1.0)
-        noise = np.random.default_rng(10).standard_normal((4, 3, 2))
-        for N in range(4):
-            total = _summed_orders(p, g, noise, N)
-            summed = solve_sheet_chaos_batch(p, g, noise, N).sum(axis=0)
-            if alpha == 0.5:
-                # the driftless chain route reads its summed weights out once,
-                # so the sum of prefix sums rounds apart from the prefix sum
-                # of sums
-                scale = np.max(np.abs(summed))
-                assert np.max(np.abs(total - summed)) <= 1e-12 * scale
-            else:
-                np.testing.assert_array_equal(total, summed)
 
     def test_orders_are_continuous_at_zero_drift(self):
         # b = 0 applies the chain kernels as prefix sums and b = +-1e-12
@@ -715,7 +664,7 @@ class TestSheetSolver:
         g = build_grid2d(n_s, n_t, 1.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.3, b=0.0, T=1.0)
         noise = np.random.default_rng(12).standard_normal((3, n_s, n_t))
-        assert sheet_solver_route(p, g, 5) == "chain"
+        check_sheet_solve(p, g, 5)
         orders = solve_sheet_chaos_batch(p, g, noise, 5)
         dW = math.sqrt(g.cell_area) * noise
         brute = np.zeros_like(orders)
@@ -773,7 +722,7 @@ class TestSheetSolver:
         R, N = 8, 3
         noise = np.random.default_rng(14).standard_normal((R, 65, 64))
         replica = 8 * R * 66 * 65
-        assert sheet_solver_route(p, g, N) == "chain"
+        check_sheet_solve(p, g, N)
         # the stacked orders, or the running sum and the surface, plus
         # working arrays (7.9 and 3.9 replica arrays measured)
         for solve, arrays in ((solve_sheet_chaos_batch, N + 6), (_summed_orders, 5)):
@@ -799,13 +748,28 @@ class TestSheetSolver:
         line = ModelParams(HurstPair(0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(line, g, np.zeros((1, 4, 4)), 2)
-        # only the tensor route is capped; the (1/2, 1/2) chain route takes any order
-        tensor = ModelParams(HurstPair(0.3, 0.7), a=1.0, b=0.0, T=1.0)
-        with pytest.raises(OrderTooHigh):
-            solve_sheet_chaos_batch(tensor, g, np.zeros((1, 4, 4)), 5)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
             solve_sheet_chaos_batch(p, g, np.zeros((4, 4)), 2)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5)])
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_other_hurst_pairs_are_refused_before_the_noise_is_read(self, alpha, beta, b):
+        # only the Brownian sheet has the chain recursion; the noise here has
+        # the wrong shape and the blocks must not be drawn from
+        g = build_grid2d(4, 4, 1.0)
+        p = ModelParams(HurstPair(alpha, beta), a=1.0, b=b, T=1.0)
+
+        def blocks():
+            raise AssertionError("noise read")
+            yield
+
+        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
+            check_sheet_solve(p, g, 2)
+        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
+            solve_sheet_chaos_batch(p, g, np.zeros(3), 2)
+        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
+            next(solve_sheet_chaos_total_blocks(p, g, blocks(), 2))
 
 
 class TestPicard:
@@ -818,23 +782,11 @@ class TestPicard:
             assert res.iterations < 40
             assert np.max(np.abs(res.values - ref)) < 1e-3, a
 
-    def test_rule_accuracy_ladder(self):
-        # measured on the 64x64 window: rectangle ~2.6e-2, trapezoid
-        # ~1.4e-4, simpson ~2.6e-8; the default must sit on the last rung
+    def test_simpson_accuracy(self):
+        # measured on the 64x64 window: ~2.6e-8
         g = build_grid2d(64, 64, 2.0)
         ref = deterministic_sheet_solution(-1.0, g.s[:, None], g.t[None, :])
-        errs = {
-            rule: float(np.max(np.abs(picard_sheet(-1.0, g, rule=rule).values - ref)))
-            for rule in ("rectangle", "trapezoid", "simpson")
-        }
-        assert 1e-3 < errs["rectangle"] < 1e-1
-        assert errs["trapezoid"] < 1e-3
-        assert errs["simpson"] < 1e-6
-        assert picard_sheet(-1.0, g).rule == "simpson"
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            picard_sheet(1.0, build_grid2d(4, 4, 1.0), rule="midpoint")
+        assert float(np.max(np.abs(picard_sheet(-1.0, g).values - ref))) < 1e-6
 
     def test_profile_solves_integral_equation(self):
         # h0(a s t) satisfies g = 1 + a iint g: check the identity through

@@ -1,5 +1,6 @@
 """Experiment runners and the CLI wrapper: config handling, reproducibility,
 exit-code protocol, report structure."""
+import csv
 import importlib
 import json
 import math
@@ -337,6 +338,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_single_cell_sheet_simulate_exits_two(self, tmp_path, capsys):
+        # at one cell the first rectangle increment is V(0, 0) = 0, so the
+        # decorrelation check would pass 0 against a target of 0
+        code = main(["simulate", "--beta", "0.5", "--grid-n", "1",
+                     "--samples", "100", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: ValueError:" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--alpha", "0.9", "--grid-n", "8", "--samples", "100"],
         ["girsanov-check", "--alpha", "0.9", "--beta", "0.9", "--grid-n", "8",
@@ -553,6 +564,28 @@ class TestNegativitySetup:
         assert code == 2
         assert "grid too large" in capsys.readouterr().err
         assert drawn == []
+
+    def test_limit_surface_stays_in_the_range_of_h0(self, tmp_path):
+        # a s t reaches 900 here; h0 = J0(2 sqrt(-x)) on the negative axis
+        # lies in [-0.4028, 1], where a summed power series read -7e6
+        code = main(["negativity", "--T", "3", "--grid-n", "16", "--a", "100",
+                     "--epsilon", "0.001", "--samples", "20", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        with open(tmp_path / "negativity_surface.csv") as fh:
+            limit = [float(row["limit"]) for row in csv.DictReader(fh)]
+        assert -0.41 <= min(limit) and max(limit) <= 1.0
+
+    def test_far_negative_limit_surface_gives_a_verdict(self, tmp_path, capsys):
+        # a s t reaches 18000, past any cap on the series' argument
+        code = main(["negativity", "--T", "3", "--grid-n", "64", "--a", "2000",
+                     "--epsilon", "1e-6", "--samples", "10", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
 
     def test_battery_run_does_not_depend_on_blas_threads(self, tmp_path):
         # the battery's negativity command in fresh interpreters: the

@@ -1,4 +1,5 @@
-"""Gaussian field layer: covariances, Cholesky sampling, kernel-driven route."""
+"""Gaussian field layer: covariances, Cholesky sampling, and the kernel-driven
+route that the tests keep as an oracle."""
 import math
 
 import numpy as np
@@ -10,21 +11,22 @@ from fracsde.fields import (
     GaussianField,
     NotPositiveDefinite,
     _cholesky_guarded,
-    _projection_matrix,
     cov_fbm,
-    cov_sheet,
     factor_covariance,
     fbm_covariance,
-    increment_transfer_matrix,
     sample_fbm,
     sample_fbm_batch,
-    sample_fbm_volterra,
     sample_sheet,
     sample_sheet_batch,
+)
+from fracsde.model import RngStreamSpec, build_grid, build_grid2d
+from oracles import (
+    _projection_matrix,
+    increment_transfer_matrix,
+    sample_fbm_volterra,
     sample_sheet_volterra,
     volterra_projection_matrix,
 )
-from fracsde.model import RngStreamSpec, build_grid, build_grid2d
 
 
 class TestCovariance:
@@ -67,10 +69,6 @@ class TestCovariance:
             cov_fbm(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             cov_fbm(0.5, -1.0, 1.0)
-
-    def test_sheet_product_form(self):
-        val = cov_sheet(0.3, 0.7, 0.5, 0.6, 0.7, 0.8)
-        assert val == pytest.approx(cov_fbm(0.3, 0.5, 0.7) * cov_fbm(0.7, 0.6, 0.8))
 
     def test_matrix_matches_pairwise(self):
         t = np.array([0.25, 0.5, 1.0])
