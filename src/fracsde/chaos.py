@@ -6,7 +6,8 @@ compared pathwise.  For the Brownian sheet, Hurst (1/2, 1/2), the white-noise
 cells coincide with the sheet increments and the solution kernel is
 supported on chains of points, so each chaos order is one recursion over
 grid cells that extends a chain by one cell per order: by prefix sums when
-the drift vanishes and through triangular cells x cells kernels otherwise.
+the drift vanishes, and otherwise through triangular kernels applied one
+pair of t-tiles at a time.
 Other Hurst pairs are refused; the tests keep a tensor evaluator of
 discrete multiple integrals for any pair as their oracle.
 
@@ -42,9 +43,24 @@ __all__ = [
     "deterministic_sheet_solution",
 ]
 
-# The drifted chain route holds one cells x cells kernel array (134 MB at this
-# size).
+# Cells of the largest drifted sheet grid.  Its chain kernels' tile array
+# takes 24.9 MB at 64 x 64 (6 tiles of 11 t cells), but 136 MB at 342 x 12,
+# where one tile holds the whole grid.
 _MAX_CHAIN_CELLS = 4096
+# t cells per tile of the drifted chain route, at most (see _tile_width).
+# At grid 48 (one thread, 227 replicas, medians of two sets of 25
+# interleaved runs) an apply on tiles of 8, 12 or 16 cells took 0.89-0.90,
+# 0.88-0.89 and 0.85-0.86 of the time of one cells x cells trmm, and the
+# tile array takes 7.4, 11.2 and 14.8 MB against 42.5 MB.
+_TILE_T_CELLS = 12
+# Values, at most, in the trmm operand buffer of _apply_tiles; larger
+# batches are applied in row blocks.
+_TILE_BUFFER_VALUES = 2**18
+# Side of each kernel tile's square, a multiple of this.  OpenBLAS 0.3.31
+# (Haswell kernels) gave a trmm whose bits moved with the number of
+# right-hand columns at sides 362-364 and 588, and none at any multiple of
+# 8 from 8 to 1296, at 1 and 2 threads.
+_TRMM_ALIGN = 8
 # Values per buffer in one block of chaos_total_1d (252 rows at 65 nodes).
 # A block's two buffers, its rows of the output and x, take 0.26 MB.  On
 # 4096 paths x 65 nodes at N = 20 (one thread, Xeon with 2 MB L2 per core)
@@ -336,107 +352,176 @@ def _offset_windows(k: np.ndarray) -> np.ndarray:
     return sliding_window_view(flipped, (ns, nt))[::-1, ::-1]
 
 
-def _chain_kernels(b: float, grid: Grid2D) -> tuple[np.ndarray, float]:
-    """Both drifted chain kernels in one (cells, cells) array, and ``q0``.
+def _tile_width(n_t: int) -> int:
+    """t cells per tile of the drifted chain route: ``n_t`` cut into
+    ceil(n_t / _TILE_T_CELLS) tiles of equal width, the last one padded."""
+    tiles = -(-n_t // _TILE_T_CELLS)
+    return -(-n_t // tiles)
+
+
+def _tiled(Y: np.ndarray, bt: int) -> np.ndarray:
+    """``Y`` (..., n_t) copied into the tiled layout (tiles, ..., bt), zero-padded."""
+    X = np.zeros((-(-Y.shape[-1] // bt),) + Y.shape[:-1] + (bt,))
+    for x, y in _tile_views(X, Y):
+        x[...] = y
+    return X
+
+
+def _untile(X: np.ndarray, Y: np.ndarray, add: bool = False) -> None:
+    """Write, or with ``add`` add, the grid cells of the tiled ``X`` into ``Y``."""
+    for x, y in _tile_views(X, Y):
+        if add:
+            y += x
+        else:
+            y[...] = x
+
+
+def _tile_views(X: np.ndarray, Y: np.ndarray):
+    """Yield, tile by tile, the grid cells of the tiled ``X`` and of ``Y``.
+
+    ``X`` is (tiles, R, n_s, bt), ``Y`` the same cells untiled, (R, n_s,
+    n_t): tile q holds t cells q bt .. q bt + bt - 1, ordered (i, j) within
+    the tile.  The last tile's cells past n_t are padding, left out here.
+    """
+    bt = X.shape[-1]
+    for q, x in enumerate(X):
+        y = Y[..., q * bt:(q + 1) * bt]
+        yield x[..., :y.shape[-1]], y
+
+
+def _chain_kernels(b: float, grid: Grid2D) -> np.ndarray:
+    """Both drifted chain kernels, tile pair by tile pair, in one array.
 
     The offset tables are ``h0(b (di + shift) ds (dj + shift) dt)``.  At
     ``shift = 0`` they give the cell-to-cell step kernel ``P``, whose
     diagonal is zero (a chain step moves strictly up); at ``shift = 1/2``
     the cell-to-node kernel ``Qi``, whose row (I, J) is the interior node
-    (I + 1, J + 1), reached from the centres of the cells below it.  Both
-    are lower triangular over the cells.  The array's lower triangle,
-    diagonal included, is ``P``; its strict upper triangle is the strict
-    lower part of ``Qi``, transposed, filled one block row of cells at a
-    time.  ``Qi``'s diagonal is the constant ``q0 = h0(b ds dt / 4)``.
+    (I + 1, J + 1), reached from the centres of the cells below it.
+
+    The t axis is cut into tiles of ``bt = _tile_width(n_t)`` cells, padded
+    to whole tiles.  A kernel block from a source tile to a target tile d
+    tiles later depends on d alone, and is zero for d < 0.  Block d is
+    placed in a square of e rows: source cell (i, j) of its tile is column
+    ``i bt + j``, target cell (I, J) is row ``h + I bt + J``.  A block
+    entry is nonzero only if I >= i, and for d = 0 also J >= j, so any
+    shift h >= bt puts every nonzero of both kernels strictly below the
+    diagonal; h is the least one that makes e = n_s bt + h a multiple of
+    ``_TRMM_ALIGN``.  Entry d of the (tiles, e, e) array holds ``P``'s
+    block in its strict lower triangle and ``Qi``'s, transposed, in its
+    strict upper one; its diagonal is zero.
     """
+    ns, bt = grid.n_s, _tile_width(grid.n_t)
+    m = -(-grid.n_t // bt)
+    c = ns * bt
+    h = bt + -(c + bt) % _TRMM_ALIGN
+
     def table(shift: float) -> np.ndarray:
-        ds = (np.arange(grid.n_s) + shift) * grid.ds
-        dt = (np.arange(grid.n_t) + shift) * grid.dt
+        ds = (np.arange(ns) + shift) * grid.ds
+        dt = (np.arange(m * bt) + shift) * grid.dt
         return h0_array(np.multiply.outer(b * ds, dt))
 
     step, node = table(0.0), table(0.5)
-    q0 = float(node[0, 0])
-    step[0, 0] = node[0, 0] = 0.0
-    ns, nt = grid.n_s, grid.n_t
-    K = np.empty((ns * nt, ns * nt))
-    blocks, windows = K.reshape(ns, nt, ns, nt), _offset_windows(node)
-    blocks[...] = _offset_windows(step)
-    for i in range(ns):
-        # K[(i, j), (I, J)] = Qi[(I, J), (i, j)] = node[I - i, J - j], which
-        # block column 0 of the windows holds for every I - i; it reads zero
-        # where J < j, so adding leaves P's part of the diagonal block
-        blocks[i, :, i:, :] += windows[:ns - i, :, 0, :].transpose(2, 0, 1)
-    return K, q0
+    step[0, 0] = 0.0
+    step, node = _offset_windows(step), _offset_windows(node)
+    K = np.zeros((m, c + h, c + h))
+    for d in range(m):
+        # the block from tile 0 to tile d: rows (I, d bt + J), columns (i, j)
+        block = np.s_[:, d * bt:(d + 1) * bt, :, :bt]
+        K[d, h:, :c] = step[block].reshape(c, c)
+        K[d, :c, h:] += node[block].reshape(c, c).T
+    return K
 
 
-def _apply_triangle(K: np.ndarray, X: np.ndarray, node: bool) -> np.ndarray:
-    """``X @ T.T`` over the cells of ``X`` (R, n_s, n_t), in place.
+def _apply_tiles(K: np.ndarray, X: np.ndarray, node: bool) -> np.ndarray:
+    """``X @ T.T`` over the cells of the tiled ``X``, in place.
 
-    ``T`` is the lower triangle of ``K``, diagonal included, or (``node``)
-    the unit lower triangle whose strict part is the strict upper triangle
-    of ``K`` transposed.  BLAS trmm reads only that triangle.  It reads the
-    (cells, R) transpose, F-ordered when ``X`` is C-ordered, as its right
-    operand and overwrites it; any other layout is silently copied by scipy
-    first.
+    ``X`` is (tiles, R, n_s, bt), ``K`` from ``_chain_kernels``, and ``T``
+    is ``P`` or (``node``) ``Qi``.  Target tile q is the sum over d <= q of
+    block d applied to source tile q - d.  Each pair copies its source tile
+    into a buffer of e columns, zero past the tile's c cells, and one BLAS
+    trmm maps that buffer in place through the strict triangle of
+    ``K[d]``; its last c columns are the block's share of the target tile.
+    Targets run from the last tile down, so every source is read before it
+    is overwritten.  trmm reads the (e, rows) transpose of the buffer,
+    F-ordered, as its right operand; replicas run in row blocks of at most
+    ``_TILE_BUFFER_VALUES`` buffer values.
     """
     from scipy.linalg.blas import dtrmm
 
-    flat = X.reshape(len(X), -1).T
-    if node:
-        out = dtrmm(1.0, K.T, flat, side=0, lower=1, diag=1, overwrite_b=1)
-    else:
-        out = dtrmm(1.0, K.T, flat, side=0, lower=0, trans_a=1, overwrite_b=1)
-    return out.T.reshape(X.shape)
+    m, R = X.shape[:2]
+    e = K.shape[-1]
+    c = X.shape[2] * X.shape[3]
+    tiles = X.reshape(m, R, c)
+    blocks = max(1, -(-R * e // _TILE_BUFFER_VALUES))
+    rows = max(1, -(-R // blocks))
+    buf = np.empty((min(rows, R), e))
+    for r0 in range(0, R, rows):
+        B = buf[:min(rows, R - r0)]
+        for q in range(m - 1, -1, -1):
+            target = tiles[q, r0:r0 + rows]
+            for d in range(q + 1):
+                B[:, :c] = tiles[q - d, r0:r0 + rows]
+                B[:, c:] = 0.0
+                if node:
+                    dtrmm(1.0, K[d].T, B.T, side=0, lower=1, overwrite_b=1)
+                else:
+                    dtrmm(1.0, K[d].T, B.T, side=0, lower=0, trans_a=1, overwrite_b=1)
+                if d == 0:
+                    target[...] = B[:, e - c:]
+                else:
+                    target += B[:, e - c:]
+    return X
 
 
-def _apply_node(K: np.ndarray, q0: float, X: np.ndarray) -> np.ndarray:
-    """``X @ Qi.T`` over cells, in place: a unit-diagonal trmm plus ``(q0 - 1) X``."""
-    rest = (q0 - 1.0) * X
-    out = _apply_triangle(K, X, node=True)
-    out += rest
-    return out
+def _chain_apply(b: float, grid: Grid2D) -> tuple[int, Callable, Callable]:
+    """The tile width and the maps ``X -> X @ P.T``, ``X -> X @ Qi.T``.
 
-
-def _chain_apply(b: float, grid: Grid2D) -> tuple[Callable, Callable]:
-    """The maps ``X -> X @ P.T`` and ``X -> X @ Qi.T`` over cells.
-
-    ``P`` is the step kernel, ``Qi`` the node kernel.  With drift both are
-    read from the one array of ``_chain_kernels``, built here, and applied
-    in place by trmm.  Without drift every entry is h0(0) = 1, so ``Qi``
-    sums the cells below each node, a 2-D prefix sum, and ``P`` the cells
-    below each cell but not the cell itself.
+    ``P`` is the step kernel, ``Qi`` the node kernel, and ``X`` is tiled
+    (see ``_tile_views``).  With drift both are read from the tile array of
+    ``_chain_kernels``, built here, and applied in place by trmm.  Without
+    drift every entry is h0(0) = 1, so ``Qi`` sums the cells below each
+    node, a 2-D prefix sum, and ``P`` the cells below each cell but not the
+    cell itself; one tile holds the whole grid.
     """
     if b != 0.0:
-        K, q0 = _chain_kernels(b, grid)
-        return partial(_apply_triangle, K, node=False), partial(_apply_node, K, q0)
-    return (lambda X: _prefix2d(X) - X), _prefix2d
+        K = _chain_kernels(b, grid)
+        step, node = partial(_apply_tiles, K, node=False), partial(_apply_tiles, K, node=True)
+        return _tile_width(grid.n_t), step, node
+    return grid.n_t, (lambda X: _prefix2d(X) - X), _prefix2d
 
 
 def _chain_levels(
-    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int, step
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int, bt: int, step
 ):
-    """Yield ``a^n L_n`` for n = 1..N: chain weights per cell.
+    """Yield ``a^n L_n`` for n = 1..N: chain weights per cell, tiled.
 
     ``L_n[c]`` sums, over chains of n cells topped by c, the product of the
     cells' increments ``dW = sqrt(cell area) noise`` and the drift factors
     ``h0`` along the chain from the origin: ``L_n = dW (L_{n-1} P^T)``, where
     ``P[c, c'] = h0(b Δs Δt)`` carries a chain from cell c' to cell c; it
     is strictly lower triangular in row-major cell order (see
-    ``_chain_kernels``).  ``step`` applies ``P``; the caller takes it from
-    ``_chain_apply``, so one kernel array serves every block of noise.
-    With drift one buffer is updated in place, so a caller reads each level
-    before asking for the next.
+    ``_chain_kernels``).  ``noise`` is (R, n_s, n_t); the levels are in the
+    layout of ``_tile_views`` with tiles of ``bt`` cells, and the noise of
+    padded cells is zero.  ``step`` applies ``P``; the caller takes it and
+    ``bt`` from ``_chain_apply``, so one kernel array serves every block of
+    noise.  With drift one buffer is updated in place, so a caller reads
+    each level before asking for the next.
     """
     if N == 0:
         return
     scale = a * math.sqrt(grid.cell_area)
     sc, tc = grid.cell_centers()
-    L = noise * h0_array(np.multiply.outer(b * sc, tc))
+    first = h0_array(np.multiply.outer(b * sc, tc))
+    L = _tiled(noise, bt)
+    L *= _tiled(first, bt)[:, None]
     L *= scale
     yield L
+    last = grid.n_t - (len(L) - 1) * bt  # real cells of the last tile
     for _ in range(2, N + 1):
         L = step(L)
-        L *= noise
+        for x, z in _tile_views(L, noise):
+            x *= z
+        L[-1, ..., last:] = 0.0
         L *= scale
         yield L
 
@@ -445,10 +530,11 @@ def check_sheet_solve(p: ModelParams, grid: Grid2D, N: int) -> None:
     """Validate a sheet solve before any noise is drawn or read.
 
     The solvers run the chain recursion, which holds at Hurst (1/2, 1/2)
-    only; any other pair is refused.  With drift, grids above 4096 cells
-    are refused too: their cells x cells kernel array (both chain kernels,
-    see ``_chain_kernels``) would not fit in memory.  Without drift the
-    chain kernels are prefix sums, so any grid is taken; any order is.
+    only; any other pair is refused.  With drift, grids above
+    ``_MAX_CHAIN_CELLS`` cells are refused too: the tile array of both
+    chain kernels (``_chain_kernels``) holds about n_s^2 n_t bt values,
+    and a grid of one tile about cells^2.  Without drift the chain kernels
+    are prefix sums, so any grid is taken; any order is.
     """
     if not p.hurst.is_sheet:
         raise ValueError("sheet solver needs a Hurst pair with beta")
@@ -460,8 +546,12 @@ def check_sheet_solve(p: ModelParams, grid: Grid2D, N: int) -> None:
             f"({p.hurst.alpha}, {p.hurst.beta})"
         )
     if p.b != 0.0:
-        if grid.n_s * grid.n_t > _MAX_CHAIN_CELLS:
-            raise ValueError("chain recursion holds cells x cells matrices; grid too large")
+        cells = grid.n_s * grid.n_t
+        if cells > _MAX_CHAIN_CELLS:
+            raise ValueError(
+                f"grid too large: {grid.n_s} x {grid.n_t} = {cells} cells; the "
+                f"drifted chain route takes at most {_MAX_CHAIN_CELLS}"
+            )
         # load the chain route's trmm here, at set-up, not in the first chunk
         from scipy.linalg.blas import dtrmm  # noqa: F401
 
@@ -485,9 +575,10 @@ def solve_sheet_chaos_batch(
     _check_noise(grid, noise)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
     orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    step, readout = _chain_apply(p.b, grid)
-    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N, step), start=1):
-        orders[n][:, 1:, 1:] = readout(level.copy())  # trmm would overwrite it
+    bt, step, readout = _chain_apply(p.b, grid)
+    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N, bt, step), start=1):
+        # the readout runs in place, and the recursion still needs the level
+        _untile(readout(level.copy()), orders[n][:, 1:, 1:])
     return orders
 
 
@@ -499,23 +590,26 @@ def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int)
     n_s+1, n_t+1); no bit of it depends on the blocking.  The readout is
     linear, so the chain route sums each block's levels into one summed
     weight array and reads it out through the node kernel as soon as the
-    block's recursion ends.  With drift both kernels sit in one cells x
-    cells array, built once for all blocks; so that array and a few of one
-    block's arrays are live at a time, whatever the replica count.
+    block's recursion ends.  With drift both kernels sit in one tile
+    array (``_chain_kernels``), built once for all blocks; so that array
+    and a few of one block's arrays are live at a time, whatever the
+    replica count.  The levels and the summed weights are tiled, the
+    noise is read tile by tile from ``z``, and the readout is added into
+    ``total`` once.
     """
     check_sheet_solve(p, grid, N)
-    step, readout = _chain_apply(p.b, grid)
+    bt, step, readout = _chain_apply(p.b, grid)
     base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
     for r0, z in blocks:
         _check_noise(grid, z)
-        S = np.zeros(z.shape)
-        for level in _chain_levels(p.a, p.b, grid, z, N, step):
+        S = np.zeros((-(-grid.n_t // bt), len(z), grid.n_s, bt))
+        for level in _chain_levels(p.a, p.b, grid, z, N, bt, step):
             S += level
             del level  # so the recursion's buffer is freed before the readout
         S = readout(S)
         total = np.empty((len(z), grid.n_s + 1, grid.n_t + 1))
         total[:] = base
-        total[:, 1:, 1:] += S
+        _untile(S, total[:, 1:, 1:], add=True)
         del S
         yield r0, total
 

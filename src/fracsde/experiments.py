@@ -89,9 +89,11 @@ _CHUNK_REPLICAS = 4096
 # while it is drawn and read.
 _NOISE_BLOCK_VALUES = 2**18
 # Values per block of negativity's noise (227 replicas at grid 48).  Each
-# block makes three trmm calls, and each call packs its whole cells x cells
-# triangle (about 3.5 ms at grid 48), so larger blocks than the others
-# spread that cost; 2**18 saves about 11 MB of peak at grid 48 but runs slower.
+# block applies the chain kernels three times, in ten trmm calls each at
+# grid 48 (four t-tiles), and each call packs its tile's triangle, so
+# larger blocks than the others spread that cost.  At grid 48 (2000
+# replicas, one thread, three sets of 10 interleaved runs) 2**18 took 3-6%
+# longer in the median than 2**19, and peaked 9 MB lower (83 against 92 MB).
 _CHAIN_BLOCK_VALUES = 2**19
 
 

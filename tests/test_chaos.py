@@ -571,7 +571,7 @@ class TestSheetSolver:
             assert np.max(np.abs(fast[n] - slow[n])) <= 1e-12 * scale
 
     def test_chain_cell_guard_refuses_before_allocating(self):
-        # 65 x 64 cells: one cells x cells kernel would take 138 MB
+        # 65 x 64 cells is past the drifted route's 4096-cell guard
         g = build_grid2d(65, 64, 1.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=-1.0, T=1.0)
         noise = np.zeros((1, 65, 64))
@@ -587,7 +587,11 @@ class TestSheetSolver:
         with pytest.raises(ValueError, match="grid too large"):
             check_sheet_solve(p, g, 3)
 
-    @pytest.mark.parametrize("n_s,n_t,T", [(16, 16, 3.0), (4, 3, 0.7), (3, 4, 0.7)])
+    # with drift, 16 x 16 runs on two tiles of 8 t cells, 7 x 48 on four of
+    # 12, and 5 x 37 on four of 10, the last one padded by three cells
+    @pytest.mark.parametrize("n_s,n_t,T", [
+        (16, 16, 3.0), (4, 3, 0.7), (3, 4, 0.7), (7, 48, 3.0), (5, 37, 0.7),
+    ])
     @pytest.mark.parametrize("b", [0.0, -1.0, -1.3])
     def test_chain_route_matches_dense_oracle(self, n_s, n_t, T, b):
         g = build_grid2d(n_s, n_t, T)
@@ -606,6 +610,26 @@ class TestSheetSolver:
             assert np.max(np.abs(total - ref)) <= 1e-12 * scale
             summed = orders.sum(axis=0)
             assert np.max(np.abs(total - summed)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_s,n_t", [(48, 48), (5, 37)])
+    def test_summed_route_bits_do_not_move_with_the_block_size(self, n_s, n_t):
+        # four tiles each; BLAS trmm on a square whose side is not a multiple
+        # of 8 (588 at grid 48) moved bits with the number of replicas
+        g = build_grid2d(n_s, n_t, 3.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=0.05, b=-1.0, T=3.0)
+        noise = np.random.default_rng(15).standard_normal((40, n_s, n_t))
+        whole = _summed_orders(p, g, noise, 3)
+        blocks = [(r0, noise[r0:r0 + 7]) for r0 in range(0, 40, 7)]
+        parts = [t for _, t in solve_sheet_chaos_total_blocks(p, g, blocks, 3)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_zero_replicas_give_empty_solutions(self, b):
+        g = build_grid2d(6, 30, 1.0)
+        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=b, T=1.0)
+        noise = np.zeros((0, 6, 30))
+        assert solve_sheet_chaos_batch(p, g, noise, 3).shape == (4, 0, 7, 31)
+        assert _summed_orders(p, g, noise, 3).shape == (0, 7, 31)
 
     def test_orders_are_continuous_at_zero_drift(self):
         # b = 0 applies the chain kernels as prefix sums and b = +-1e-12
@@ -715,7 +739,7 @@ class TestSheetSolver:
         assert np.all((0.4 < ratios) & (ratios < 0.6)), ratios
 
     def test_driftless_route_takes_grids_above_the_chain_guard(self):
-        # 65 x 64 cells: a cells x cells kernel would take 138 MB, while the
+        # 65 x 64 cells is past the drifted route's 4096-cell guard, while the
         # driftless chain kernels are prefix sums over replica arrays
         g = build_grid2d(65, 64, 1.0)
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)

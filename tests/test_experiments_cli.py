@@ -587,36 +587,66 @@ class TestNegativitySetup:
 
         json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
 
+    @staticmethod
+    def _surfaces(tmp_path, argv, runs):
+        """The surface CSV of ``argv`` in a fresh interpreter per (BLAS
+        threads, worker threads) pair of ``runs``."""
+        outs = []
+        for blas, threads in runs:
+            out = tmp_path / f"blas{blas}_threads{threads}"
+            _fresh_python("-m", "fracsde", *argv, "--threads", threads,
+                          "--out", str(out), OPENBLAS_NUM_THREADS=blas)
+            outs.append((out / "negativity_surface.csv").read_bytes())
+        return outs
+
     def test_battery_run_does_not_depend_on_blas_threads(self, tmp_path):
         # the battery's negativity command in fresh interpreters: the
         # triangular BLAS products must not split their sums by thread
         argv = ["negativity", "--T", "3", "--grid-n", "16", "--epsilon", "0.05",
                 "--samples", "2000", "--seed", "20240801"]
-        outs = []
-        for blas, threads in (("1", "1"), ("2", "1"), ("1", "2")):
-            out = tmp_path / f"blas{blas}_threads{threads}"
-            _fresh_python("-m", "fracsde", *argv, "--threads", threads,
-                          "--out", str(out), OPENBLAS_NUM_THREADS=blas)
-            outs.append((out / "negativity_surface.csv").read_bytes())
+        outs = self._surfaces(tmp_path, argv, (("1", "1"), ("2", "1"), ("1", "2")))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_cross_tile_products_do_not_depend_on_blas_threads(self, tmp_path):
+        # grid 32 runs on three tiles of 11 t cells, the last one padded,
+        # so every tile pair's trmm runs at 1 and at 2 BLAS threads
+        argv = ["negativity", "--T", "3", "--grid-n", "32", "--epsilon", "0.05",
+                "--samples", "300", "--seed", "20240801"]
+        outs = self._surfaces(tmp_path, argv, (("1", "1"), ("2", "1")))
+        assert outs[0] == outs[1]
 
 
 class TestNegativityBlocks:
     _ARGV = ["negativity", "--T", "3", "--grid-n", "8", "--epsilon", "0.05",
              "--samples", str(4096 + 300), "--seed", "5"]
 
-    def test_block_size_does_not_move_results(self, monkeypatch, tmp_path):
-        # two chunks (4096 and 300); blocks of 7 replicas divide neither, and
-        # 4096 a block solves each chunk whole; at 1 and 2 threads
+    @staticmethod
+    def _outputs(monkeypatch, tmp_path, argv, n, rows_list):
+        """Report and surface CSV of ``argv`` (grid ``n``) per block size in
+        ``rows_list``, at 1 and 2 threads."""
         outs = []
-        for rows in (7, 4096):
-            monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", rows * 8 * 8)
+        for rows in rows_list:
+            monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", rows * n * n)
             for threads in ("1", "2"):
                 out = tmp_path / f"rows{rows}_threads{threads}"
-                assert main(self._ARGV + ["--threads", threads, "--out", str(out)]) == 0
+                assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
                 report = _strip_wall(json.loads((out / "report.json").read_text()))
                 report["parameters"].pop("threads")
                 outs.append((report, (out / "negativity_surface.csv").read_bytes()))
+        return outs
+
+    def test_block_size_does_not_move_results(self, monkeypatch, tmp_path):
+        # two chunks (4096 and 300); blocks of 7 replicas divide neither, and
+        # 4096 a block solves each chunk whole; at 1 and 2 threads
+        outs = self._outputs(monkeypatch, tmp_path, self._ARGV, 8, (7, 4096))
+        assert all(o == outs[0] for o in outs[1:])
+
+    def test_block_size_does_not_move_results_across_tiles(self, monkeypatch, tmp_path):
+        # grid 32 runs on three tiles, the last one padded; blocks of 7
+        # replicas and one block of all 300
+        argv = ["negativity", "--T", "3", "--grid-n", "32", "--epsilon", "0.05",
+                "--samples", "300", "--seed", "5"]
+        outs = self._outputs(monkeypatch, tmp_path, argv, 32, (7, 300))
         assert all(o == outs[0] for o in outs[1:])
 
     def test_step_kernel_is_built_once_a_chunk(self, monkeypatch, tmp_path):
@@ -640,16 +670,17 @@ class TestNegativityBlocks:
             tracemalloc.stop()
 
     def test_chunk_holds_one_kernel_and_a_few_blocks(self):
-        # grid 32: a cells x cells kernel takes 8.4 MB and a block of 512
-        # replicas 4.2 MB; a chunk-wide array of 2000 replicas' summed
-        # weights (16.4 MB) breaks the bound.  The peak must not grow with
-        # the replica count: 4000 replicas, still one chunk, stay within one
-        # block of 2000
+        # grid 32: the kernel tiles (3 tiles of 11 t cells, each a square of
+        # 368 rows) take 3.2 MB and a block of 512 replicas 4.2 MB; a
+        # cells x cells kernel (8.4 MB) in their place breaks the bound, and
+        # so does a chunk-wide array of 2000 replicas' summed weights (16.4
+        # MB).  The peak must not grow with the replica count: 4000
+        # replicas, still one chunk, stay within one block of 2000
         settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
         cmd_negativity(replace(settings, samples=10))  # imports and caches
-        cells, block = 32 * 32, 8 * experiments._CHAIN_BLOCK_VALUES
+        tiles, block = 3 * 368 * 368, 8 * experiments._CHAIN_BLOCK_VALUES
         peak = self._peak(settings)
-        assert peak <= 8 * cells * cells + 5 * block, peak / 1e6
+        assert peak <= 8 * tiles + 5 * block, peak / 1e6
         more = self._peak(replace(settings, samples=4000))
         assert more <= peak + block, (peak / 1e6, more / 1e6)
 
