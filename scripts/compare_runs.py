@@ -4,6 +4,8 @@
 Usage: python scripts/compare_runs.py OLD NEW.  Each report.json is compared
 without ``wall_seconds`` and ``parameters.threads``, every other file byte
 for byte; each difference and each file found on one side only is printed.
+A report difference is named by its dotted path down to the field that
+differs, a metric by its name: ``[metrics.indicator_norm_identity.value]``.
 A differing CSV is sized: the count of its numeric cells that differ, their
 largest absolute and relative gaps, and the count of other cells that differ.
 """
@@ -20,6 +22,38 @@ def _report(path: Path) -> dict:
     report.pop("wall_seconds", None)
     report.get("parameters", {}).pop("threads", None)
     return report
+
+
+_MISSING = object()
+
+
+def _keyed(value) -> dict | None:
+    """A JSON object or array as a mapping, or None for a scalar.  Array
+    items are keyed by their "name" where every item has a distinct one,
+    else by their index."""
+    if isinstance(value, dict):
+        return value
+    if not isinstance(value, list):
+        return None
+    names = [v.get("name") if isinstance(v, dict) else None for v in value]
+    if None in names or len(set(names)) != len(names):
+        names = [str(i) for i in range(len(value))]
+    return dict(zip(names, value))
+
+
+def _report_gaps(a, b, path: str = "") -> list[str]:
+    """Dotted paths of the fields at which two JSON values differ."""
+    if a == b:
+        return []
+    ka, kb = _keyed(a), _keyed(b)
+    if ka is None or kb is None or type(a) is not type(b):
+        return [path]
+    return [
+        gap
+        for k in sorted(ka.keys() | kb.keys())
+        for gap in _report_gaps(ka.get(k, _MISSING), kb.get(k, _MISSING),
+                                f"{path}.{k}" if path else k)
+    ]
 
 
 def _csv_gap(old: Path, new: Path) -> str:
@@ -54,9 +88,8 @@ def compare(old: Path, new: Path) -> list[str]:
     problems += [f"only in {new}: {f}" for f in sorted(files[1] - files[0])]
     for f in sorted(files[0] & files[1]):
         if f.name == "report.json":
-            a, b = _report(old / f), _report(new / f)
-            keys = sorted(k for k in a | b if a.get(k) != b.get(k))
-            problems += [f"differs: {f} [{k}]" for k in keys]
+            gaps = _report_gaps(_report(old / f), _report(new / f))
+            problems += [f"differs: {f} [{gap}]" for gap in gaps]
         elif (old / f).read_bytes() != (new / f).read_bytes():
             gap = f" ({_csv_gap(old / f, new / f)})" if f.suffix == ".csv" else ""
             problems.append(f"differs: {f}{gap}")

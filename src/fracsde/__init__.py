@@ -9,7 +9,8 @@ Modules
 ``quad``         graded Gauss-Legendre quadrature for endpoint powers
 ``fields``       exact Gaussian samplers for fractional motions and sheets
 ``operators``    adjoint-kernel transfer, fractional integrals and
-                 derivatives, the inverse-kernel map and the shift density
+                 derivatives (one route each), the inverse-kernel map with
+                 its exponent check, and the shift density
 ``chaos``        chaos-expansion solvers (the Brownian-sheet chain
                  recursion), Wick-corrected Euler scheme, the closed-form
                  deterministic sheet profile
@@ -47,7 +48,7 @@ from .fields import (
 )
 from .operators import (
     GridFunction2D,
-    OperatorRegime,
+    check_regime,
     frac_derivative_2d,
     frac_integral_2d,
     girsanov_log_density,

@@ -1,5 +1,5 @@
 """Fractional operators: the adjoint kernel map, power integrals/derivatives,
-and the inverse kernel map for the separable linear drift.
+the inverse kernel map for the separable linear drift and the shift density.
 
 ``_kstar_points`` realises the adjoint operator
 
@@ -10,9 +10,13 @@ on bounded functions with finitely many jumps.  Applied to the indicator of
 equals t^{2 alpha}; the norm here is computed by honest nested quadrature,
 which is the check the acceptance suite runs.
 
-The Riemann-Liouville integral I^g and the Marchaud-form derivative D^g are
-discretised by product integration against piecewise-linear interpolants,
-giving matrices exact on hat functions.
+The Riemann-Liouville integral I^g is discretised by product integration
+against piecewise-linear interpolants, giving matrices exact on hat
+functions.  The Marchaud-form derivative D^g is discretised against
+per-cell models in {1, u^g, u^{1+g}}, which carry the u^g ramp that I^g
+leaves at 0, so D^g I^g is the identity to quadrature accuracy.  Each has
+one route and validates its order; ``check_regime`` validates the exponent
+pair of the inverse kernel map.
 
 The inverse kernel map is only needed for the separable drift
 F(t, s) = t s.  It factorises into two axis profiles; each profile is
@@ -49,7 +53,7 @@ __all__ = [
     "IllConditionedOrder",
     "RoughInput",
     "GridFunction2D",
-    "OperatorRegime",
+    "check_regime",
     "kstar_indicator_norm_sq",
     "fractional_integral_matrix",
     "marchaud_derivative_matrix",
@@ -88,30 +92,14 @@ class GridFunction2D:
             raise ValueError("sample count must match the grid")
 
 
-@dataclass(frozen=True)
-class OperatorRegime:
-    """Which side of 1/2 the two Hurst exponents sit on."""
-
-    tag: str
-
-    _TAGS = ("both_below_half", "both_above_half", "mixed")
-
-    def __post_init__(self) -> None:
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown regime tag {self.tag!r}")
-
-    @classmethod
-    def from_exponents(cls, alpha: float, beta: float) -> "OperatorRegime":
-        for h in (alpha, beta):
-            if h == 0.5:
-                raise RegimeUndefined("exponent exactly 1/2 has no inverse-kernel regime")
-            if not (0.0 < h < 1.0):
-                raise ValueError(f"exponent {h} not in (0, 1)")
-        if alpha < 0.5 and beta < 0.5:
-            return cls("both_below_half")
-        if alpha > 0.5 and beta > 0.5:
-            return cls("both_above_half")
-        return cls("mixed")
+def check_regime(alpha: float, beta: float) -> None:
+    """Refuse Hurst exponents the inverse kernel map is not defined for:
+    exactly 1/2 (``RegimeUndefined``) or outside (0, 1) (``ValueError``)."""
+    for h in (alpha, beta):
+        if h == 0.5:
+            raise RegimeUndefined("exponent exactly 1/2 has no inverse-kernel regime")
+        if not (0.0 < h < 1.0):
+            raise ValueError(f"exponent {h} not in (0, 1)")
 
 
 # ----------------------------------------------------------------------------
@@ -214,15 +202,16 @@ def _kstar_points(
     return val
 
 
-def kstar_indicator_norm_sq(
-    alpha: float, t: float, T: float, tol: float = 1e-6
-) -> float:
+_INDICATOR_NORM_TOL = 1e-6
+
+
+def kstar_indicator_norm_sq(alpha: float, t: float, T: float) -> float:
     """||K* 1_[0,t]||^2 over (0, T) by nested quadrature.
 
     The outer integral is split at the indicator's jump; endpoint grading
     follows the kernel powers s^{2 alpha - 1} and (t - s)^{2 alpha - 1}.
     Each outer level evaluates K* at all its nodes in one batch, with an
-    inner tolerance of 1e-9.
+    inner tolerance of 1e-9 and an outer one of 1e-6.
     """
     if not 0.0 < t <= T:
         raise ValueError(f"t={t} must lie in (0, {T}]")
@@ -235,11 +224,11 @@ def kstar_indicator_norm_sq(
 
     e = kernel_sq_grade(alpha)
     left = integrate_graded(sq, 0.0, t, e_a=e, e_b=e, n0=64,
-                            tol=tol, max_doublings=5)
+                            tol=_INDICATOR_NORM_TOL, max_doublings=5)
     right = 0.0
     if t < T:
         right = integrate_graded(sq, t, T, e_a=0.0, e_b=0.0, n0=16,
-                                 tol=tol, max_doublings=4)
+                                 tol=_INDICATOR_NORM_TOL, max_doublings=4)
     return left + right
 
 
@@ -280,46 +269,6 @@ def fractional_integral_matrix(gamma: float, x: np.ndarray) -> np.ndarray:
     return W / sp_gamma(gamma)
 
 
-def marchaud_derivative_matrix(gamma: float, x: np.ndarray) -> np.ndarray:
-    """W with (W psi)_i = D^gamma psi (x_i) in Marchaud form,
-
-        D^g psi(x) = [psi(x) x^{-g} + g int_0^x (psi(x)-psi(u)) (x-u)^{-g-1} du]
-                     / Gamma(1-g),
-
-    exact on piecewise-linear psi.  Row 0 is zero: the boundary value is
-    singular and never used downstream.
-    """
-    from scipy.special import gamma as sp_gamma
-
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma={gamma} not in (0, 1)")
-    x = _check_grid(x)
-    n = len(x)
-    W = np.zeros((n, n))
-    g1 = sp_gamma(1.0 - gamma)
-    for i in range(1, n):
-        W[i, i] += x[i] ** (-gamma) / g1
-        # final cell: psi(x_i) - psi(u) = m (x_i - u) exactly
-        h_last = x[i] - x[i - 1]
-        c_last = gamma / g1 * h_last ** (1.0 - gamma) / (1.0 - gamma)
-        W[i, i] += c_last / h_last
-        W[i, i - 1] -= c_last / h_last
-        if i < 2:
-            continue
-        k = np.arange(i - 1)
-        a = x[i] - x[k]
-        b = x[i] - x[k + 1]
-        h = x[k + 1] - x[k]
-        N0 = (b ** (-gamma) - a ** (-gamma)) / gamma
-        N1 = a * N0 - (a ** (1.0 - gamma) - b ** (1.0 - gamma)) / (1.0 - gamma)
-        pref = gamma / g1
-        # (psi_i - psi_k) N0 - m_k N1, m_k = (psi_{k+1} - psi_k)/h
-        W[i, i] += pref * np.sum(N0)
-        np.add.at(W[i], k, pref * (-N0 + N1 / h))
-        np.add.at(W[i], k + 1, pref * (-N1 / h))
-    return W
-
-
 _ORDER_FLOOR = 1e-3
 _MOMENT_QN = 24
 
@@ -357,78 +306,31 @@ def _basis_at(q: float, u: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(u), u**q, u ** (1.0 + q)])
 
 
-def _power_integral_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
-    """I^g product-integration matrix, exact (to quadrature) on per-cell
-    models that carry the u^q ramp of the input near 0."""
-    from scipy.special import beta as sp_beta
+def _check_derivative_axis(gamma: float, x: np.ndarray) -> np.ndarray:
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"derivative order {gamma} not in (0, 1)")
+    x = _check_grid(x)
+    if len(x) < 3:
+        raise ValueError("derivative axis needs at least 2 cells")
+    return x
+
+
+def marchaud_derivative_matrix(gamma: float, x: np.ndarray) -> np.ndarray:
+    """W with (W psi)_i = D^gamma psi (x_i) in Marchaud form,
+
+        D^g psi(x) = [psi(x) x^{-g} + g int_0^x (psi(x)-psi(u)) (x-u)^{-g-1} du]
+                     / Gamma(1-g),
+
+    exact (to quadrature) on per-cell models in the basis {1, u^q, u^{1+q}}
+    with q = gamma: the u^g ramp that I^g puts on smooth data at 0, so the
+    difference quotients see that shape instead of a chord.  Row 0 is zero:
+    the boundary value is singular and never used downstream.
+    """
     from scipy.special import gamma as sp_gamma
 
-    x = _check_grid(x)
+    x = _check_derivative_axis(gamma, x)
+    g = q = gamma
     n = len(x) - 1
-    if n < 2:
-        return fractional_integral_matrix(g, x)
-    idx, C = _cell_models(x, q)
-    gl_u, gl_w = gauss_legendre_01(_MOMENT_QN)
-    jq_u, jq_w = _jacobi01(q)          # weight u^q at the origin cell
-    ja_u, ja_w = _jacobi01(g - 1.0)    # weight w^{g-1} at the adjacent cell
-    W = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        xi = x[i]
-        # cell i-1, kernel singularity at u = xi
-        a = x[i - 1]
-        h = xi - a
-        if i == 1:
-            # the whole cell is the origin cell: Beta closed forms
-            m = np.array(
-                [
-                    xi**g / g,
-                    xi ** (g + q) * sp_beta(q + 1.0, g),
-                    xi ** (g + 1.0 + q) * sp_beta(q + 2.0, g),
-                ]
-            )
-        else:
-            u_nodes = xi - h * ja_u
-            phi = _basis_at(q, u_nodes)
-            m = h**g * (ja_w @ phi)
-        W[i, idx[i - 1]] += m @ C[i - 1]
-        if i == 1:
-            W[i] /= sp_gamma(g)
-            continue
-        # origin cell, u^q weight (skip if it is also the adjacent cell)
-        u_nodes = x[1] * jq_u
-        kern = (xi - u_nodes) ** (g - 1.0)
-        phi0 = np.column_stack([np.ones(_MOMENT_QN), np.ones(_MOMENT_QN), u_nodes])
-        m = x[1] ** (q + 1.0) * ((jq_w * kern) @ phi0)
-        # the u^q weight is already inside the rule; basis col 0 needs the
-        # plain kernel instead
-        m[0] = (xi**g - (xi - x[1]) ** g) / g
-        W[i, idx[0]] += m @ C[0]
-        # interior smooth cells
-        if i > 2:
-            ks = np.arange(1, i - 1)
-            aa = x[ks][:, None]
-            hh = (x[ks + 1] - x[ks])[:, None]
-            u_nodes = aa + hh * gl_u[None, :]
-            kern = (xi - u_nodes) ** (g - 1.0)
-            pow_rows = u_nodes**q
-            pow1_rows = u_nodes ** (1.0 + q)
-            for j, k in enumerate(ks):
-                phi = np.column_stack([np.ones(_MOMENT_QN), pow_rows[j], pow1_rows[j]])
-                m = hh[j, 0] * ((gl_w * kern[j]) @ phi)
-                W[i, idx[k]] += m @ C[k]
-        W[i] /= sp_gamma(g)
-    return W
-
-
-def _power_marchaud_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
-    """D^g Marchaud matrix, exact (to quadrature) on the same per-cell
-    models as ``_power_integral_matrix``."""
-    from scipy.special import gamma as sp_gamma
-
-    x = _check_grid(x)
-    n = len(x) - 1
-    if n < 2:
-        return marchaud_derivative_matrix(g, x)
     idx, C = _cell_models(x, q)
     gl_u, gl_w = gauss_legendre_01(_MOMENT_QN)
     jq_u, jq_w = _jacobi01(q)
@@ -485,31 +387,11 @@ def _power_marchaud_matrix(g: float, x: np.ndarray, q: float) -> np.ndarray:
     return W
 
 
-def _axis_integral_op(g: float, x: np.ndarray, origin_power: float | None) -> np.ndarray:
-    if origin_power is None:
-        return fractional_integral_matrix(g, x)
-    return _power_integral_matrix(g, x, origin_power)
-
-
-def _axis_derivative_op(g: float, x: np.ndarray, origin_power: float | None) -> np.ndarray:
-    if origin_power is None:
-        return marchaud_derivative_matrix(g, x)
-    return _power_marchaud_matrix(g, x, origin_power)
-
-
-def frac_integral_2d(
-    f: GridFunction2D,
-    g1: float,
-    g2: float,
-    origin_power: tuple[float, float] | None = None,
-) -> GridFunction2D:
+def frac_integral_2d(f: GridFunction2D, g1: float, g2: float) -> GridFunction2D:
     """Tensor fractional integral I^{g1, g2} f on the grid nodes.
 
     One product-integration matrix per axis, each exact on piecewise-linear
-    data, applied as A_s F A_t'.  ``origin_power`` = (q_s, q_t) declares a
-    known u^q ramp of f at the axes; the axis operators then resample f on a
-    power-graded sub-mesh before integrating, which is what keeps composed
-    operators accurate next to 0.  Orders below the conditioning floor make
+    data, applied as A_s F A_t'.  Orders below the conditioning floor make
     the matrices useless in float64 and are rejected.
     """
     for g in (g1, g2):
@@ -519,33 +401,29 @@ def frac_integral_2d(
             raise IllConditionedOrder(
                 f"order {g} below the {_ORDER_FLOOR:g} conditioning floor"
             )
-    qs, qt = origin_power if origin_power is not None else (None, None)
-    A_s = _axis_integral_op(g1, f.grid.s, qs)
-    A_t = _axis_integral_op(g2, f.grid.t, qt)
+    A_s = fractional_integral_matrix(g1, f.grid.s)
+    A_t = fractional_integral_matrix(g2, f.grid.t)
     return GridFunction2D(f.grid, A_s @ np.asarray(f.samples, float) @ A_t.T)
 
 
-def frac_derivative_2d(
-    f: GridFunction2D,
-    g1: float,
-    g2: float,
-    origin_power: tuple[float, float] | None = None,
-) -> GridFunction2D:
+def frac_derivative_2d(f: GridFunction2D, g1: float, g2: float) -> GridFunction2D:
     """Tensor Marchaud derivative D^{g1, g2} f on the grid nodes.
 
-    Rows at s = 0 / t = 0 are zero (the boundary value is singular and never
-    used).  ``origin_power`` as in ``frac_integral_2d``: pass the axis ramp
-    exponents when f is the output of a fractional integral, so the
-    difference quotients see the u^q shape instead of a chord.  Non-finite
-    input, or output driven non-finite by the quotients, means the samples
-    are too rough for this form.
+    Each axis assumes the u^g ramp at 0 of ``marchaud_derivative_matrix``,
+    which is what f carries when it is a fractional integral of smooth
+    data.  Orders outside (0, 1) and axes of one cell are refused before
+    any matrix is built.  Rows at s = 0 / t = 0 are zero (the boundary
+    value is singular and never used).  Non-finite input, or output driven
+    non-finite by the quotients, means the samples are too rough for this
+    form.
     """
+    for g, x in ((g1, f.grid.s), (g2, f.grid.t)):
+        _check_derivative_axis(g, x)
     F = np.asarray(f.samples, dtype=float)
     if not np.all(np.isfinite(F)):
         raise RoughInput("samples contain non-finite values")
-    qs, qt = origin_power if origin_power is not None else (None, None)
-    D_s = _axis_derivative_op(g1, f.grid.s, qs)
-    D_t = _axis_derivative_op(g2, f.grid.t, qt)
+    D_s = marchaud_derivative_matrix(g1, f.grid.s)
+    D_t = marchaud_derivative_matrix(g2, f.grid.t)
     out = D_s @ F @ D_t.T
     if not np.all(np.isfinite(out)):
         raise RoughInput("difference quotients diverged on these samples")
@@ -631,64 +509,66 @@ def kinv_axis_factor(h: float, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return pre * (base + gap) / math.gamma(1.0 - g)
 
 
+# tolerance of the axis profiles inside both squared norms, and the outer
+# tolerance of the quadrature norm
+_NORM_PROFILE_TOL = 1e-9
+_RKHS_NORM_TOL = 1e-7
+
+
 @lru_cache(maxsize=16)
-def _axis_norm_sq(h: float, T: float, tol: float) -> float:
+def _axis_norm_sq(h: float, T: float) -> float:
     # the squared profile is a multiple of x^{1-2h}: grade the origin for it
-    f2 = lambda x: kinv_axis_factor(h, x, tol=1e-9) ** 2
-    return integrate_graded(f2, 0.0, T, e_a=1.0 - 2.0 * h, tol=tol)
+    f2 = lambda x: kinv_axis_factor(h, x, tol=_NORM_PROFILE_TOL) ** 2
+    return integrate_graded(f2, 0.0, T, e_a=1.0 - 2.0 * h, tol=_RKHS_NORM_TOL)
 
 
-def rkhs_norm_sq_separable(
-    alpha: float, beta: float, T: float, tol: float = 1e-7
-) -> float:
+def rkhs_norm_sq_separable(alpha: float, beta: float, T: float) -> float:
     """Squared Cameron-Martin norm of the separable drift: the product of the
     squared L2 norms of the two axis profiles, all quadrature.  Each axis
-    norm is computed once per (h, T, tol), so alpha = beta costs one axis."""
-    return _axis_norm_sq(alpha, T, tol) * _axis_norm_sq(beta, T, tol)
+    norm is computed once per (h, T), so alpha = beta costs one axis."""
+    return _axis_norm_sq(alpha, T) * _axis_norm_sq(beta, T)
 
 
-def _axis_profile_with_origin(h: float, x: np.ndarray, tol: float) -> np.ndarray:
+def _axis_profile_with_origin(h: float, x: np.ndarray) -> np.ndarray:
     out = np.empty(len(x))
     # limit at the origin: 0 on the integral side, divergent on the
     # derivative side
     out[0] = 0.0 if h < 0.5 else np.nan
-    out[1:] = kinv_axis_factor(h, x[1:], tol=tol)
+    out[1:] = kinv_axis_factor(h, x[1:])
     return out
 
 
-def kinv_apply_F(
-    alpha: float, beta: float, grid: Grid2D, tol: float = 1e-10
-) -> GridFunction2D:
+def kinv_apply_F(alpha: float, beta: float, grid: Grid2D) -> GridFunction2D:
     """Inverse kernel image of the drift F(s, t) = s t at the grid nodes.
 
     The map factorises over axes, so the samples are the outer product of
-    the two axis profiles.  Values on the coordinate axes are the profile
-    limits: 0 below 1/2, nan above.
+    the two axis profiles, each at ``kinv_axis_factor``'s default
+    tolerance.  Values on the coordinate axes are the profile limits: 0
+    below 1/2, nan above.
     """
-    OperatorRegime.from_exponents(alpha, beta)
-    ps = _axis_profile_with_origin(alpha, grid.s, tol)
-    pt = _axis_profile_with_origin(beta, grid.t, tol)
+    check_regime(alpha, beta)
+    ps = _axis_profile_with_origin(alpha, grid.s)
+    pt = _axis_profile_with_origin(beta, grid.t)
     return GridFunction2D(grid, np.outer(ps, pt))
 
 
-def _axis_norm_sq_discrete(h: float, x: np.ndarray, tol: float) -> float:
+def _axis_norm_sq_discrete(h: float, x: np.ndarray) -> float:
     # midpoint rule over the grid cells; the first cell gets a graded
     # subdivision because the profile's power at 0 is known and possibly
     # singular (h > 1/2)
+    profile_sq = lambda u: kinv_axis_factor(h, u, tol=_NORM_PROFILE_TOL) ** 2
     edges = x[1:]
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
-    total = float(np.sum(kinv_axis_factor(h, mids, tol=tol) ** 2 * widths))
+    total = float(np.sum(profile_sq(mids) * widths))
     sub = x[1] * (np.arange(17) / 16.0) ** 3
     sub_mids = 0.5 * (sub[:-1] + sub[1:])
     sub_w = np.diff(sub)
-    total += float(np.sum(kinv_axis_factor(h, sub_mids, tol=tol) ** 2 * sub_w))
+    total += float(np.sum(profile_sq(sub_mids) * sub_w))
     return total
 
 
-def kinv_norm_sq_discrete(
-    alpha: float, beta: float, grid: Grid2D, tol: float = 1e-9
-) -> float:
+def kinv_norm_sq_discrete(alpha: float, beta: float, grid: Grid2D) -> float:
     """Grid-based squared L2 norm of the inverse kernel image of F(s, t) = st.
 
     Separable, so the estimate is the product of two per-axis midpoint sums.
@@ -696,11 +576,11 @@ def kinv_norm_sq_discrete(
     membership check for the drift.  On a square grid with alpha = beta
     the two factors are the same number, so one axis is evaluated.
     """
-    OperatorRegime.from_exponents(alpha, beta)
-    s_norm = _axis_norm_sq_discrete(alpha, grid.s, tol)
+    check_regime(alpha, beta)
+    s_norm = _axis_norm_sq_discrete(alpha, grid.s)
     if beta == alpha and np.array_equal(grid.s, grid.t):
         return s_norm * s_norm
-    return s_norm * _axis_norm_sq_discrete(beta, grid.t, tol)
+    return s_norm * _axis_norm_sq_discrete(beta, grid.t)
 
 
 def girsanov_log_density(epsilon: float, w, kinvF_norm_sq: float):

@@ -203,6 +203,18 @@ class TestDeterminism:
 
 
 class TestReportShape:
+    @pytest.mark.parametrize("alpha, pins", [
+        (0.25, (7.044022698465824e-09, 1.361133428190442e-13, 0.0)),
+        (0.75, (2.220446049250313e-16, 5.919709167301335e-13, 0.0)),
+    ])
+    def test_operator_check_values_keep_their_bits(self, alpha, pins):
+        # the operator layer's floats as operator-check reports them
+        report = cmd_operator_check(RunSettings(alpha=alpha))
+        values = {m.name: m.value for m in report.metrics}
+        names = ("indicator_norm_identity", "derivative_integral_roundtrip",
+                 "unit_orders_integral")
+        assert tuple(values[k] for k in names) == pins
+
     def test_every_metric_declares_tolerance_and_seed(self):
         report = cmd_operator_check(RunSettings(alpha=0.3, samples=10))
         assert report.metrics
@@ -301,6 +313,20 @@ class TestExitCodes:
         assert "error: ValueError:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("alpha, T, code", [
+        # an absolute gate failed here on 2.4e-4 at a relative error of 2e-16
+        ("0.75", "1e8", 0),
+        # and passed here on 3e-151 at a relative error of 0.45
+        ("0.25", "1e-300", 1),
+    ])
+    def test_norm_identity_gate_is_relative(self, tmp_path, alpha, T, code):
+        argv = ["operator-check", "--alpha", alpha, "--T", T, "--out", str(tmp_path)]
+        assert main(argv) == code
+        report = json.loads((tmp_path / "report.json").read_text())
+        norm = {m["name"]: m for m in report["metrics"]}["indicator_norm_identity"]
+        assert norm["tolerance"] == "< 1e-4 relative"
+        assert norm["passed"] is (code == 0)
 
     def test_usage_error_exits_two(self, tmp_path, capsys):
         # drifted Euler scheme is undefined
@@ -1020,9 +1046,11 @@ class TestStatisticalHonesty:
         # worker threads, which do not inherit an np.errstate
         ["exact-vs-chaos", "--a", "1e80"],
         ["exact-vs-chaos", "--a", "1e80", "--threads", "2"],
+        # the norm identity's target T^{2 alpha} underflows to 0
+        ["operator-check", "--alpha", "0.75", "--T", "1e-300"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
             "girsanovT1e300", "eulerT1e300", "simulateLine", "chaos",
-            "chaosThreads2"])
+            "chaosThreads2", "operatorT1e-300"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
                                                           capsys, recwarn):
         code = main(argv + ["--samples", "100", "--out", str(tmp_path)])
@@ -1092,3 +1120,28 @@ class TestCompareRuns:
         (tmp_path / "new" / "surface.csv").write_text("s,mean\n0.5,1.0\n")
         run = self._compare(tmp_path / "old", tmp_path / "new")
         assert "differs: surface.csv (tables differ in shape)" in run.stdout
+
+    def test_report_differences_name_the_metric_and_field(self, tmp_path):
+        # a moved tolerance text and list entry are named down to the field,
+        # a metric on one side only by its name; wall time and threads, and
+        # a metric that moved only its position, do not count
+        for side in ("old", "new"):
+            assert main(["operator-check", "--alpha", "0.25", "--threads", "1",
+                         "--out", str(tmp_path / side)]) == 0
+        path = tmp_path / "new" / "report.json"
+        report = json.loads(path.read_text())
+        metrics = {m["name"]: m for m in report["metrics"]}
+        metrics["indicator_norm_identity"]["tolerance"] = "< 1e-4"
+        metrics["derivative_integral_roundtrip"]["detail"]["orders"][1] = 0.5
+        del metrics["gap_integral_slope"]
+        report["metrics"] = list(reversed(metrics.values()))
+        report["wall_seconds"] += 1.0
+        report["parameters"]["threads"] = 2
+        path.write_text(json.dumps(report))
+        run = self._compare(tmp_path / "old", tmp_path / "new")
+        assert run.returncode == 1
+        assert run.stdout.splitlines() == [
+            "differs: report.json [metrics.derivative_integral_roundtrip.detail.orders.1]",
+            "differs: report.json [metrics.gap_integral_slope]",
+            "differs: report.json [metrics.indicator_norm_identity.tolerance]",
+        ]

@@ -7,6 +7,7 @@ inverse-kernel axis profile against both its Gamma-ratio closed form and an
 independent high-precision mpmath quadrature.
 """
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -20,9 +21,9 @@ from fracsde.model import build_grid, build_grid2d
 from fracsde.operators import (
     GridFunction2D,
     IllConditionedOrder,
-    OperatorRegime,
     RegimeUndefined,
     RoughInput,
+    check_regime,
     frac_derivative_2d,
     frac_integral_2d,
     girsanov_log_density,
@@ -40,22 +41,15 @@ from oracles import kinv_profile_constant, kstar_pointwise
 
 
 class TestRegime:
-    def test_tags(self):
-        assert OperatorRegime.from_exponents(0.3, 0.4).tag == "both_below_half"
-        assert OperatorRegime.from_exponents(0.7, 0.6).tag == "both_above_half"
-        assert OperatorRegime.from_exponents(0.3, 0.7).tag == "mixed"
-
     def test_boundary_raises(self):
         with pytest.raises(RegimeUndefined):
-            OperatorRegime.from_exponents(0.5, 0.3)
+            check_regime(0.5, 0.3)
         with pytest.raises(RegimeUndefined):
-            OperatorRegime.from_exponents(0.3, 0.5)
+            check_regime(0.3, 0.5)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            OperatorRegime.from_exponents(1.2, 0.3)
-        with pytest.raises(ValueError):
-            OperatorRegime(tag="sideways")
+            check_regime(1.2, 0.3)
 
     def test_grid_function_validation(self):
         with pytest.raises(ValueError):
@@ -187,24 +181,13 @@ class TestTensorFractionalOperators:
         )
         np.testing.assert_allclose(out.samples, target, atol=1e-10)
 
-    def test_semigroup_on_constant(self):
-        # I^{a} I^{b} 1 = I^{a+b} 1 on the nodes
-        g = build_grid2d(16, 16, 1.0)
-        f = GridFunction2D(g, np.ones((17, 17)))
-        one_shot = frac_integral_2d(f, 0.7, 0.9)
-        composed = frac_integral_2d(
-            frac_integral_2d(f, 0.3, 0.5), 0.4, 0.4, origin_power=(0.3, 0.5)
-        )
-        gap = np.max(np.abs(one_shot.samples - composed.samples))
-        assert gap < 1e-5
-
     def test_derivative_inverts_integral(self):
         # D o I = id on 1 + u v, checked at interior nodes
         g = build_grid2d(8, 8, 1.0)
         f = GridFunction2D(g, 1.0 + np.outer(g.s, g.t))
         for gg in ((0.3, 0.45), (0.99, 0.99), (0.5, 0.45)):
             I = frac_integral_2d(f, *gg)
-            D = frac_derivative_2d(I, *gg, origin_power=gg)
+            D = frac_derivative_2d(I, *gg)
             gap = np.max(np.abs(D.samples[1:, 1:] - f.samples[1:, 1:]))
             assert gap < 1e-4, gg
 
@@ -212,7 +195,7 @@ class TestTensorFractionalOperators:
         g = build_grid2d(16, 16, 1.0)
         f = GridFunction2D(g, np.ones((17, 17)))
         I = frac_integral_2d(f, 0.99, 0.99)
-        D = frac_derivative_2d(I, 0.99, 0.99, origin_power=(0.99, 0.99))
+        D = frac_derivative_2d(I, 0.99, 0.99)
         assert np.max(np.abs(D.samples[1:, 1:] - 1.0)) < 0.05
 
     def test_derivative_of_constant_power_law(self):
@@ -232,13 +215,28 @@ class TestTensorFractionalOperators:
         assert np.all(D.samples[0, :] == 0.0)
         assert np.all(D.samples[:, 0] == 0.0)
 
-    def test_order_validation(self):
+    def test_order_validation(self, monkeypatch):
         g = build_grid2d(4, 4, 1.0)
         f = GridFunction2D(g, np.ones((5, 5)))
         with pytest.raises(IllConditionedOrder):
             frac_integral_2d(f, 1e-4, 0.5)
         with pytest.raises(ValueError):
             frac_integral_2d(f, 1.5, 0.5)
+
+        # the derivative refuses, on either axis, before any matrix is built
+        def built(*args):
+            raise AssertionError("a derivative matrix was built")
+
+        monkeypatch.setattr(operators, "marchaud_derivative_matrix", built)
+        for order in (1.0, 1.5, 0.0, -0.3):
+            for gg in ((order, 0.3), (0.3, order)):
+                with pytest.raises(ValueError, match=rf"order {re.escape(str(order))} "):
+                    frac_derivative_2d(f, *gg)
+        for n_s, n_t in ((1, 4), (4, 1)):
+            one_cell = GridFunction2D(build_grid2d(n_s, n_t, 1.0),
+                                      np.ones((n_s + 1, n_t + 1)))
+            with pytest.raises(ValueError, match="at least 2 cells"):
+                frac_derivative_2d(one_cell, 0.3, 0.3)
 
     def test_rough_input_rejected(self):
         g = build_grid2d(4, 4, 1.0)
@@ -369,7 +367,7 @@ class TestInverseKernelProfile:
         _axis_norm_sq.cache_clear()
         val = rkhs_norm_sq_separable(0.3, 0.3, 1.0)
         assert _axis_norm_sq.cache_info().misses == 1
-        assert val == _axis_norm_sq(0.3, 1.0, 1e-7) ** 2
+        assert val == _axis_norm_sq(0.3, 1.0) ** 2
 
     def test_discrete_norm_refinement_stability(self):
         refs = {(0.3, 0.3): 0.5850902462429308,
@@ -385,9 +383,9 @@ class TestInverseKernelProfile:
         axis = operators._axis_norm_sq_discrete
         calls = []
 
-        def counted(h, x, tol):
+        def counted(h, x):
             calls.append(h)
-            return axis(h, x, tol)
+            return axis(h, x)
 
         monkeypatch.setattr(operators, "_axis_norm_sq_discrete", counted)
         square, oblong = build_grid2d(16, 16, 1.0), build_grid2d(16, 8, 1.0)
@@ -397,7 +395,7 @@ class TestInverseKernelProfile:
             calls.clear()
             val = kinv_norm_sq_discrete(a, b, g)
             assert calls == expected, (a, b, g.n_t)
-            assert val == axis(a, g.s, 1e-9) * axis(b, g.t, 1e-9)
+            assert val == axis(a, g.s) * axis(b, g.t)
 
     def test_discrete_norm_boundary_regime_rejected(self):
         with pytest.raises(RegimeUndefined):
