@@ -7,12 +7,14 @@ Modules
                  batteries, square-root Volterra kernels and their
                  closed-form constant
 ``quad``         graded Gauss-Legendre quadrature for endpoint powers
-``fields``       exact Gaussian samplers for fractional motions and sheets
+``fields``       exact Gaussian samplers for fractional motions and sheets,
+                 one batch route each
 ``operators``    adjoint-kernel transfer, fractional integrals and
                  derivatives (one route each), the inverse-kernel map with
                  its exponent check, and the shift density
-``chaos``        chaos-expansion solvers (the Brownian-sheet chain
-                 recursion), Wick-corrected Euler scheme, the closed-form
+``chaos``        chaos-expansion solvers (the Hermite sum on paths, the
+                 Brownian-sheet chain recursion over noise blocks),
+                 Wick-corrected Euler scheme, the closed-form
                  deterministic sheet profile
 ``experiments``  reproducible Monte Carlo studies behind the CLI
 
@@ -34,16 +36,13 @@ from .special import (
     NegativityInterval,
     h0,
     h0_array,
-    hermite_all,
     negativity_interval,
     volterra_kernel,
 )
 from .fields import (
-    GaussianField,
     cov_fbm,
-    sample_fbm,
+    factor_covariance,
     sample_fbm_batch,
-    sample_sheet,
     sample_sheet_batch,
 )
 from .operators import (
@@ -56,13 +55,11 @@ from .operators import (
     rkhs_norm_sq_separable,
 )
 from .chaos import (
-    TruncatedChaosSolution,
-    chaos_sum_1d,
     chaos_total_1d,
     deterministic_sheet_solution,
     exact_solution_1d,
-    solve_sheet_chaos,
-    wick_euler_1d,
+    solve_sheet_chaos_total_blocks,
+    wick_euler_paths,
 )
 from .experiments import ExperimentReport, RunSettings
 

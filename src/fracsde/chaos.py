@@ -13,30 +13,29 @@ discrete multiple integrals for any pair as their oracle.
 
 The Wick-corrected Euler scheme and the closed-form deterministic sheet
 profile close the loop for the convergence and negativity studies.
+
+The commands run ``chaos_total_1d``, ``wick_euler_paths`` and
+``solve_sheet_chaos_total_blocks``; ``chaos_sum_1d`` and
+``solve_sheet_chaos_batch`` keep every order, for the tests to compare.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import GaussianField
 from .model import Grid2D, ModelParams, TimeGrid
 from .special import h0, h0_array
 
 __all__ = [
-    "TruncatedChaosSolution",
     "exact_solution_1d",
     "chaos_sum_1d",
     "chaos_total_1d",
-    "wick_euler_1d",
     "wick_euler_paths",
     "chaos_norm_decay",
-    "solve_sheet_chaos",
     "solve_sheet_chaos_batch",
     "solve_sheet_chaos_total_blocks",
     "check_sheet_solve",
@@ -74,31 +73,6 @@ _TRMM_ALIGN = 8
 _CHAOS_BLOCK_VALUES = 2**14
 
 
-@dataclass(frozen=True)
-class TruncatedChaosSolution:
-    """Per-order contributions of a truncated chaos sum.
-
-    ``orders`` carries one leading axis for the order (0..truncation); the
-    remaining axes are whatever the solver evaluated on (grid nodes, paths).
-    ``total`` adds the orders in sequence, 0 first.  ``chaos_total_1d``
-    gives the same sum to rounding, not the same bits.
-    """
-
-    truncation: int
-    orders: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.orders.shape[0] != self.truncation + 1:
-            raise ValueError("orders must have truncation+1 leading entries")
-
-    @property
-    def total(self) -> np.ndarray:
-        total = np.array(self.orders[0])
-        for order in self.orders[1:]:
-            total += order
-        return total[()]
-
-
 # ----------------------------------------------------------------------------
 # One-parameter solution: exact exponential and Hermite chaos sum
 # ----------------------------------------------------------------------------
@@ -129,17 +103,18 @@ def _chaos_inputs(a: float, b: float, alpha: float, t, B_t, truncation: int):
 
 def chaos_sum_1d(
     a: float, b: float, alpha: float, t, B_t, truncation: int
-) -> TruncatedChaosSolution:
-    """Truncated chaos sum via the Hermite identity, order by order.
+) -> np.ndarray:
+    """Every order of the truncated chaos sum, (N+1, ...), via the Hermite identity.
 
     Order n contributes e^{bt} (a^n / n!) t^{n alpha} H_n(B_t t^{-alpha})
     with probabilist Hermite polynomials.  At t = 0 only order 0 survives
     (value 1).  ``t`` and ``B_t`` broadcast together, e.g. a grid row against
     a (paths, grid) array of sampled values.
 
-    This is the per-order oracle: it stores every order.  When only the sum
-    is wanted, ``chaos_total_1d`` evaluates it as one polynomial in a B_t
-    from two cache-sized buffers; it agrees with ``.total`` to rounding.
+    This is the per-order oracle of the tests: no command runs it.  The
+    commands want only the sum, which ``chaos_total_1d`` evaluates as one
+    polynomial in a B_t from two cache-sized buffers; it agrees with the
+    sum over this array's leading axis to rounding.
 
     The orders come from the variance-scaled Hermite recurrence
     Q_{k+1} = a / (k+1) (B Q_k - a t^{2 alpha} Q_{k-1}), which needs neither
@@ -160,7 +135,7 @@ def chaos_sum_1d(
         np.multiply(aB, orders[k, ...], out=nxt)
         nxt -= a2var * orders[k - 1, ...]
         nxt *= 1.0 / (k + 1)
-    return TruncatedChaosSolution(truncation=truncation, orders=orders)
+    return orders
 
 
 @lru_cache(maxsize=4096)
@@ -223,8 +198,8 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
     table once.  Blocks of leading rows run Horner's rule in place
     in the output, two array passes per order, against one block-sized
     buffer of x; inputs with fewer than two dimensions run as one row.  The
-    sum agrees with ``chaos_sum_1d(...).total`` to rounding, not bit for
-    bit, and no bit depends on the block size.
+    sum agrees with ``chaos_sum_1d(...).sum(axis=0)`` to rounding, not bit
+    for bit, and no bit depends on the block size.
     """
     B, live, a2var, e0 = _chaos_inputs(a, b, alpha, t, B_t, truncation)
     shape = np.broadcast_shapes(B.shape, live.shape)
@@ -295,13 +270,6 @@ def wick_euler_paths(
         step -= 0.5 * a * a * c[k]
         np.multiply(X[k, ...], step, out=X[k + 1, ...])
     return out
-
-
-def wick_euler_1d(p: ModelParams, n: int, field: GaussianField) -> np.ndarray:
-    """Scheme trajectory on an n-step grid for one sampled field."""
-    if not isinstance(field.grid, TimeGrid) or field.grid.n_steps != n:
-        raise ValueError("field must live on the n-step one-parameter grid")
-    return wick_euler_paths(p, field.grid, field.values)
 
 
 # ----------------------------------------------------------------------------
@@ -612,16 +580,6 @@ def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int)
         _untile(S, total[:, 1:, 1:], add=True)
         del S
         yield r0, total
-
-
-def solve_sheet_chaos(
-    p: ModelParams, grid2d: Grid2D, field: GaussianField, truncation: int
-) -> TruncatedChaosSolution:
-    """Truncated chaos solution of the sheet equation on one sampled field."""
-    if not isinstance(field.grid, Grid2D):
-        raise ValueError("field must live on a product grid")
-    orders = solve_sheet_chaos_batch(p, grid2d, field.white_noise[None], truncation)
-    return TruncatedChaosSolution(truncation=truncation, orders=orders[:, 0])
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import warnings
 from dataclasses import fields as dc_fields
@@ -36,6 +37,10 @@ _COMMANDS = {
     "girsanov-check": cmd_girsanov_check,
     "operator-check": cmd_operator_check,
 }
+
+# a negative decimal number, exponent included; argparse's own pattern
+# misses "-1e-3" and would take "--b -1e-3" for a flag missing its value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # the messages of numpy's floating-point warnings
 _FLOAT_WARNING = "(overflow|underflow|invalid value|divide by zero) encountered"
@@ -108,6 +113,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         c = sub.add_parser(name)
+        c._negative_number_matcher = _NEGATIVE_NUMBER
         for key, parse in _SETTING_PARSERS.items():
             flag = "--" + key.replace("_", "-")
             if parse is _PARSERS["bool"]:

@@ -38,6 +38,7 @@ from .fields import (
     cov_fbm,
     factor_covariance,
     sample_fbm_batch,
+    sample_sheet_batch,
 )
 from .model import (
     Grid2D,
@@ -384,7 +385,10 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     parts = _map_chunks(work, settings.samples, settings.threads)
     sup_err = float(np.max([p_[0] for p_ in parts]))
     mean_T = combine_moments([p_[1] for p_ in parts], settings.seed)
-    target = math.exp(p.b * p.T)
+    try:
+        target = math.exp(p.b * p.T)
+    except OverflowError:  # fails its metric and is written as null
+        target = math.inf
 
     metrics = (
         _below("sup_node_error", sup_err, "1e-8", truncation=N, paths=settings.samples),
@@ -527,11 +531,15 @@ def _check_truncation(noise: float, T: float, truncation: int) -> float:
     0.5), so the 10% threshold is looser than it reads.
     """
     proxy = ModelParams(HurstPair(0.5), noise, 0.0, T)
-    norms = chaos_norm_decay(proxy, truncation + 1)
-    tail = norms[-1] / math.fsum(norms)
-    if tail > 0.1:
+    try:
+        norms = chaos_norm_decay(proxy, truncation + 1)
+        tail = norms[-1] / math.fsum(norms)
+    except OverflowError:  # a norm past the double range: no small tail
+        tail = math.inf
+    if not tail <= 0.1:  # "tail > 0.1" would pass an inf / inf = nan share
+        share = f"a {tail:.1%}" if math.isfinite(tail) else "a non-finite"
         raise TruncationTooLow(
-            f"order-{truncation} truncation leaves a {tail:.1%} tail; "
+            f"order-{truncation} truncation leaves {share} tail; "
             "raise the truncation or lower epsilon"
         )
     return float(tail)
@@ -778,13 +786,14 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     if settings.debug_corrupt_quadrature:
         norm_fn = _corrupt_indicator_norm
     else:
-        norm_fn = lambda _, t: kstar_indicator_norm_sq(alpha, t, T)
+        norm_fn = lambda _, t: _norm_or_inf(kstar_indicator_norm_sq, alpha, t, T)
     # relative, so that the gate reads the same at every T; a target
-    # t^{2 alpha} that underflows to 0 makes the error non-finite, and np.max
-    # keeps a nan where a Python max() could drop it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # t^{2 alpha} that underflows to 0, or a norm and target that both
+    # overflow, make the error non-finite, and np.max keeps a nan where a
+    # Python max() could drop it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norm_err = float(np.max([
-            abs(np.float64(norm_fn(alpha, t)) / t ** (2.0 * alpha) - 1.0)
+            abs(np.float64(norm_fn(alpha, t)) / np.float64(t) ** (2.0 * alpha) - 1.0)
             for t in (0.5 * T, T)
         ]))
     metrics.append(
@@ -929,13 +938,14 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
 
 
 def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
-    """Sheet replicas V = L_s Z L_t', the law of ``fields.sample_sheet_batch``.
+    """Sheet replicas V = L_s Z L_t', mapped by ``fields.sample_sheet_batch``.
 
     A chunk draws its noise into one reused buffer, a cache-sized block of
-    replicas at a time, in the order of the chunk's stream, and keeps only
-    each replica's far corner and two rectangle increments (and the first
-    sheet).  Each replica's sheet is its own pair of matrix products, so no
-    bit depends on the block size.
+    replicas at a time, in the order of the chunk's stream; the sampler
+    maps each block into one reused buffer of sheets, and the chunk keeps
+    only each replica's far corner and two rectangle increments (and the
+    first sheet).  Each replica's sheet is its own pair of matrix products,
+    so no bit depends on the block size.
     """
     t0 = time.perf_counter()
     n = settings.grid_n
@@ -946,8 +956,8 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     grid = build_grid2d(n, n, settings.T)
     alpha, beta = settings.alpha, settings.beta
     line = build_grid(n, settings.T)
-    Ls = factor_covariance(alpha, line).lower_triangular
-    Lt = factor_covariance(beta, line).lower_triangular
+    factor_s = factor_covariance(alpha, line)
+    factor_t = factor_covariance(beta, line)
     half_s, half_t = grid.n_s // 2, grid.n_t // 2
 
     def work(idx: int, count: int):
@@ -955,10 +965,8 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
         values = first = None
         for r0, z in _noise_blocks(settings.seed, idx, count, n, _NOISE_BLOCK_VALUES):
             if values is None:  # the first block is the largest
-                # the sheet vanishes on the axes: row and column 0 stay 0
-                values = np.zeros((len(z), n + 1, n + 1))
-            v = values[:len(z)]
-            v[:, 1:, 1:] = Ls @ z @ Lt.T
+                values = np.empty((len(z), n + 1, n + 1))
+            v = sample_sheet_batch(factor_s, factor_t, z, values[:len(z)])
             out = slice(r0, r0 + len(z))
             corner[out] = v[:, -1, -1]
             inc_a[out] = v[:, half_s, half_t]

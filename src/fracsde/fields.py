@@ -7,29 +7,27 @@ matrix normal V = L_s Z L_t' with Z iid standard normal has exactly the right
 law.  (The tests keep a second, independent route as their oracle: the
 motion expressed through its Volterra kernel acting on white noise.)
 
-Every sampled field keeps the standard-normal draws that generated it
-(``GaussianField.white_noise``): the discrete Skorohod machinery integrates
-against that noise, not against the field increments.
+Both samplers hand back, or take, the standard-normal draws behind each
+field: the discrete Skorohod machinery integrates against that noise, not
+against the field increments.  ``sample_fbm_batch`` draws its noise;
+``sample_sheet_batch`` maps noise its caller drew, so sheet ``simulate``
+draws it a cache-sized block of replicas at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .model import Grid2D, RngStreamSpec, TimeGrid
+from .model import RngStreamSpec, TimeGrid
 
 __all__ = [
     "NotPositiveDefinite",
-    "GaussianField",
     "CovarianceFactor",
     "cov_fbm",
     "fbm_covariance",
     "factor_covariance",
-    "sample_fbm",
     "sample_fbm_batch",
-    "sample_sheet",
     "sample_sheet_batch",
 ]
 
@@ -55,40 +53,6 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
     """Full covariance matrix on the grid t x t."""
     t = np.asarray(t, dtype=float)
     return cov_fbm(alpha, t[:, None], t[None, :])
-
-
-@dataclass(frozen=True)
-class GaussianField:
-    """A sampled field together with the white noise that generated it.
-
-    values live on the grid nodes (origin row/column pinned at 0); white_noise
-    is the array of iid standard normals, one per grid cell, from which the
-    values were built.  Keeping the noise makes the sample usable as the
-    driver of discrete multiple integrals.
-    """
-
-    grid: Union[TimeGrid, Grid2D]
-    values: np.ndarray
-    white_noise: np.ndarray
-
-    def __post_init__(self) -> None:
-        if isinstance(self.grid, Grid2D):
-            ns, nt = self.grid.n_s, self.grid.n_t
-            if self.values.shape != (ns + 1, nt + 1):
-                raise ValueError("sheet values must cover all grid nodes")
-            if self.white_noise.shape != (ns, nt):
-                raise ValueError("sheet noise must have one entry per cell")
-            edge = max(np.max(np.abs(self.values[0, :])), np.max(np.abs(self.values[:, 0])))
-            if edge != 0.0:
-                raise ValueError("sheet must vanish on the coordinate axes")
-        else:
-            n = self.grid.n_steps
-            if self.values.shape != (n + 1,):
-                raise ValueError("path values must cover all grid nodes")
-            if self.white_noise.shape != (n,):
-                raise ValueError("path noise must have one entry per cell")
-            if self.values[0] != 0.0:
-                raise ValueError("path must start at 0")
 
 
 @dataclass(frozen=True)
@@ -122,15 +86,6 @@ def factor_covariance(alpha: float, grid: TimeGrid) -> CovarianceFactor:
     """Factor the exact covariance on the positive grid points."""
     L = _cholesky_guarded(alpha, grid.points[1:])
     return CovarianceFactor(alpha=alpha, grid=grid, lower_triangular=L)
-
-
-def sample_fbm(factor: CovarianceFactor, rng_spec: RngStreamSpec) -> GaussianField:
-    """One path of the motion on the factor's grid, noise retained."""
-    n = factor.grid.n_steps
-    z = rng_spec.generator().standard_normal(n)
-    values = np.zeros(n + 1)
-    values[1:] = factor.lower_triangular @ z
-    return GaussianField(grid=factor.grid, values=values, white_noise=z)
 
 
 def sample_fbm_batch(
@@ -169,23 +124,31 @@ def sample_fbm_batch(
     return values, z
 
 
-def sample_sheet(
-    alpha: float, beta: float, grid: Grid2D, rng_spec: RngStreamSpec
-) -> GaussianField:
-    """One sheet sample V = L_s Z L_t' on grid nodes, noise Z retained."""
-    values, z = sample_sheet_batch(alpha, beta, grid, 1, rng_spec)
-    return GaussianField(grid=grid, values=values[0], white_noise=z[0])
 
 
 def sample_sheet_batch(
-    alpha: float, beta: float, grid: Grid2D, n_replicas: int, rng_spec: RngStreamSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sheet replicas: values (R, n_s+1, n_t+1) and noise (R, n_s, n_t)."""
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    Ls = _cholesky_guarded(alpha, grid.s[1:])
-    Lt = _cholesky_guarded(beta, grid.t[1:])
-    z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
-    values = np.zeros((n_replicas, grid.n_s + 1, grid.n_t + 1))
-    values[:, 1:, 1:] = Ls @ z @ Lt.T
-    return values, z
+    factor_s: CovarianceFactor,
+    factor_t: CovarianceFactor,
+    z: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the sheets V = L_s Z L_t' of noise ``z`` (R, n_s, n_t) into
+    ``out`` (R, n_s+1, n_t+1), zero on the axes, and return ``out``.
+
+    n_s and n_t are the cell counts of the factors' grids; a wrong shape
+    raises ``ValueError`` before any product.  Each replica is its own pair
+    of matrix products, so no bit depends on how replicas are blocked.
+    """
+    Ls, Lt = factor_s.lower_triangular, factor_t.lower_triangular
+    cells = (len(Ls), len(Lt))
+    if z.ndim != 3 or z.shape[1:] != cells:
+        raise ValueError(f"noise of shape {z.shape} is not (replicas, {cells[0]}, {cells[1]})")
+    shape = (len(z), cells[0] + 1, cells[1] + 1)
+    if out.shape != shape:
+        raise ValueError(f"out of shape {out.shape} is not {shape}")
+    out[:, 0, :] = 0.0
+    out[:, 1:, 0] = 0.0
+    # the second product goes straight into out: a block's worth less
+    # memory than a temporary, and the same GEMM calls, so the same bits
+    np.matmul(Ls @ z, Lt.T, out=out[:, 1:, 1:])
+    return out

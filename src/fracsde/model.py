@@ -193,12 +193,6 @@ class MonteCarloResult:
         if finite and not (lo <= self.estimate <= hi):
             raise ValueError("estimate must lie inside its confidence interval")
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, seed: int) -> "MonteCarloResult":
-        if np.size(samples) < 2:
-            raise ValueError("need at least two replicas")
-        return combine_moments([chunk_moments(samples)], seed)
-
 
 def chunk_moments(samples: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, sum of squared deviations) of one chunk's samples."""

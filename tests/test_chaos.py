@@ -11,28 +11,18 @@ import pytest
 import fracsde.chaos as chaos_module
 
 from fracsde.chaos import (
-    TruncatedChaosSolution,
     chaos_norm_decay,
     chaos_sum_1d,
     chaos_total_1d,
     check_sheet_solve,
     deterministic_sheet_solution,
     exact_solution_1d,
-    solve_sheet_chaos,
     solve_sheet_chaos_batch,
     solve_sheet_chaos_total_blocks,
-    wick_euler_1d,
     wick_euler_paths,
     _CHAOS_BLOCK_VALUES,
 )
-from fracsde.fields import (
-    GaussianField,
-    factor_covariance,
-    sample_fbm,
-    sample_fbm_batch,
-    sample_sheet,
-    sample_sheet_batch,
-)
+from fracsde.fields import factor_covariance, sample_fbm_batch
 from fracsde.model import (
     HurstPair,
     ModelParams,
@@ -111,18 +101,18 @@ class TestExactAndChaosSum1D:
             exact_solution_1d(1.0, 0.0, 0.5, -1.0, 0.0)
 
     def test_order_zero_is_drift_factor(self):
-        sol = chaos_sum_1d(1.0, 0.7, 0.3, 0.5, 0.2, 0)
-        assert sol.total == pytest.approx(math.exp(0.35))
+        orders = chaos_sum_1d(1.0, 0.7, 0.3, 0.5, 0.2, 0)
+        assert sum(orders) == pytest.approx(math.exp(0.35))
 
     def test_first_order_driftless_is_affine_in_noise(self):
         # orders 0+1 with b = 0 sum to 1 + a B_t for any alpha
         a, alpha, t, B = 1.7, 0.3, 0.8, 0.45
-        sol = chaos_sum_1d(a, 0.0, alpha, t, B, 1)
-        assert sol.total == pytest.approx(1.0 + a * B, rel=1e-13)
+        orders = chaos_sum_1d(a, 0.0, alpha, t, B, 1)
+        assert sum(orders) == pytest.approx(1.0 + a * B, rel=1e-13)
 
     def test_hermite_structure_of_orders(self):
         a, b, alpha, t, B, N = 1.2, 0.3, 0.7, 0.9, -0.6, 5
-        sol = chaos_sum_1d(a, b, alpha, t, B, N)
+        orders = chaos_sum_1d(a, b, alpha, t, B, N)
         sigma = t**alpha
         for n in range(N + 1):
             ref = (
@@ -132,7 +122,7 @@ class TestExactAndChaosSum1D:
                 * sigma**n
                 * hermite(n, B / sigma)
             )
-            assert sol.orders[n] == pytest.approx(ref, rel=1e-12)
+            assert orders[n] == pytest.approx(ref, rel=1e-12)
 
     def test_truncation_20_matches_exact(self):
         # gaussian-scale noise values: remainder after 20 orders stays
@@ -141,17 +131,17 @@ class TestExactAndChaosSum1D:
         t = np.linspace(0.0, 1.0, 65)
         for alpha in (0.3, 0.5, 0.7):
             B = rng.standard_normal((20, 65)) * t**alpha
-            sol = chaos_sum_1d(1.0, 0.5, alpha, t, B, 20)
+            total = sum(chaos_sum_1d(1.0, 0.5, alpha, t, B, 20))
             ref = exact_solution_1d(1.0, 0.5, alpha, t, B)
-            assert np.max(np.abs(sol.total - ref)) < 1e-8
+            assert np.max(np.abs(total - ref)) < 1e-8
 
     def test_time_zero_only_order_zero(self):
         # also for noise values that are nonzero at t = 0, where the plain
         # recurrence would give a B at order 1
         for B in (0.0, 0.7):
-            sol = chaos_sum_1d(2.0, 0.5, 0.3, 0.0, B, 4)
-            assert sol.orders[0] == pytest.approx(1.0)
-            assert np.all(sol.orders[1:] == 0.0)
+            orders = chaos_sum_1d(2.0, 0.5, 0.3, 0.0, B, 4)
+            assert orders[0] == pytest.approx(1.0)
+            assert np.all(orders[1:] == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_recurrence_matches_hermite_table(self, alpha):
@@ -171,7 +161,7 @@ class TestExactAndChaosSum1D:
         for a in (1.0, -1.3):
             for b in (0.0, 0.5, -1.0):
                 for tt, B in ((t, batch), (0.7, 0.9), (1.0, -1.4)):
-                    got = chaos_sum_1d(a, b, alpha, tt, B, N).orders
+                    got = chaos_sum_1d(a, b, alpha, tt, B, N)
                     ref = oracle(a, b, tt, B, N)
                     assert got.shape == ref.shape
                     flat_got = got.reshape(N + 1, -1)
@@ -180,23 +170,19 @@ class TestExactAndChaosSum1D:
                     err = np.max(np.abs(flat_got - flat_ref), axis=1)
                     assert np.all(err <= 1e-12 * scale)
 
-    def test_solution_container_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedChaosSolution(truncation=2, orders=np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            chaos_sum_1d(1.0, 0.0, 0.5, 1.0, 0.0, -1)
-
 
 # one block of chaos_total_1d at 65 nodes, in rows
 _BLOCK = _CHAOS_BLOCK_VALUES // 65
 
 
 def _assert_matches_orders(got, a, b, alpha, t, B, N):
-    # the per-order oracle, to rounding relative to the summed magnitudes
-    sol = chaos_sum_1d(a, b, alpha, t, B, N)
-    assert np.shape(got) == np.shape(sol.total)
-    bound = 1e-14 * np.sum(np.abs(sol.orders), axis=0)
-    assert np.all(np.abs(got - sol.total) <= bound)
+    # the per-order oracle, to rounding relative to the summed magnitudes;
+    # sum() adds the orders in sequence, 0 first
+    orders = chaos_sum_1d(a, b, alpha, t, B, N)
+    total = sum(orders)
+    assert np.shape(got) == np.shape(total)
+    bound = 1e-14 * np.sum(np.abs(orders), axis=0)
+    assert np.all(np.abs(got - total) <= bound)
 
 
 class TestChaosTotal1D:
@@ -260,7 +246,7 @@ class TestChaosTotal1D:
         B = np.random.default_rng(3).standard_normal((300, 65))
         with np.errstate(over="ignore", invalid="ignore"):
             got = chaos_total_1d(a, 0.0, 0.7, t, B, 28)
-            ref = chaos_sum_1d(a, 0.0, 0.7, t, B, 28).total
+            ref = sum(chaos_sum_1d(a, 0.0, 0.7, t, B, 28))
         assert np.any(np.isnan(ref)) and np.any(np.isfinite(ref))
         np.testing.assert_array_equal(got, ref)
 
@@ -384,9 +370,9 @@ class TestWickEuler:
         g = build_grid(8, 1.0)
         p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
         fac = factor_covariance(0.3, g)
-        f = sample_fbm(fac, RngStreamSpec(5))
-        single = wick_euler_1d(p, 8, f)
-        batch = wick_euler_paths(p, g, np.stack([f.values, 2.0 * f.values]))
+        (path,), _ = sample_fbm_batch(fac, 1, RngStreamSpec(5))
+        single = wick_euler_paths(p, g, path)
+        batch = wick_euler_paths(p, g, np.stack([path, 2.0 * path]))
         np.testing.assert_allclose(batch[0], single, rtol=1e-14)
 
     def test_drift_rejected(self):
@@ -412,32 +398,28 @@ class TestWickEuler:
 
     def test_grid_mismatch_rejected(self):
         p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
-        f = sample_fbm(factor_covariance(0.3, build_grid(8, 1.0)), RngStreamSpec(1))
-        with pytest.raises(ValueError):
-            wick_euler_1d(p, 4, f)
-
-
-def _two_cell_field(inc: tuple[float, float]) -> GaussianField:
-    g = build_grid(2, 1.0)
-    values = np.array([0.0, inc[0], inc[0] + inc[1]])
-    noise = np.array(inc) / math.sqrt(g.dt)
-    return GaussianField(grid=g, values=values, white_noise=noise)
+        values, _ = sample_fbm_batch(
+            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(1)
+        )
+        with pytest.raises(ValueError, match="do not end in the grid"):
+            wick_euler_paths(p, build_grid(4, 1.0), values)
 
 
 class TestDiscreteMultipleIntegrals:
     def test_order_one_telescopes_to_terminal_value(self):
         # indicator kernel at Hurst 1/2: sum of increments = B_T
         g = build_grid(8, 1.0)
-        f = sample_fbm(factor_covariance(0.5, g), RngStreamSpec(3))
-        tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, f.grid, HurstPair(0.5))
-        val = offdiagonal_contraction(tensor, f.white_noise)
-        assert val == pytest.approx(f.values[-1], rel=1e-10)
+        (values,), (noise,) = sample_fbm_batch(factor_covariance(0.5, g), 1, RngStreamSpec(3))
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, g, HurstPair(0.5))
+        val = offdiagonal_contraction(tensor, noise)
+        assert val == pytest.approx(values[-1], rel=1e-10)
 
     def test_order_two_two_cells_hand_value(self):
         # sum over distinct pairs of dB_i dB_j = 2 (0.5)(-0.3) = -0.3
-        f = _two_cell_field((0.5, -0.3))
-        tensor = pushed_kernel_tensor(lambda pts: 1.0, 2, f.grid, HurstPair(0.5))
-        val = offdiagonal_contraction(tensor, f.white_noise)
+        g = build_grid(2, 1.0)
+        noise = np.array([0.5, -0.3]) / math.sqrt(g.dt)  # increments 0.5, -0.3
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 2, g, HurstPair(0.5))
+        val = offdiagonal_contraction(tensor, noise)
         assert val == pytest.approx(-0.3, rel=1e-12)
 
     def test_moment_identities_monte_carlo(self):
@@ -541,7 +523,7 @@ class TestSheetSolver:
         p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.5, T=1.0)
         g = build_grid2d(8, 8, 1.0)
         R = 10_000
-        _, noise = sample_sheet_batch(0.5, 0.5, g, R, RngStreamSpec(20240813))
+        noise = RngStreamSpec(20240813).generator().standard_normal((R, 8, 8))
         orders = solve_sheet_chaos_batch(p, g, noise, 4)
         corner = orders.sum(axis=0)[:, -1, -1]
         se = corner.std(ddof=1) / math.sqrt(R)
@@ -758,14 +740,6 @@ class TestSheetSolver:
                 tracemalloc.stop()
             assert np.all(np.isfinite(out))
             assert peak <= arrays * replica, (solve.__name__, peak / replica)
-
-    def test_single_field_wrapper(self):
-        g = build_grid2d(4, 4, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.3, T=1.0)
-        f = sample_sheet(0.5, 0.5, g, RngStreamSpec(6))
-        sol = solve_sheet_chaos(p, g, f, 2)
-        batch = solve_sheet_chaos_batch(p, g, f.white_noise[None], 2)
-        np.testing.assert_allclose(sol.total, batch.sum(axis=0)[0], rtol=1e-13)
 
     def test_validation(self):
         g = build_grid2d(4, 4, 1.0)

@@ -35,7 +35,6 @@ from fracsde.model import (
     ModelParams,
     RngStreamSpec,
     build_grid,
-    build_grid2d,
     chunk_moments,
 )
 
@@ -117,6 +116,24 @@ class TestConfigFile:
         cfg.write_text("beta = 0.7\n")
         args = _parser().parse_args(["simulate", "--config", str(cfg), "--no-beta"])
         assert build_settings(args).beta is None
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-1", "-.5"])
+    def test_negative_values_parse_in_either_spelling(self, value):
+        # argparse reads "-1" as a value but "-1e-3" as an unknown option
+        spaced = _parser().parse_args(["exact-vs-chaos", "--b", value])
+        joined = _parser().parse_args(["exact-vs-chaos", f"--b={value}"])
+        assert spaced == joined
+        assert spaced.b == float(value)
+
+    def test_negative_exponent_gives_the_same_report(self, tmp_path):
+        reports = []
+        for flag in (["--b", "-1e-3"], ["--b=-1e-3"]):
+            out = tmp_path / str(len(reports))
+            argv = ["exact-vs-chaos", "--samples", "100", *flag, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(_strip_wall(json.loads((out / "report.json").read_text())))
+        assert reports[0] == reports[1]
+        assert reports[0]["parameters"]["b"] == -1e-3
 
 
 class TestSettingsValidation:
@@ -400,6 +417,19 @@ class TestExitCodes:
         assert code in (0, 1), capsys.readouterr().err
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["parameters"]["truncation"] == 5
+
+    @pytest.mark.parametrize("epsilon", ["1e100", "1e154", "1e300"])
+    def test_overflowing_chaos_norms_exit_two(self, tmp_path, capsys, epsilon):
+        # the proxy's order norms leave the double range: no small tail
+        code = main([
+            "negativity", "--T", "3", "--grid-n", "8", "--epsilon", epsilon,
+            "--samples", "10", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: TruncationTooLow:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_coarse_truncation_exits_two(self, tmp_path, capsys):
         # epsilon far above the calibrated level leaves a heavy chaos tail
@@ -907,7 +937,8 @@ class TestSimulateSheetBlocks:
     def test_blocks_reproduce_the_field_sampler(self, monkeypatch):
         # two chunks, the second ragged (301); blocks of 1 and 7 replicas
         # and one block a chunk give the same report, and its first sheet
-        # is chunk 0's first replica from fields.sample_sheet_batch
+        # is chunk 0's first replica, from fields.sample_sheet_batch fed the
+        # chunk's noise in one draw
         settings = RunSettings(alpha=0.3, beta=0.7, grid_n=8, samples=4096 + 301,
                                seed=5)
         reports = []
@@ -917,10 +948,33 @@ class TestSimulateSheetBlocks:
         payloads = [_strip_wall(r.to_dict()) for r in reports]
         assert payloads[0] == payloads[1] == payloads[2]
         assert [r.tables for r in reports[1:]] == [reports[0].tables] * 2
-        grid = build_grid2d(8, 8, 1.0)
-        values, _ = sample_sheet_batch(0.3, 0.7, grid, 4096, RngStreamSpec(5, 0))
+        line = build_grid(8, 1.0)
+        z = RngStreamSpec(5, 0).generator().standard_normal((4096, 8, 8))
+        values = sample_sheet_batch(
+            factor_covariance(0.3, line), factor_covariance(0.7, line), z,
+            np.empty((4096, 9, 9)),
+        )
         _, rows = reports[0].tables["sample_sheet"]
         assert [row[2] for row in rows] == values[0].ravel().tolist()
+
+    def test_every_replica_goes_through_the_field_sampler(self, monkeypatch):
+        # a traced run times the sampler by wrapping this name, as here; a
+        # simulate that bypassed it would leave that layer reading 0
+        settings = RunSettings(alpha=0.3, beta=0.7, grid_n=8, samples=4096 + 301,
+                               seed=5)
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", 7 * 8 * 8)
+        plain = _strip_wall(cmd_simulate(settings).to_dict())
+        replicas = []
+        sampler = experiments.sample_sheet_batch
+
+        def traced(factor_s, factor_t, z, out):
+            replicas.append(len(z))
+            return sampler(factor_s, factor_t, z, out)
+
+        monkeypatch.setattr(experiments, "sample_sheet_batch", traced)
+        assert _strip_wall(cmd_simulate(settings).to_dict()) == plain
+        assert sum(replicas) == settings.samples
+        assert max(replicas) == 7
 
     def test_holds_blocks_not_the_chunk(self):
         # one 4096-replica chunk of grid-32 noise takes 33.5 MB
@@ -1048,9 +1102,16 @@ class TestStatisticalHonesty:
         ["exact-vs-chaos", "--a", "1e80", "--threads", "2"],
         # the norm identity's target T^{2 alpha} underflows to 0
         ["operator-check", "--alpha", "0.75", "--T", "1e-300"],
+        # the norm's quadrature and its target T^{2 alpha} both overflow
+        ["operator-check", "--alpha", "0.75", "--T", "1e300"],
+        ["operator-check", "--alpha", "0.6", "--T", "1e300"],
+        # the terminal mean's target e^{bT} overflows
+        ["exact-vs-chaos", "--b", "800"],
+        ["exact-vs-chaos", "--alpha", "0.7", "--a", "1", "--b", "0.5", "--T", "1e8"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
             "girsanovT1e300", "eulerT1e300", "simulateLine", "chaos",
-            "chaosThreads2", "operatorT1e-300"])
+            "chaosThreads2", "operatorT1e-300", "operatorT1e300",
+            "operatorAlpha0.6T1e300", "chaosB800", "chaosT1e8"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
                                                           capsys, recwarn):
         code = main(argv + ["--samples", "100", "--out", str(tmp_path)])

@@ -8,15 +8,12 @@ from hypothesis import given, strategies as st
 
 from fracsde.fields import (
     CovarianceFactor,
-    GaussianField,
     NotPositiveDefinite,
     _cholesky_guarded,
     cov_fbm,
     factor_covariance,
     fbm_covariance,
-    sample_fbm,
     sample_fbm_batch,
-    sample_sheet,
     sample_sheet_batch,
 )
 from fracsde.model import RngStreamSpec, build_grid, build_grid2d
@@ -105,31 +102,24 @@ class TestCholeskyFactor:
 
 class TestPathSampling:
     def test_field_structure(self):
-        f = sample_fbm(factor_covariance(0.3, build_grid(8, 1.0)), RngStreamSpec(7))
-        assert f.values[0] == 0.0
-        assert f.values.shape == (9,)
-        assert f.white_noise.shape == (8,)
+        values, z = sample_fbm_batch(
+            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(7)
+        )
+        assert values[0, 0] == 0.0
+        assert values.shape == (1, 9)
+        assert z.shape == (1, 8)
 
     def test_values_are_factor_times_noise(self):
         fac = factor_covariance(0.6, build_grid(8, 1.0))
-        f = sample_fbm(fac, RngStreamSpec(11))
-        np.testing.assert_allclose(
-            f.values[1:], fac.lower_triangular @ f.white_noise, atol=1e-14
-        )
+        (values,), (z,) = sample_fbm_batch(fac, 1, RngStreamSpec(11))
+        np.testing.assert_allclose(values[1:], fac.lower_triangular @ z, atol=1e-14)
 
     def test_determinism(self):
         fac = factor_covariance(0.3, build_grid(8, 1.0))
-        a = sample_fbm(fac, RngStreamSpec(42))
-        b = sample_fbm(fac, RngStreamSpec(42))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.white_noise, b.white_noise)
-
-    def test_batch_first_row_matches_single(self):
-        fac = factor_covariance(0.3, build_grid(8, 1.0))
-        single = sample_fbm(fac, RngStreamSpec(5))
-        batch, noise = sample_fbm_batch(fac, 1, RngStreamSpec(5))
-        np.testing.assert_array_equal(batch[0], single.values)
-        np.testing.assert_array_equal(noise[0], single.white_noise)
+        a = sample_fbm_batch(fac, 1, RngStreamSpec(42))
+        b = sample_fbm_batch(fac, 1, RngStreamSpec(42))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_batch_validation(self):
         fac = factor_covariance(0.3, build_grid(4, 1.0))
@@ -190,29 +180,64 @@ class TestPathSampling:
         se = prod.std(ddof=1) / math.sqrt(R)
         assert abs(prod.mean() - cov_fbm(alpha, 0.5, 1.0)) < 4.0 * se
 
-    def test_field_validation(self):
-        g = build_grid(4, 1.0)
-        with pytest.raises(ValueError):
-            GaussianField(grid=g, values=np.ones(5), white_noise=np.zeros(4))
-        with pytest.raises(ValueError):
-            GaussianField(grid=g, values=np.zeros(4), white_noise=np.zeros(4))
-        with pytest.raises(ValueError):
-            GaussianField(grid=g, values=np.zeros(5), white_noise=np.zeros(3))
+
+def _sheet_batch(alpha, beta, grid, n_replicas, rng_spec):
+    """(values, noise) of sheet replicas, the noise drawn in one
+    ``standard_normal((R, n_s, n_t))`` call on the stream."""
+    z = rng_spec.generator().standard_normal((n_replicas, grid.n_s, grid.n_t))
+    factor_s = factor_covariance(alpha, build_grid(grid.n_s, grid.T))
+    factor_t = factor_covariance(beta, build_grid(grid.n_t, grid.T))
+    out = np.empty((n_replicas, grid.n_s + 1, grid.n_t + 1))
+    return sample_sheet_batch(factor_s, factor_t, z, out), z
 
 
 class TestSheetSampling:
     def test_structure_and_axes(self):
         g = build_grid2d(4, 6, 1.0)
-        f = sample_sheet(0.3, 0.7, g, RngStreamSpec(3))
-        assert f.values.shape == (5, 7)
-        assert f.white_noise.shape == (4, 6)
-        assert np.all(f.values[0, :] == 0.0)
-        assert np.all(f.values[:, 0] == 0.0)
+        values, z = _sheet_batch(0.3, 0.7, g, 1, RngStreamSpec(3))
+        assert values.shape == (1, 5, 7)
+        assert z.shape == (1, 4, 6)
+        assert np.all(values[0, 0, :] == 0.0)
+        assert np.all(values[0, :, 0] == 0.0)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_out_receives_the_bits(self, rows):
+        # a reused buffer, filled with nan here, gets the axes zeroed too
+        g = build_grid2d(4, 6, 1.0)
+        values, z = _sheet_batch(0.3, 0.7, g, rows, RngStreamSpec(3))
+        fs = factor_covariance(0.3, build_grid(4, 1.0))
+        ft = factor_covariance(0.7, build_grid(6, 1.0))
+        out = np.full((rows, 5, 7), np.nan)
+        assert sample_sheet_batch(fs, ft, z, out) is out
+        np.testing.assert_array_equal(out, values)
+
+    def test_wrong_shapes_are_refused_before_any_product(self):
+        class NoProducts(np.ndarray):
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("computed a product before checking shapes")
+
+        fs, ft = (
+            CovarianceFactor(f.alpha, f.grid, f.lower_triangular.view(NoProducts))
+            for f in (factor_covariance(0.3, build_grid(4, 1.0)),
+                      factor_covariance(0.7, build_grid(6, 1.0)))
+        )
+        bad = [
+            # one sheet's noise broadcasts into the products and the buffer
+            (np.zeros((4, 6)), np.ones((1, 5, 7))),
+            (np.zeros((2, 6, 4)), np.ones((2, 5, 7))),  # axes swapped
+            (np.zeros((2, 4, 6)), np.ones((2, 5, 6))),  # buffer a node short
+            # one replica's sheet broadcasts into a three-replica buffer
+            (np.zeros((1, 4, 6)), np.ones((3, 5, 7))),
+        ]
+        for z, out in bad:
+            with pytest.raises(ValueError, match="noise of shape|out of shape"):
+                sample_sheet_batch(fs, ft, z, out)
+            assert np.all(out == 1.0)  # not even the axes were zeroed
 
     def test_values_are_kronecker_factor_times_noise(self):
         # the unfactored three-operand contraction as oracle, on a batch
         g = build_grid2d(6, 9, 1.5)
-        values, z = sample_sheet_batch(0.3, 0.7, g, 50, RngStreamSpec(9))
+        values, z = _sheet_batch(0.3, 0.7, g, 50, RngStreamSpec(9))
         Ls = _cholesky_guarded(0.3, g.s[1:])
         Lt = _cholesky_guarded(0.7, g.t[1:])
         oracle = np.einsum("ij,rjk,lk->ril", Ls, z, Lt)
@@ -220,14 +245,14 @@ class TestSheetSampling:
 
     def test_determinism_bit_identical(self):
         g = build_grid2d(4, 4, 1.0)
-        a, _ = sample_sheet_batch(0.25, 0.75, g, 3, RngStreamSpec(12))
-        b, _ = sample_sheet_batch(0.25, 0.75, g, 3, RngStreamSpec(12))
+        a, _ = _sheet_batch(0.25, 0.75, g, 3, RngStreamSpec(12))
+        b, _ = _sheet_batch(0.25, 0.75, g, 3, RngStreamSpec(12))
         assert np.array_equal(a, b)
 
     def test_corner_variance_monte_carlo(self):
         alpha, beta, T, R = 0.3, 0.7, 1.0, 20_000
         g = build_grid2d(4, 4, T)
-        values, _ = sample_sheet_batch(alpha, beta, g, R, RngStreamSpec(20240808))
+        values, _ = _sheet_batch(alpha, beta, g, R, RngStreamSpec(20240808))
         sq = values[:, -1, -1] ** 2
         se = sq.std(ddof=1) / math.sqrt(R)
         assert abs(sq.mean() - T ** (2 * alpha + 2 * beta)) < 4.0 * se
@@ -237,7 +262,7 @@ class TestSheetSampling:
         # scale s_i^{2 alpha}: empirical row covariance within 4 se entrywise
         alpha, beta, R = 0.3, 0.7, 30_000
         g = build_grid2d(4, 4, 1.0)
-        values, _ = sample_sheet_batch(alpha, beta, g, R, RngStreamSpec(20240809))
+        values, _ = _sheet_batch(alpha, beta, g, R, RngStreamSpec(20240809))
         i = 2  # s_i = 0.5
         row = values[:, i + 1, 1:]  # (R, 4) at t = 0.25..1
         target = g.s[i + 1] ** (2 * alpha) * fbm_covariance(beta, g.t[1:])
@@ -250,7 +275,7 @@ class TestSheetSampling:
     def test_brownian_sheet_disjoint_increments_uncorrelated(self):
         R = 30_000
         g = build_grid2d(2, 2, 1.0)
-        values, _ = sample_sheet_batch(0.5, 0.5, g, R, RngStreamSpec(20240810))
+        values, _ = _sheet_batch(0.5, 0.5, g, R, RngStreamSpec(20240810))
         # rectangle increments over ((0,.5]x(0,.5]) and ((.5,1]x(.5,1])
         inc1 = values[:, 1, 1]
         inc2 = values[:, 2, 2] - values[:, 1, 2] - values[:, 2, 1] + values[:, 1, 1]

@@ -14,7 +14,14 @@ from fracsde.model import (
     RngStreamSpec,
     build_grid,
     build_grid2d,
+    chunk_moments,
+    combine_moments,
 )
+
+
+def _from_samples(samples, seed: int) -> MonteCarloResult:
+    """The estimate of one chunk of samples, as the commands reduce it."""
+    return combine_moments([chunk_moments(samples)], seed)
 
 
 def test_hurst_boundary_rejected():
@@ -73,7 +80,7 @@ def test_rng_negative_seed_rejected():
 
 
 def test_mc_result_from_samples():
-    r = MonteCarloResult.from_samples(np.array([1.0, 2.0, 3.0, 4.0]), seed=7)
+    r = _from_samples(np.array([1.0, 2.0, 3.0, 4.0]), seed=7)
     assert r.estimate == pytest.approx(2.5)
     assert r.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
     assert r.ci95[0] <= r.estimate <= r.ci95[1]
@@ -89,7 +96,7 @@ def test_mc_result_passes_non_finite_moments_on():
     # an overflowed sample gives an infinite mean and an undefined spread;
     # the estimate reaches its metric, which fails it
     with np.errstate(invalid="ignore"):
-        r = MonteCarloResult.from_samples(np.array([1.0, np.inf, 2.0]), seed=0)
+        r = _from_samples(np.array([1.0, np.inf, 2.0]), seed=0)
     assert r.estimate == np.inf and np.isnan(r.std_error)
     assert np.isnan(MonteCarloResult(np.nan, 0.1, 10, (2.0, 3.0), 0).estimate)
 
@@ -98,5 +105,5 @@ def test_mc_result_passes_non_finite_moments_on():
     xs=st.lists(st.floats(-50, 50), min_size=2, max_size=40),
 )
 def test_mc_result_estimate_between_extremes(xs):
-    r = MonteCarloResult.from_samples(np.array(xs), seed=0)
+    r = _from_samples(np.array(xs), seed=0)
     assert min(xs) - 1e-9 <= r.estimate <= max(xs) + 1e-9

@@ -5,12 +5,10 @@ and the runners of its command table over the module-level definitions of
 ``src/fracsde/*.py`` (functions, classes and assigned names), following
 ``from .module import name`` across modules; a definition that the walk
 does not reach fails.  Reference code that tests compare against lives in
-``tests/oracles.py`` instead.  Two sets of names are roots of the walk too,
-so they and everything they use are kept:
-
-* ``PUBLIC_API``, the README's public wrappers;
-* the ``(module, name)`` pairs of ``perfbench/tracer.LAYER_FUNCTIONS``,
-  which a traced benchmark run looks up with ``getattr``.
+``tests/oracles.py`` instead.  The ``(module, name)`` pairs of
+``perfbench/tracer.LAYER_FUNCTIONS``, which a traced benchmark run looks up
+with ``getattr``, are roots of the walk too, so they and everything they
+use are kept.
 
 Like ``tests/test_imports_used.py`` it reads sources with ``ast`` and
 imports nothing.
@@ -21,17 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracsde"
 TRACER = ROOT / "perfbench" / "tracer.py"
-
-# The README's one-field wrappers around the batch routines, kept for
-# callers of the library (README, "Use as a library").
-PUBLIC_API = (
-    ("fields", "GaussianField"),
-    ("fields", "sample_fbm"),
-    ("fields", "sample_sheet"),
-    ("chaos", "TruncatedChaosSolution"),
-    ("chaos", "solve_sheet_chaos"),
-    ("chaos", "wick_euler_1d"),
-)
 
 
 def layer_functions() -> list[tuple[str, str]]:
@@ -146,11 +133,10 @@ def test_the_walk_sees_what_it_should():
 def test_every_extra_root_is_defined():
     # a stale entry would keep nothing alive and hide nothing; name it
     defs, _ = module_index(package_sources())
-    extra = [*PUBLIC_API, *layer_functions()]
-    assert [root for root in extra if root not in defs] == []
+    assert [root for root in layer_functions() if root not in defs] == []
 
 
 def test_every_definition_is_reached():
     sources = package_sources()
-    roots = command_roots(sources) + list(PUBLIC_API) + layer_functions()
+    roots = command_roots(sources) + layer_functions()
     assert unreachable(sources, roots) == []

@@ -15,5 +15,5 @@ def test_python_blocks_run_in_order():
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
         if k == 0:
             # the printed claim: the order-20 sum tracks the exact form
-            gap = np.max(np.abs(namespace["sol"].total - namespace["ref"]))
+            gap = np.max(np.abs(namespace["total"] - namespace["ref"]))
             assert gap < 1e-9
