@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto the experiment runners.  Settings come
 from defaults, then a flat ``key = value`` config file, then explicit
-flags, in that order of precedence.  Each run writes ``report.json`` and
-one CSV per table into the output directory and exits 0 iff every metric
-passed.
+flags, in that order of precedence.  A command takes as flags and config
+keys only the settings that ``experiments.SETTINGS_READ`` lists for it.
+Each run writes ``report.json`` and one CSV per table into the output
+directory and exits 0 iff every metric passed.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from .experiments import (
+    SETTINGS_READ,
     RunSettings,
     cmd_euler_study,
     cmd_exact_vs_chaos,
@@ -38,18 +40,17 @@ _COMMANDS = {
     "operator-check": cmd_operator_check,
 }
 
-# a negative decimal number, exponent included; argparse's own pattern
-# misses "-1e-3" and would take "--b -1e-3" for a flag missing its value
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# a negative number as float() reads it, exponent, infinity and nan
+# included; argparse's own pattern misses "-1e-3" and "-inf" and would take
+# "--b -1e-3" for a flag missing its value
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
 
 # the messages of numpy's floating-point warnings
 _FLOAT_WARNING = "(overflow|underflow|invalid value|divide by zero) encountered"
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "bool": lambda text: text.lower() in ("1", "true", "yes"),
-}
+_PARSERS = {"int": int, "float": float}
 # setting name -> parser of its text form, from the RunSettings annotation
 # ("int | None" parses as int); the flags and config keys derive from it
 _SETTING_PARSERS = {
@@ -84,11 +85,15 @@ def build_settings(args: argparse.Namespace) -> RunSettings:
     values: dict = {}
     if args.config is not None:
         values.update(parse_config_file(Path(args.config)))
+        for key in values:
+            if key not in SETTINGS_READ[args.command]:
+                raise ValueError(f"{args.config}: {args.command} does not read "
+                                 f"setting {key!r}")
     for name in _SETTING_PARSERS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if args.no_beta:
+    if getattr(args, "no_beta", False):
         values["beta"] = None
     return RunSettings(**values)
 
@@ -112,16 +117,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        c = sub.add_parser(name)
+        c = sub.add_parser(name, allow_abbrev=False)
         c._negative_number_matcher = _NEGATIVE_NUMBER
         for key, parse in _SETTING_PARSERS.items():
-            flag = "--" + key.replace("_", "-")
-            if parse is _PARSERS["bool"]:
-                c.add_argument(flag, action="store_const", const=True)
-            else:
-                c.add_argument(flag, type=parse)
-        c.add_argument("--no-beta", action="store_true",
-                       help="force the one-parameter model even if the config sets beta")
+            if key in SETTINGS_READ[name]:
+                c.add_argument("--" + key.replace("_", "-"), type=parse)
+        if "beta" in SETTINGS_READ[name]:
+            c.add_argument("--no-beta", action="store_true",
+                           help="force the one-parameter model even if the config sets beta")
         c.add_argument("--out", default=".")
         c.add_argument("--config")
     return p

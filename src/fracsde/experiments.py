@@ -63,13 +63,14 @@ from .operators import (
     power_gap_integral,
     rkhs_norm_sq_separable,
 )
-from .special import negativity_interval, volterra_kernel
-from .quad import QuadratureOverflow, gauss_legendre_01
+from .special import negativity_interval
+from .quad import QuadratureOverflow
 
 __all__ = [
     "EmptyRegion",
     "TruncationTooLow",
     "RunSettings",
+    "SETTINGS_READ",
     "MetricResult",
     "ExperimentReport",
     "negativity_mask",
@@ -146,12 +147,13 @@ class TruncationTooLow(RuntimeError):
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Common experiment configuration; one flat bag shared by all commands.
+    """Experiment configuration; each command reads the fields that
+    ``SETTINGS_READ`` lists for it.
 
-    ``beta`` switches the sheet model on; ``truncation`` of None picks the
-    per-command default (20 Hermite orders for one-parameter runs, 3 for
-    sheet runs).  Every estimate carries a standard error, so ``samples``
-    must be at least 2.
+    ``beta`` switches ``simulate`` to the sheet model; ``truncation`` of
+    None picks the per-command default (20 Hermite orders for
+    ``exact-vs-chaos``, 3 for ``negativity``).  Every estimate carries a
+    standard error, so ``samples`` must be at least 2.
     """
 
     alpha: float = 0.3
@@ -165,7 +167,6 @@ class RunSettings:
     truncation: int | None = None
     epsilon: float = 1.0
     threads: int = 1
-    debug_corrupt_quadrature: bool = False
 
     def __post_init__(self) -> None:
         if self.grid_n < 1 or self.threads < 1:
@@ -180,8 +181,21 @@ class RunSettings:
         if not all(v is None or math.isfinite(v) for v in reals):
             raise ValueError("real-valued settings must be finite")
 
-    def model_params(self) -> ModelParams:
-        return ModelParams(HurstPair(self.alpha, self.beta), self.a, self.b, self.T)
+
+# The RunSettings fields each command reads; every command reads ``seed``
+# and ``threads`` too.  The CLI offers these as flags and config keys and
+# refuses the rest, and a report echoes these and null for the others.
+SETTINGS_READ = {
+    command: (*read, "seed", "threads")
+    for command, read in {
+        "exact-vs-chaos": ("alpha", "a", "b", "T", "grid_n", "samples", "truncation"),
+        "euler-study": ("a", "T", "samples"),
+        "negativity": ("a", "T", "epsilon", "grid_n", "samples", "truncation"),
+        "girsanov-check": ("alpha", "beta", "T", "epsilon", "grid_n", "samples"),
+        "operator-check": ("alpha", "T"),
+        "simulate": ("alpha", "beta", "T", "grid_n", "samples"),
+    }.items()
+}
 
 
 @dataclass(frozen=True)
@@ -332,10 +346,12 @@ def _report(
     experiment: str, settings: RunSettings, t0: float, metrics, tables, **echo
 ) -> ExperimentReport:
     """Stamp the run's seed on every metric and the wall time since ``t0``;
-    echo the settings with overrides."""
+    echo the settings the command reads, null for the rest, then ``echo``."""
+    read = SETTINGS_READ[experiment]
+    parameters = {k: v if k in read else None for k, v in asdict(settings).items()}
     return ExperimentReport(
         experiment=experiment,
-        parameters={**asdict(settings), **echo},
+        parameters={**parameters, **echo},
         metrics=tuple(replace(m, seed=settings.seed) for m in metrics),
         wall_seconds=time.perf_counter() - t0,
         tables=tables,
@@ -356,10 +372,8 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     solutions on cache-sized row blocks (``_CHAOS_BLOCK_VALUES``); a nan
     anywhere makes the sup-node error nan, so the metric fails.
     """
-    if settings.beta is not None:
-        raise ValueError("exact-vs-chaos is a one-parameter experiment")
     t0 = time.perf_counter()
-    p = settings.model_params()
+    a, b = settings.a, settings.b
     N = 20 if settings.truncation is None else settings.truncation
     grid = build_grid(settings.grid_n, settings.T)
     factor = factor_covariance(settings.alpha, grid)
@@ -375,8 +389,8 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
         sup = 0.0
         for r0 in range(0, count, rows):
             block = values[r0:r0 + rows]
-            chaos = chaos_total_1d(p.a, p.b, settings.alpha, grid.points, block, N)
-            exact = exact_solution_1d(p.a, p.b, settings.alpha, grid.points, block)
+            chaos = chaos_total_1d(a, b, settings.alpha, grid.points, block, N)
+            exact = exact_solution_1d(a, b, settings.alpha, grid.points, block)
             # np.maximum keeps a nan, where max() would drop it
             sup = np.maximum(sup, np.max(np.abs(chaos - exact)))
             terminal[r0:r0 + rows] = exact[:, -1]
@@ -384,9 +398,9 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
 
     parts = _map_chunks(work, settings.samples, settings.threads)
     sup_err = float(np.max([p_[0] for p_ in parts]))
-    mean_T = combine_moments([p_[1] for p_ in parts], settings.seed)
+    mean_T = combine_moments([p_[1] for p_ in parts])
     try:
-        target = math.exp(p.b * p.T)
+        target = math.exp(b * settings.T)
     except OverflowError:  # fails its metric and is written as null
         target = math.inf
 
@@ -423,13 +437,8 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
     scheme's step-major loop reads and writes contiguous rows.
     The convergence verdict per Hurst exponent is err(128) < err(8) / 2;
     the threshold case alpha = 1/2 is reported, not asserted.  The Hurst
-    exponents and step counts are fixed, so the report echoes ``alpha``,
-    ``grid_n``, ``truncation`` and ``epsilon`` as null.
+    exponents and step counts are fixed, and the scheme is driftless.
     """
-    if settings.beta is not None:
-        raise ValueError("euler-study is a one-parameter experiment")
-    if settings.b != 0.0:
-        raise ValueError("the scheme is defined for the driftless equation")
     t0 = time.perf_counter()
     n_fine = _EULER_STEPS[-1]
     T = settings.T
@@ -459,7 +468,7 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
 
         parts = _map_chunks(work, settings.samples, settings.threads)
         errors[alpha] = {
-            n: combine_moments([part[j] for part in parts], settings.seed)
+            n: combine_moments([part[j] for part in parts])
             for j, n in enumerate(_EULER_STEPS)
         }
 
@@ -490,10 +499,7 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
             )
         )
     tables = {"euler_errors": (["alpha", "n_steps", "l2_error", "std_error"], rows)}
-    return _report(
-        "euler-study", settings, t0, metrics, tables,
-        alpha=None, grid_n=None, truncation=None, epsilon=None,
-    )
+    return _report("euler-study", settings, t0, metrics, tables)
 
 
 # ----------------------------------------------------------------------------
@@ -622,7 +628,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
             grid, ["mean", "limit", "in_window"], mean_surface, limit, mask
         )
     }
-    # echo the model that ran, not the --alpha, --beta and --b it ignores
+    # echo the model that ran: the Brownian sheet with drift -a
     return _report(
         "negativity", settings, t0, metrics, tables,
         alpha=0.5, beta=0.5, b=-a, truncation=N, delta=NEGATIVITY_DELTA,
@@ -720,9 +726,9 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
         )
 
     parts = _map_chunks(work, settings.samples, settings.threads)
-    mean_grid = combine_moments([p_[0] for p_ in parts], settings.seed)
-    mean_quad = combine_moments([p_[1] for p_ in parts], settings.seed)
-    mean_shift = combine_moments([p_[2] for p_ in parts], settings.seed)
+    mean_grid = combine_moments([p_[0] for p_ in parts])
+    mean_quad = combine_moments([p_[1] for p_ in parts])
+    mean_shift = combine_moments([p_[2] for p_ in parts])
     sum_d = mean_grid.estimate * settings.samples
     sum_d2 = math.fsum(p_[3] for p_ in parts)
     ess = sum_d * sum_d / sum_d2 if sum_d2 > 0 else 0.0
@@ -761,47 +767,28 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
 # Operator identity suite
 # ----------------------------------------------------------------------------
 
-def _corrupt_indicator_norm(alpha: float, t: float) -> float:
-    # deliberately ungraded rule; misses the endpoint singularity
-    nodes, weights = gauss_legendre_01(8)
-    vals = volterra_kernel(alpha, t, t * nodes) ** 2
-    return float(t * np.sum(weights * vals))
-
-
 def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     """Battery of fractional-operator identities at one Hurst exponent.
 
     Covers the isometry normalisation of the adjoint-kernel map, the
     derivative-after-integral round trip, the slope of the gap integral,
-    and agreement of the two inverse-operator regimes near 1/2.  The
-    ``debug_corrupt_quadrature`` flag swaps in an ungraded quadrature for
-    the norm identity so harness sensitivity can be demonstrated.  Only
-    ``alpha``, ``T``, ``seed`` and that flag are read; the report echoes the
-    other model and sampling settings as null.
+    and agreement of the two inverse-operator regimes near 1/2.
     """
     t0 = time.perf_counter()
     alpha, T = settings.alpha, settings.T
     metrics = []
 
-    if settings.debug_corrupt_quadrature:
-        norm_fn = _corrupt_indicator_norm
-    else:
-        norm_fn = lambda _, t: _norm_or_inf(kstar_indicator_norm_sq, alpha, t, T)
     # relative, so that the gate reads the same at every T; a target
     # t^{2 alpha} that underflows to 0, or a norm and target that both
     # overflow, make the error non-finite, and np.max keeps a nan where a
     # Python max() could drop it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norm_err = float(np.max([
-            abs(np.float64(norm_fn(alpha, t)) / np.float64(t) ** (2.0 * alpha) - 1.0)
+            abs(np.float64(_norm_or_inf(kstar_indicator_norm_sq, alpha, t, T))
+                / np.float64(t) ** (2.0 * alpha) - 1.0)
             for t in (0.5 * T, T)
         ]))
-    metrics.append(
-        _below(
-            "indicator_norm_identity", norm_err, "1e-4", "relative",
-            corrupted=settings.debug_corrupt_quadrature,
-        )
-    )
+    metrics.append(_below("indicator_norm_identity", norm_err, "1e-4", "relative"))
 
     g = build_grid2d(16, 16, 1.0)
     uv = g.s[:, None] * g.t[None, :]
@@ -850,11 +837,7 @@ def cmd_operator_check(settings: RunSettings) -> ExperimentReport:
     )
 
     tables = {"operator_checks": _metric_table(metrics, ["check", "value", "passed"])}
-    return _report(
-        "operator-check", settings, t0, metrics, tables,
-        samples=None, beta=None, a=None, b=None, grid_n=None, epsilon=None,
-        truncation=None,
-    )
+    return _report("operator-check", settings, t0, metrics, tables)
 
 
 # ----------------------------------------------------------------------------
@@ -983,8 +966,8 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
         )
 
     parts = _map_chunks(work, settings.samples, settings.threads)
-    var_corner = combine_moments([p_[0] for p_ in parts], settings.seed)
-    decorr = combine_moments([p_[1] for p_ in parts], settings.seed)
+    var_corner = combine_moments([p_[0] for p_ in parts])
+    decorr = combine_moments([p_[1] for p_ in parts])
     sheet0 = parts[0][2]
     with np.errstate(over="ignore"):  # an overflow fails its metric
         target = float(np.float64(settings.T) ** (2.0 * alpha + 2.0 * beta))

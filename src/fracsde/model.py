@@ -177,21 +177,10 @@ class RngStreamSpec:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Point estimate with its normal-approximation 95% interval."""
+    """Point estimate and its standard error."""
 
     estimate: float
     std_error: float
-    n_replicas: int
-    ci95: tuple[float, float]
-    seed: int
-
-    def __post_init__(self) -> None:
-        # a non-finite estimate or interval is passed on, for its metric to
-        # fail; only a finite one is checked
-        lo, hi = self.ci95
-        finite = all(map(math.isfinite, (lo, self.estimate, hi)))
-        if finite and not (lo <= self.estimate <= hi):
-            raise ValueError("estimate must lie inside its confidence interval")
 
 
 def chunk_moments(samples: np.ndarray) -> tuple[int, float, float]:
@@ -201,7 +190,7 @@ def chunk_moments(samples: np.ndarray) -> tuple[int, float, float]:
     return flat.size, float(mean), float(np.square(flat - mean).sum())
 
 
-def combine_moments(partials: Sequence[tuple], seed: int) -> MonteCarloResult:
+def combine_moments(partials: Sequence[tuple]) -> MonteCarloResult:
     """Fold per-chunk (count, mean, M2) triples into one estimate.
 
     The pairwise update of Chan, Golub & LeVeque (1979) runs in chunk
@@ -216,4 +205,4 @@ def combine_moments(partials: Sequence[tuple], seed: int) -> MonteCarloResult:
         m2 += m2_b + delta * delta * n * nb / total
         n = total
     se = math.sqrt(m2 / (n - 1) / n)
-    return MonteCarloResult(mean, se, n, (mean - 1.96 * se, mean + 1.96 * se), seed)
+    return MonteCarloResult(mean, se)

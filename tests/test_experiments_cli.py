@@ -30,6 +30,8 @@ from fracsde.experiments import (
 )
 from fracsde.chaos import chaos_total_1d, exact_solution_1d, wick_euler_paths
 from fracsde.fields import factor_covariance, sample_fbm_batch, sample_sheet_batch
+from fracsde.quad import gauss_legendre_01
+from fracsde.special import volterra_kernel
 from fracsde.model import (
     HurstPair,
     ModelParams,
@@ -76,7 +78,6 @@ class TestConfigFile:
             "\n"
             "epsilon = 0.25\n"
             "beta = none\n"
-            "debug-corrupt-quadrature = true\n"
         )
         parsed = parse_config_file(cfg)
         assert parsed == {
@@ -84,7 +85,6 @@ class TestConfigFile:
             "grid_n": 32,
             "epsilon": 0.25,
             "beta": None,
-            "debug_corrupt_quadrature": True,
         }
         assert isinstance(parsed["grid_n"], int)
 
@@ -104,7 +104,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 0.7\nsamples = 123\n")
         args = _parser().parse_args(
-            ["operator-check", "--config", str(cfg), "--alpha", "0.25"]
+            ["simulate", "--config", str(cfg), "--alpha", "0.25"]
         )
         settings = build_settings(args)
         assert settings.alpha == 0.25  # flag beats config
@@ -117,13 +117,23 @@ class TestConfigFile:
         args = _parser().parse_args(["simulate", "--config", str(cfg), "--no-beta"])
         assert build_settings(args).beta is None
 
-    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-1", "-.5"])
-    def test_negative_values_parse_in_either_spelling(self, value):
-        # argparse reads "-1" as a value but "-1e-3" as an unknown option
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-1", "-.5",
+                                       "-inf", "-Infinity", "-nan"])
+    def test_negative_values_parse_in_either_spelling(self, value, tmp_path,
+                                                      capsys):
+        # argparse reads "-1" as a value but "-1e-3" and "-inf" as unknown
+        # options; a non-finite value stops in RunSettings either way
         spaced = _parser().parse_args(["exact-vs-chaos", "--b", value])
         joined = _parser().parse_args(["exact-vs-chaos", f"--b={value}"])
-        assert spaced == joined
-        assert spaced.b == float(value)
+        assert repr(spaced) == repr(joined)
+        assert repr(spaced.b) == repr(float(value))
+        if not math.isfinite(float(value)):
+            errors = []
+            for flag in (["--b", value], [f"--b={value}"]):
+                assert main(["exact-vs-chaos", *flag, "--out", str(tmp_path)]) == 2
+                errors.append(capsys.readouterr().err)
+            assert errors[0] == errors[1]
+            assert "error: ValueError: real-valued settings must be finite" in errors[0]
 
     def test_negative_exponent_gives_the_same_report(self, tmp_path):
         reports = []
@@ -149,11 +159,17 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             RunSettings(seed=-1)
 
-    def test_model_params_roundtrip(self):
-        s = RunSettings(alpha=0.3, beta=0.7, a=1.5, b=-0.2, T=2.0)
-        p = s.model_params()
-        assert p.hurst.alpha == 0.3 and p.hurst.beta == 0.7
-        assert (p.a, p.b, p.T) == (1.5, -0.2, 2.0)
+
+
+def _refused(base: list[str], flags: list[list[str]], capsys) -> None:
+    """Each flag, added to ``base``, stops in the parser with exit 2 and an
+    error that names it."""
+    for flag in flags:
+        with pytest.raises(SystemExit) as exit_:
+            main(base + flag)
+        assert exit_.value.code == 2, flag
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err), flag
 
 
 def _strip_wall(payload: dict) -> dict:
@@ -248,43 +264,30 @@ class TestReportShape:
         assert back["passed"] is True
         assert isinstance(back["tables"], list)
 
-    def test_operator_check_echoes_only_what_it_reads(self, tmp_path):
-        # the checks read alpha, T, seed and the debug flag; settings they
-        # ignore must neither change a metric nor be echoed as if used
-        reports = []
-        for tag, extra in (("plain", []), ("ignored", ["--samples", "50", "--a", "3"])):
-            out = tmp_path / tag
-            assert main(["operator-check", "--alpha", "0.25"] + extra + ["--out", str(out)]) == 0
-            reports.append(json.loads((out / "report.json").read_text()))
-        for report in reports:
-            params = report["parameters"]
-            for key in ("samples", "beta", "a", "b", "grid_n", "epsilon", "truncation"):
-                assert params[key] is None, key
-            assert (params["alpha"], params["T"], params["threads"]) == (0.25, 1.0, 1)
-        assert reports[0]["metrics"] == reports[1]["metrics"]
+    def test_operator_check_echoes_only_what_it_reads(self, tmp_path, capsys):
+        # the checks read alpha and T; settings they ignore are refused as
+        # flags and echoed as null
+        base = ["operator-check", "--alpha", "0.25"]
+        assert main(base + ["--out", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "report.json").read_text())["parameters"]
+        for key in ("samples", "beta", "a", "b", "grid_n", "epsilon", "truncation"):
+            assert params[key] is None, key
+        assert (params["alpha"], params["T"], params["threads"]) == (0.25, 1.0, 1)
+        _refused(base, [["--samples", "50"], ["--a", "3"]], capsys)
 
     def test_euler_study_echoes_only_what_it_reads(self, tmp_path, capsys):
-        # the study fixes its Hurst exponents and step counts; settings it
-        # ignores must neither change a metric nor be echoed as if used
+        # the study fixes its Hurst exponents and step counts and is
+        # driftless; settings it ignores are refused as flags and echoed as
+        # null
         base = ["euler-study", "--samples", "200"]
-        reports, codes = [], []
-        for tag, extra in (("plain", []), ("ignored", [
-            "--alpha", "0.9", "--grid-n", "8", "--epsilon", "3", "--truncation", "5",
-        ])):
-            out = tmp_path / tag
-            codes.append(main(base + extra + ["--out", str(out)]))
-            reports.append(json.loads((out / "report.json").read_text()))
-        assert codes[0] in (0, 1) and codes[0] == codes[1]
-        for report in reports:
-            params = report["parameters"]
-            for key in ("alpha", "beta", "grid_n", "epsilon", "truncation"):
-                assert params[key] is None, key
-            assert (params["a"], params["samples"], params["T"]) == (1.0, 200, 1.0)
-        assert reports[0]["metrics"] == reports[1]["metrics"]
-        capsys.readouterr()
-        code = main(base + ["--beta", "0.7", "--out", str(tmp_path / "sheet")])
-        assert code == 2
-        assert "one-parameter experiment" in capsys.readouterr().err
+        assert main(base + ["--out", str(tmp_path)]) in (0, 1)
+        params = json.loads((tmp_path / "report.json").read_text())["parameters"]
+        for key in ("alpha", "beta", "b", "grid_n", "epsilon", "truncation"):
+            assert params[key] is None, key
+        assert (params["a"], params["samples"], params["T"]) == (1.0, 200, 1.0)
+        _refused(base, [["--alpha", "0.9"], ["--grid-n", "8"], ["--epsilon", "3"],
+                        ["--truncation", "5"], ["--beta", "0.7"], ["--b", "0.5"]],
+                 capsys)
 
     def test_verdict_lines_on_stdout(self, tmp_path, capsys):
         code = main([
@@ -297,16 +300,20 @@ class TestReportShape:
 
 
 class TestExitCodes:
-    def test_failing_metric_exits_one(self, tmp_path):
-        code = main([
-            "operator-check", "--alpha", "0.3",
-            "--debug-corrupt-quadrature", "--out", str(tmp_path),
-        ])
+    def test_failing_metric_exits_one(self, tmp_path, monkeypatch):
+        # an ungraded Gauss-Legendre rule misses the kernel's endpoint
+        # singularity, so the norm identity fails
+        def ungraded(alpha, t, T):
+            nodes, weights = gauss_legendre_01(8)
+            return float(t * np.sum(weights * volterra_kernel(alpha, t, t * nodes) ** 2))
+
+        monkeypatch.setattr(experiments, "kstar_indicator_norm_sq", ungraded)
+        code = main(["operator-check", "--alpha", "0.3", "--out", str(tmp_path)])
         assert code == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["passed"] is False
-        failed = [m for m in report["metrics"] if not m["passed"]]
-        assert failed and failed[0]["detail"]["corrupted"] is True
+        failed = [m["name"] for m in report["metrics"] if not m["passed"]]
+        assert failed == ["indicator_norm_identity"]
 
     def test_operator_check_at_alpha_one_tenth_exits_two(self, tmp_path, capsys):
         # the kernel constant is closed-form at every alpha, but the
@@ -346,13 +353,9 @@ class TestExitCodes:
         assert norm["passed"] is (code == 0)
 
     def test_usage_error_exits_two(self, tmp_path, capsys):
-        # drifted Euler scheme is undefined
-        code = main([
-            "euler-study", "--b", "0.5", "--samples", "10",
-            "--out", str(tmp_path),
-        ])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # the Euler scheme is driftless, so the study takes no --b
+        _refused(["euler-study", "--samples", "10", "--out", str(tmp_path)],
+                 [["--b", "0.5"]], capsys)
 
     def test_half_exponent_change_of_measure_exits_two(self, tmp_path, capsys):
         code = main([
@@ -371,7 +374,8 @@ class TestExitCodes:
         assert code == 2
         assert "EmptyRegion" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", sorted({a[0] for a in _SMALL_RUNS}))
+    @pytest.mark.parametrize(
+        "command", sorted({a[0] for a in _SMALL_RUNS} - {"operator-check"}))
     def test_single_sample_exits_two(self, command, tmp_path, capsys):
         # one replica has no standard error; stop before any sampling
         code = main([command, "--samples", "1", "--out", str(tmp_path)])
@@ -588,22 +592,15 @@ class TestNegativitySetup:
         assert len(table[1]) == 9 * 9
         assert any(row[4] for row in table[1])  # some node sits in the window
 
-    def test_echoes_the_model_it_runs(self, tmp_path):
-        # the study runs at Hurst (1/2, 1/2) with drift -a whatever
-        # --alpha, --beta and --b say; the report must say what ran
+    def test_echoes_the_model_it_runs(self, tmp_path, capsys):
+        # the study runs at Hurst (1/2, 1/2) with drift -a, so it takes no
+        # --alpha, --beta or --b; the report must say what ran
         base = ["negativity", "--T", "3", "--grid-n", "8", "--epsilon", "0.05",
                 "--samples", "200"]
-        reports = []
-        for tag, extra in (("plain", []), ("ignored", [
-            "--alpha", "0.7", "--beta", "0.2", "--b", "5",
-        ])):
-            out = tmp_path / tag
-            assert main(base + extra + ["--out", str(out)]) == 0
-            reports.append(json.loads((out / "report.json").read_text()))
-        for report in reports:
-            params = report["parameters"]
-            assert (params["alpha"], params["beta"], params["b"]) == (0.5, 0.5, -1.0)
-        assert reports[0]["metrics"] == reports[1]["metrics"]
+        assert main(base + ["--out", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "report.json").read_text())["parameters"]
+        assert (params["alpha"], params["beta"], params["b"]) == (0.5, 0.5, -1.0)
+        _refused(base, [["--alpha", "0.7"], ["--beta", "0.2"], ["--b", "5"]], capsys)
 
     def test_oversized_grid_is_refused_before_drawing(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -763,13 +760,13 @@ def _line_chunks(settings: RunSettings, alpha: float, n: int):
 def _one_shot_exact_vs_chaos(s: RunSettings) -> list:
     # the chunk work as first written: each chunk sums the chaos and the
     # exact solution over all its paths at once
-    p, t = s.model_params(), build_grid(s.grid_n, s.T).points
+    t = build_grid(s.grid_n, s.T).points
     N = 20 if s.truncation is None else s.truncation
     parts = []
     for _, values in _line_chunks(s, s.alpha, s.grid_n):
         with np.errstate(all="ignore"):
-            chaos = chaos_total_1d(p.a, p.b, s.alpha, t, values, N)
-            exact = exact_solution_1d(p.a, p.b, s.alpha, t, values)
+            chaos = chaos_total_1d(s.a, s.b, s.alpha, t, values, N)
+            exact = exact_solution_1d(s.a, s.b, s.alpha, t, values)
             parts.append((np.max(np.abs(chaos - exact)), chunk_moments(exact[:, -1])))
     return [parts]
 
@@ -1085,36 +1082,38 @@ class TestStatisticalHonesty:
 
     @pytest.mark.parametrize("argv", [
         # the predicted continuum mean overflows; at 1e-200 2 eps^2 is 0
-        ["girsanov-check", "--epsilon", "0.01", *_SHEET],
-        ["girsanov-check", "--epsilon", "1e-200", *_SHEET],
+        ["girsanov-check", "--epsilon", "0.01", *_SHEET, "--samples", "100"],
+        ["girsanov-check", "--epsilon", "1e-200", *_SHEET, "--samples", "100"],
         # non-finite Monte Carlo moments
-        ["girsanov-check", "--T", "1e200", *_SHEET],
-        ["euler-study", "--a", "1e200"],
-        ["simulate", "--T", "1e300", *_SHEET],
+        ["girsanov-check", "--T", "1e200", *_SHEET, "--samples", "100"],
+        ["euler-study", "--a", "1e200", "--samples", "100"],
+        ["simulate", "--T", "1e300", *_SHEET, "--samples", "100"],
         # the grid's powers and the inverse-kernel quadrature overflow
-        ["girsanov-check", "--T", "1e300", *_SHEET],
-        ["euler-study", "--T", "1e300"],
+        ["girsanov-check", "--T", "1e300", *_SHEET, "--samples", "100"],
+        ["euler-study", "--T", "1e300", "--samples", "100"],
         # the product variance overflows, so every standard error is inf
-        ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300"],
+        ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300",
+         "--samples", "100"],
         # the chaos sum overflows, in the calling thread and in the pool's
         # worker threads, which do not inherit an np.errstate
-        ["exact-vs-chaos", "--a", "1e80"],
-        ["exact-vs-chaos", "--a", "1e80", "--threads", "2"],
+        ["exact-vs-chaos", "--a", "1e80", "--samples", "100"],
+        ["exact-vs-chaos", "--a", "1e80", "--threads", "2", "--samples", "100"],
         # the norm identity's target T^{2 alpha} underflows to 0
         ["operator-check", "--alpha", "0.75", "--T", "1e-300"],
         # the norm's quadrature and its target T^{2 alpha} both overflow
         ["operator-check", "--alpha", "0.75", "--T", "1e300"],
         ["operator-check", "--alpha", "0.6", "--T", "1e300"],
         # the terminal mean's target e^{bT} overflows
-        ["exact-vs-chaos", "--b", "800"],
-        ["exact-vs-chaos", "--alpha", "0.7", "--a", "1", "--b", "0.5", "--T", "1e8"],
+        ["exact-vs-chaos", "--b", "800", "--samples", "100"],
+        ["exact-vs-chaos", "--alpha", "0.7", "--a", "1", "--b", "0.5", "--T", "1e8",
+         "--samples", "100"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
             "girsanovT1e300", "eulerT1e300", "simulateLine", "chaos",
             "chaosThreads2", "operatorT1e-300", "operatorT1e300",
             "operatorAlpha0.6T1e300", "chaosB800", "chaosT1e8"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
                                                           capsys, recwarn):
-        code = main(argv + ["--samples", "100", "--out", str(tmp_path)])
+        code = main(argv + ["--out", str(tmp_path)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -1130,7 +1129,7 @@ class TestStatisticalHonesty:
         assert any(m["value"] is None or m["target"] is None for m in failed)
 
     def test_non_finite_setting_exits_two(self, tmp_path, capsys):
-        code = main(["operator-check", "--a", "inf", "--out", str(tmp_path)])
+        code = main(["exact-vs-chaos", "--a", "inf", "--out", str(tmp_path)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
