@@ -838,6 +838,28 @@ class TestLineChunkBuffers:
             sup = {m.name: m for m in report.metrics}["sup_node_error"].value
             assert sup == max(part[0] for part in want[0])
 
+    @pytest.mark.parametrize("name, model, nodes", [
+        ("euler-study", dict(a=0.25), 129),
+        ("simulate", dict(alpha=0.25, grid_n=64), 65),
+    ], ids=["euler-study", "simulate"])
+    def test_noise_shares_an_array_with_the_outputs(self, name, model, nodes):
+        # one 4096-replica chunk holds two arrays of `nodes` values a
+        # replica: the noise is dead before the scheme's trajectories (or
+        # the squares) are written, so it lives in their array.  A third
+        # chunk-sized array breaks the bound; the slack of half an array
+        # covers the moments and the report's tables
+        command = self.COMMANDS[name][0]
+        settings = RunSettings(samples=4096, **model)
+        command(replace(settings, samples=10))  # imports and caches
+        tracemalloc.start()
+        try:
+            command(settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = 4096 * nodes * 8
+        assert peak < 2.5 * array, (peak / 1e6, array / 1e6)
+
     def test_non_finite_chunks_are_written_as_null(self, monkeypatch, tmp_path):
         # at a = 1e80 every chunk's error is nan; a Python max() over row
         # blocks would drop it
@@ -1091,6 +1113,11 @@ class TestStatisticalHonesty:
         # the grid's powers and the inverse-kernel quadrature overflow
         ["girsanov-check", "--T", "1e300", *_SHEET, "--samples", "100"],
         ["euler-study", "--T", "1e300", "--samples", "100"],
+        # the coarse inverse-kernel norm underflows to 0, so the refinement
+        # ratio has no denominator
+        ["girsanov-check", "--T", "1e-300", *_SHEET, "--samples", "100"],
+        # every Euler error underflows to 0: the verdicts have no signal
+        ["euler-study", "--T", "1e-100", "--samples", "100"],
         # the product variance overflows, so every standard error is inf
         ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300",
          "--samples", "100"],
@@ -1108,7 +1135,8 @@ class TestStatisticalHonesty:
         ["exact-vs-chaos", "--alpha", "0.7", "--a", "1", "--b", "0.5", "--T", "1e8",
          "--samples", "100"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
-            "girsanovT1e300", "eulerT1e300", "simulateLine", "chaos",
+            "girsanovT1e300", "eulerT1e300", "girsanovT1e-300", "eulerT1e-100",
+            "simulateLine", "chaos",
             "chaosThreads2", "operatorT1e-300", "operatorT1e300",
             "operatorAlpha0.6T1e300", "chaosB800", "chaosT1e8"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,
@@ -1127,6 +1155,27 @@ class TestStatisticalHonesty:
         assert report["passed"] is False
         failed = [m for m in report["metrics"] if not m["passed"]]
         assert any(m["value"] is None or m["target"] is None for m in failed)
+
+    @pytest.mark.parametrize("flags", [["--T", "1e-100"], ["--a", "1e200"]],
+                             ids=["underflow", "overflow"])
+    def test_euler_errors_without_signal_fail_both_verdicts(self, flags, tmp_path):
+        # at T = 1e-100 every error is exactly 0, where "0 >= 0 / 2" would
+        # pass alpha 0.3; at a = 1e200 every error overflows
+        code = main(["euler-study", *flags, "--samples", "100", "--out", str(tmp_path)])
+        assert code == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        metrics = {m["name"]: m for m in report["metrics"]}
+        assert {m["detail"]["verdict"] for m in metrics.values()} == {"NO-SIGNAL"}
+        for alpha in ("0.3", "0.7"):
+            assert metrics[f"euler_alpha_{alpha}"]["value"] is None
+            assert metrics[f"euler_alpha_{alpha}"]["passed"] is False
+
+    def test_euler_verdicts_name_the_trend(self):
+        report = experiments.cmd_euler_study(RunSettings(a=0.25, samples=2000))
+        verdicts = {m.name: m.detail["verdict"] for m in report.metrics}
+        assert verdicts["euler_alpha_0.3"] == "DOES-NOT-CONVERGE"
+        assert verdicts["euler_alpha_0.7"] == "CONVERGES"
+        assert report.passed
 
     def test_non_finite_setting_exits_two(self, tmp_path, capsys):
         code = main(["exact-vs-chaos", "--a", "inf", "--out", str(tmp_path)])
