@@ -2,7 +2,8 @@
 
 Modules
 -------
-``model``        parameter and grid dataclasses, seeded stream plumbing
+``model``        grid dataclasses (the grid carries the horizon T), seeded
+                 stream plumbing, chunked Monte Carlo moments
 ``special``      the squared-factorial series h0 in Bessel form, Hermite
                  batteries, square-root Volterra kernels and their
                  closed-form constant
@@ -15,7 +16,8 @@ Modules
 ``chaos``        chaos-expansion solvers (the Hermite sum on paths, the
                  Brownian-sheet chain recursion over noise blocks),
                  Wick-corrected Euler scheme, the closed-form
-                 deterministic sheet profile
+                 deterministic sheet profile; each takes the scalars
+                 it reads (a, b, alpha) and a grid
 ``experiments``  reproducible Monte Carlo studies behind the CLI
 
 The slow independent routes that the tests compare against (the tensor
@@ -24,8 +26,6 @@ iteration, nested-quadrature norms) live in ``tests/oracles.py``.
 """
 from .model import (
     Grid2D,
-    HurstPair,
-    ModelParams,
     MonteCarloResult,
     RngStreamSpec,
     TimeGrid,

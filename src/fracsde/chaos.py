@@ -7,9 +7,10 @@ cells coincide with the sheet increments and the solution kernel is
 supported on chains of points, so each chaos order is one recursion over
 grid cells that extends a chain by one cell per order: by prefix sums when
 the drift vanishes, and otherwise through triangular kernels applied one
-pair of t-tiles at a time.
-Other Hurst pairs are refused; the tests keep a tensor evaluator of
-discrete multiple integrals for any pair as their oracle.
+pair of t-tiles at a time.  The sheet solvers run this pair alone and take
+no Hurst exponent; the tests keep a tensor evaluator of discrete multiple
+integrals for any pair as their oracle.  Every solver takes the scalars it
+reads and a grid, the only carrier of the horizon T.
 
 The Wick-corrected Euler scheme and the closed-form deterministic sheet
 profile close the loop for the convergence and negativity studies.
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import Grid2D, ModelParams, TimeGrid
+from .model import Grid2D, TimeGrid
 from .special import h0, h0_array
 
 __all__ = [
@@ -230,25 +231,24 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
 # ----------------------------------------------------------------------------
 
 def wick_euler_paths(
-    p: ModelParams, grid: TimeGrid, values: np.ndarray, out: np.ndarray | None = None
+    a: float, alpha: float, grid: TimeGrid, values: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scheme trajectories for an array of sampled paths (..., n_steps+1).
 
+    The scheme is stated for the driftless equation, so it takes no drift.
     The correction bracket t_{k+1}^{2a} - t_k^{2a} - dt^{2a} vanishes at
     k = 0, so the first step is plain Euler for every alpha and grid.  The
     scheme runs step-major, one row of paths per step; rows are contiguous
     when ``values`` (and ``out``, which receives the trajectories if given,
     in the shape of ``values``) are transposes of node-major arrays.
     """
-    if p.b != 0.0:
-        raise ValueError("scheme is stated for the driftless equation")
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (grid.n_steps + 1,):
         raise ValueError(
             f"paths of shape {values.shape} do not end in the grid's "
             f"{grid.n_steps + 1} nodes"
         )
-    alpha, a = p.hurst.alpha, p.a
     t = grid.points
     # float64 powers: on a grid past the double range the bracket reads
     # inf or nan and the paths follow, where a float power would raise
@@ -276,25 +276,21 @@ def wick_euler_paths(
 # Per-order kernel norms
 # ----------------------------------------------------------------------------
 
-def chaos_norm_decay(p: ModelParams, N: int) -> np.ndarray:
+def chaos_norm_decay(a: float, alpha: float, T: float, N: int) -> np.ndarray:
     """Discrete L2 norms of the white-noise images of the solution kernels.
 
-    The symmetrised order-n kernel is constant a^n / (n+1)! on the cube
-    when b = 0, so its pushed norm factorises into per-axis norms of the
-    transferred indicator; each axis contributes the square root of
-    int_0^T K(T, s)^2 ds = T^{2 alpha}.  A nonzero drift enters through the
-    t-slot factor e^{bt}, estimated here by its sup envelope (exact at
-    b = 0).  Entry n of the result is the order-n norm.
+    The one-parameter, driftless equation at horizon T: the symmetrised
+    order-n kernel is constant a^n / (n+1)! on the cube, so its pushed norm
+    factorises into per-axis norms of the transferred indicator; each axis
+    contributes the square root of int_0^T K(T, s)^2 ds = T^{2 alpha}.
+    Entry n of the result is the order-n norm.
     """
-    if p.hurst.is_sheet:
-        raise ValueError("norm decay is defined for the one-parameter model")
     if N < 0:
         raise ValueError("truncation must be >= 0")
-    Q = p.T ** (2.0 * p.hurst.alpha)
-    drift = 1.0 if p.b == 0.0 else max(1.0, math.exp(p.b * p.T))
+    Q = T ** (2.0 * alpha)
     out = np.empty(N + 1)
     for n in range(N + 1):
-        out[n] = abs(p.a) ** n / math.factorial(n + 1) * Q ** ((n + 1) / 2.0) * drift
+        out[n] = abs(a) ** n / math.factorial(n + 1) * Q ** ((n + 1) / 2.0)
     return out
 
 
@@ -494,26 +490,18 @@ def _chain_levels(
         yield L
 
 
-def check_sheet_solve(p: ModelParams, grid: Grid2D, N: int) -> None:
-    """Validate a sheet solve before any noise is drawn or read.
+def check_sheet_solve(b: float, grid: Grid2D, N: int) -> None:
+    """Validate a sheet solve with drift ``b`` before any noise is drawn or read.
 
-    The solvers run the chain recursion, which holds at Hurst (1/2, 1/2)
-    only; any other pair is refused.  With drift, grids above
+    A negative order is refused.  With drift, grids above
     ``_MAX_CHAIN_CELLS`` cells are refused too: the tile array of both
     chain kernels (``_chain_kernels``) holds about n_s^2 n_t bt values,
     and a grid of one tile about cells^2.  Without drift the chain kernels
-    are prefix sums, so any grid is taken; any order is.
+    are prefix sums, so any grid is taken.
     """
-    if not p.hurst.is_sheet:
-        raise ValueError("sheet solver needs a Hurst pair with beta")
     if N < 0:
         raise ValueError("truncation must be >= 0")
-    if p.hurst.alpha != 0.5 or p.hurst.beta != 0.5:
-        raise ValueError(
-            f"sheet solver runs the Brownian sheet, Hurst (0.5, 0.5), not "
-            f"({p.hurst.alpha}, {p.hurst.beta})"
-        )
-    if p.b != 0.0:
+    if b != 0.0:
         cells = grid.n_s * grid.n_t
         if cells > _MAX_CHAIN_CELLS:
             raise ValueError(
@@ -530,27 +518,28 @@ def _check_noise(grid: Grid2D, noise: np.ndarray) -> None:
 
 
 def solve_sheet_chaos_batch(
-    p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int
 ) -> np.ndarray:
     """Per-order sheet solution for a batch of noise draws (R, n_s, n_t).
 
-    Returns (N+1, R, n_s+1, n_t+1).  At Hurst (1/2, 1/2) the white-noise
-    cells coincide with the sheet increments and the chain recursion
-    applies; each order is its chain weights read out onto the nodes.
-    Other Hurst pairs are refused (``check_sheet_solve``).
+    Returns (N+1, R, n_s+1, n_t+1) for noise coefficient ``a`` and drift
+    ``b`` on the Brownian sheet: its white-noise cells coincide with the
+    sheet increments, so the chain recursion applies, and each order is
+    its chain weights read out onto the nodes.  ``check_sheet_solve``
+    runs first.
     """
-    check_sheet_solve(p, grid, N)
+    check_sheet_solve(b, grid, N)
     _check_noise(grid, noise)
     orders = np.zeros((N + 1, noise.shape[0], grid.n_s + 1, grid.n_t + 1))
-    orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
-    bt, step, readout = _chain_apply(p.b, grid)
-    for n, level in enumerate(_chain_levels(p.a, p.b, grid, noise, N, bt, step), start=1):
+    orders[0] = h0_array(b * np.multiply.outer(grid.s, grid.t))
+    bt, step, readout = _chain_apply(b, grid)
+    for n, level in enumerate(_chain_levels(a, b, grid, noise, N, bt, step), start=1):
         # the readout runs in place, and the recursion still needs the level
         _untile(readout(level.copy()), orders[n][:, 1:, 1:])
     return orders
 
 
-def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int):
+def solve_sheet_chaos_total_blocks(a: float, b: float, grid: Grid2D, blocks, N: int):
     """Yield ``(r0, total)``: the summed orders 0..N for each block of noise.
 
     ``blocks`` yields ``(r0, z)``: ``z`` (R, n_s, n_t) holds replicas
@@ -565,13 +554,13 @@ def solve_sheet_chaos_total_blocks(p: ModelParams, grid: Grid2D, blocks, N: int)
     noise is read tile by tile from ``z``, and the readout is added into
     ``total`` once.
     """
-    check_sheet_solve(p, grid, N)
-    bt, step, readout = _chain_apply(p.b, grid)
-    base = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
+    check_sheet_solve(b, grid, N)
+    bt, step, readout = _chain_apply(b, grid)
+    base = h0_array(b * np.multiply.outer(grid.s, grid.t))
     for r0, z in blocks:
         _check_noise(grid, z)
         S = np.zeros((-(-grid.n_t // bt), len(z), grid.n_s, bt))
-        for level in _chain_levels(p.a, p.b, grid, z, N, bt, step):
+        for level in _chain_levels(a, b, grid, z, N, bt, step):
             S += level
             del level  # so the recursion's buffer is freed before the readout
         S = readout(S)

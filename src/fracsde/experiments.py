@@ -42,8 +42,6 @@ from .fields import (
 )
 from .model import (
     Grid2D,
-    HurstPair,
-    ModelParams,
     MonteCarloResult,
     RngStreamSpec,
     build_grid,
@@ -446,16 +444,15 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     n_fine = _EULER_STEPS[-1]
-    T = settings.T
+    a, T = settings.a, settings.T
     fine = build_grid(n_fine, T)
     errors: dict[float, dict[int, MonteCarloResult]] = {}
     buffers = _ChunkBuffers(n_fine + 1, n_fine + 1)
 
     for alpha in _EULER_ALPHAS:
-        p = ModelParams(HurstPair(alpha), settings.a, 0.0, T)
         factor = factor_covariance(alpha, fine)
 
-        def work(idx: int, count: int, p=p, factor=factor):
+        def work(idx: int, count: int, alpha=alpha, factor=factor):
             # node-major: the scheme's step-major loop reads contiguous rows.
             # The noise is dead once sampled into the nodes, before the
             # scheme first writes its trajectories, so the two share an array
@@ -463,11 +460,12 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
             z = buffers.view(1, (count, n_fine))
             values = nodes.T
             sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
-            limit = exact_solution_1d(p.a, 0.0, p.hurst.alpha, T, values[:, -1])
+            limit = exact_solution_1d(a, 0.0, alpha, T, values[:, -1])
             out = []
             for n in _EULER_STEPS:
                 x_hat = wick_euler_paths(
-                    p, build_grid(n, T), values[:, :: n_fine // n], out=paths[:n + 1].T
+                    a, alpha, build_grid(n, T), values[:, :: n_fine // n],
+                    out=paths[:n + 1].T,
                 )[:, -1]
                 out.append(chunk_moments((x_hat - limit) ** 2))
             return out
@@ -542,15 +540,14 @@ def _check_truncation(noise: float, T: float, truncation: int) -> float:
     """Tail share of the order-(N+1) chaos norm; raise when above 10%.
 
     The share is ``norm(N+1) / sum of norms(0..N+1)`` of a proxy: the
-    one-parameter, driftless model HurstPair(0.5) with noise coefficient
-    ``noise``, at t = T (``chaos_norm_decay``), not the sheet equation with
-    its drift.  ROADMAP item 4 measured that this proxy understates the
-    sheet's exact norm tail by 21-76x (grid 16, T = 3, epsilon 0.05 to
-    0.5), so the 10% threshold is looser than it reads.
+    one-parameter, driftless equation at Hurst exponent 1/2 with noise
+    coefficient ``noise``, at t = T (``chaos_norm_decay``), not the sheet
+    equation with its drift.  ROADMAP item 4 measured that this proxy
+    understates the sheet's exact norm tail by 21-76x (grid 16, T = 3,
+    epsilon 0.05 to 0.5), so the 10% threshold is looser than it reads.
     """
-    proxy = ModelParams(HurstPair(0.5), noise, 0.0, T)
     try:
-        norms = chaos_norm_decay(proxy, truncation + 1)
+        norms = chaos_norm_decay(noise, 0.5, T, truncation + 1)
         tail = norms[-1] / math.fsum(norms)
     except OverflowError:  # a norm past the double range: no small tail
         tail = math.inf
@@ -582,16 +579,16 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     N = 3 if settings.truncation is None else settings.truncation
     grid = build_grid2d(settings.grid_n, settings.grid_n, T)
     mask = negativity_mask(grid, a, NEGATIVITY_DELTA)
-    tail = _check_truncation(a * settings.epsilon, T, N)
+    noise = a * settings.epsilon
+    tail = _check_truncation(noise, T, N)
     limit = deterministic_sheet_solution(-a, grid.s[:, None], grid.t[None, :])
     margin = float((-NEGATIVITY_DELTA - limit[mask]).min())
-    p = ModelParams(HurstPair(0.5, 0.5), a * settings.epsilon, -a, T)
-    check_sheet_solve(p, grid, N)  # refuse an oversized grid before drawing
+    check_sheet_solve(-a, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
         blocks = _noise_blocks(settings.seed, idx, count, grid.n_s, _CHAIN_BLOCK_VALUES)
         all_neg, surface = 0, np.zeros(limit.shape)
-        for _, total in solve_sheet_chaos_total_blocks(p, grid, blocks, N):
+        for _, total in solve_sheet_chaos_total_blocks(noise, -a, grid, blocks, N):
             all_neg += int(np.all(total[:, mask] < 0.0, axis=1).sum())
             # a running sum in replica order: the bits of the chunk's
             # total.sum(axis=0), whatever the block size
@@ -903,7 +900,9 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
     with np.errstate(invalid="ignore", divide="ignore"):
         se = np.sqrt(np.maximum(sq - cross**2, 0.0) / (n - 1))
         z = np.abs(cross - exact) / se
-    z[se == 0.0] = 0.0
+    # a pair with no spread scores 0 only where it matches exactly (the
+    # t = 0 pairs); a gap hidden by an underflowed spread reads inf
+    z[(se == 0.0) & (cross == exact)] = 0.0
     # an overflowing variance makes every z-score read 0: no verdict
     max_z = float(np.nanmax(z)) if np.all(np.isfinite(se)) else math.nan
     # the t(n-1) quantile whose upper tail is the normal tail beyond 5

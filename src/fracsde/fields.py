@@ -59,7 +59,6 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
 class CovarianceFactor:
     """Lower Cholesky factor of the exact fBm covariance on grid.points[1:]."""
 
-    alpha: float
     grid: TimeGrid
     lower_triangular: np.ndarray
 
@@ -85,7 +84,7 @@ def _cholesky_guarded(alpha: float, t: np.ndarray) -> np.ndarray:
 def factor_covariance(alpha: float, grid: TimeGrid) -> CovarianceFactor:
     """Factor the exact covariance on the positive grid points."""
     L = _cholesky_guarded(alpha, grid.points[1:])
-    return CovarianceFactor(alpha=alpha, grid=grid, lower_triangular=L)
+    return CovarianceFactor(grid=grid, lower_triangular=L)
 
 
 def sample_fbm_batch(

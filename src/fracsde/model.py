@@ -1,8 +1,9 @@
-"""Core model objects: parameter containers, grids, RNG streams, Monte Carlo results.
+"""Core model objects: grids, RNG streams, Monte Carlo results.
 
 Everything downstream (samplers, operators, chaos solvers, experiments) builds on
-the types defined here.  Validation happens at construction time so invalid
-parameter combinations fail loudly and early.
+the types defined here.  The grid builders validate at construction time, so a
+bad horizon or step count fails loudly and early; the grid is the only carrier
+of the horizon T.
 """
 from __future__ import annotations
 
@@ -15,11 +16,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 __all__ = [
-    "HurstOutOfRange",
     "NonPositiveHorizon",
     "InvalidGrid",
-    "HurstPair",
-    "ModelParams",
     "TimeGrid",
     "Grid2D",
     "RngStreamSpec",
@@ -31,60 +29,12 @@ __all__ = [
 ]
 
 
-class HurstOutOfRange(ValueError):
-    """Hurst exponent outside the open interval (0, 1)."""
-
-
 class NonPositiveHorizon(ValueError):
     """Time horizon must be strictly positive."""
 
 
 class InvalidGrid(ValueError):
     """Grid resolution must be a positive integer step count."""
-
-
-@dataclass(frozen=True)
-class HurstPair:
-    """Hurst exponents of the driving noise.
-
-    ``beta is None`` selects the one-parameter process (fractional Brownian
-    motion); otherwise the pair describes a fractional Brownian sheet with
-    exponent ``alpha`` in the first coordinate and ``beta`` in the second.
-    """
-
-    alpha: float
-    beta: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise HurstOutOfRange(f"alpha={self.alpha} not in (0, 1)")
-        if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise HurstOutOfRange(f"beta={self.beta} not in (0, 1)")
-
-    @property
-    def is_sheet(self) -> bool:
-        return self.beta is not None
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Coefficients of the linear equation dX = b X dt + a X dB (Skorohod sense).
-
-    ``a`` multiplies the noise, ``b`` the drift, ``T`` is the horizon.
-    """
-
-    hurst: HurstPair
-    a: float
-    b: float
-    T: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "T"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name}={v} must be finite")
-        if self.T <= 0.0:
-            raise NonPositiveHorizon(f"T={self.T} must be > 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,8 +31,6 @@ import numpy as np
 
 from fracsde.model import (
     Grid2D,
-    HurstPair,
-    ModelParams,
     RngStreamSpec,
     TimeGrid,
     build_grid,
@@ -288,33 +286,38 @@ def _axis_transfer(alpha: float, n_cells: int, T: float) -> np.ndarray:
 
 
 def pushed_kernel_tensor(
-    kernel: Callable, n: int, grid: Union[TimeGrid, Grid2D], regime: HurstPair
+    kernel: Callable,
+    n: int,
+    grid: Union[TimeGrid, Grid2D],
+    alpha: float,
+    beta: float | None = None,
 ) -> np.ndarray:
     """Kernel sampled at cell centers and pushed to white-noise coordinates.
 
     ``kernel`` receives an array of n cell centers: shape (n,) on a time
     grid, (n, 2) on a product grid.  Each tensor axis is contracted with the
     per-axis increment transfer matrix (tensorized across coordinates for
-    the sheet), yielding the coefficient array g against which the retained
+    the sheet, with Hurst exponent ``alpha`` along s and ``beta`` along t),
+    yielding the coefficient array g against which the retained
     standard-normal noise integrates.
     """
     if n < 1:
         raise ValueError("tensor route needs order >= 1")
     if isinstance(grid, Grid2D):
-        if regime.beta is None:
-            raise ValueError("sheet grid needs a Hurst pair with beta")
+        if beta is None:
+            raise ValueError("sheet grid needs a beta")
         sc, tc = grid.cell_centers()
         centers = np.column_stack(
             [np.repeat(sc, grid.n_t), np.tile(tc, grid.n_s)]
         )
         M = np.kron(
-            _axis_transfer(regime.alpha, grid.n_s, grid.T),
-            _axis_transfer(regime.beta, grid.n_t, grid.T),
+            _axis_transfer(alpha, grid.n_s, grid.T),
+            _axis_transfer(beta, grid.n_t, grid.T),
         )
     else:
         t = grid.points
         centers = (t[:-1] + t[1:]) / 2.0
-        M = _axis_transfer(regime.alpha, grid.n_steps, grid.T)
+        M = _axis_transfer(alpha, grid.n_steps, grid.T)
     m = centers.shape[0]
     if m**n > _MAX_TENSOR_ENTRIES:
         raise ValueError(
@@ -330,22 +333,24 @@ def pushed_kernel_tensor(
 
 
 def _sheet_orders_generic(
-    p: ModelParams, grid: Grid2D, noise: np.ndarray, N: int
+    a: float, b: float, grid: Grid2D, noise: np.ndarray, N: int
 ) -> np.ndarray:
-    """Transfer-matrix route for arbitrary Hurst pairs; small grids only."""
+    """Transfer-matrix route at the sheet solvers' Hurst pair (1/2, 1/2),
+    the signature of ``solve_sheet_chaos_batch``; small grids only."""
     R = noise.shape[0]
     xi = noise.reshape(R, -1)
     orders = np.zeros((N + 1, R, grid.n_s + 1, grid.n_t + 1))
-    orders[0] = h0_array(p.b * np.multiply.outer(grid.s, grid.t))
+    orders[0] = h0_array(b * np.multiply.outer(grid.s, grid.t))
     for n in range(1, N + 1):
         for i in range(1, grid.n_s + 1):
             for j in range(1, grid.n_t + 1):
                 z = (grid.s[i], grid.t[j])
                 g = pushed_kernel_tensor(
-                    lambda pts: kernel_sheet_eval(n, p.a, p.b, z, pts),
+                    lambda pts: kernel_sheet_eval(n, a, b, z, pts),
                     n,
                     grid,
-                    p.hurst,
+                    0.5,
+                    0.5,
                 )
                 orders[n][:, i, j] = offdiagonal_contraction(g, xi)
     return orders

@@ -23,13 +23,7 @@ from fracsde.chaos import (
     _CHAOS_BLOCK_VALUES,
 )
 from fracsde.fields import factor_covariance, sample_fbm_batch
-from fracsde.model import (
-    HurstPair,
-    ModelParams,
-    RngStreamSpec,
-    build_grid,
-    build_grid2d,
-)
+from fracsde.model import RngStreamSpec, build_grid, build_grid2d
 from fracsde.special import h0, h0_array, hermite_all
 from oracles import (
     _sheet_orders_generic,
@@ -41,9 +35,9 @@ from oracles import (
 )
 
 
-def _summed_orders(p, g, noise, N):
+def _summed_orders(a, b, g, noise, N):
     """The blocks solver fed the whole batch as one block: (R, n_s+1, n_t+1)."""
-    ((_, total),) = solve_sheet_chaos_total_blocks(p, g, [(0, noise)], N)
+    ((_, total),) = solve_sheet_chaos_total_blocks(a, b, g, [(0, noise)], N)
     return total
 
 
@@ -285,9 +279,9 @@ class TestChaosTotal1D:
         assert peak < 2 * total.nbytes
 
 
-def _euler_columns(p, grid, values):
+def _euler_columns(a, alpha, grid, values):
     # the scheme column by column, as first written: the bitwise oracle
-    alpha, a, t = p.hurst.alpha, p.a, grid.points
+    t = grid.points
     c = t[1:] ** (2.0 * alpha) - t[:-1] ** (2.0 * alpha) - grid.dt ** (2.0 * alpha)
     dB = np.diff(values, axis=-1)
     X = np.empty_like(values)
@@ -301,46 +295,42 @@ class TestWickEuler:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_matches_column_oracle_on_strided_subgrids(self, alpha):
         # euler-study reads every (128/n)-th node of paths on the finest grid
-        p = ModelParams(HurstPair(alpha), a=1.2, b=0.0, T=1.0)
         values = np.random.default_rng(11).standard_normal((300, 129)).cumsum(axis=1)
         before = values.copy()
         for n in (8, 16, 32, 64, 128):
             g = build_grid(n, 1.0)
             sub = values[:, :: 128 // n]
-            X = wick_euler_paths(p, g, sub)
+            X = wick_euler_paths(1.2, alpha, g, sub)
             assert X.shape == sub.shape
-            np.testing.assert_array_equal(X, _euler_columns(p, g, sub))
+            np.testing.assert_array_equal(X, _euler_columns(1.2, alpha, g, sub))
         np.testing.assert_array_equal(values, before)
 
     def test_matches_column_oracle_in_one_and_three_dimensions(self):
-        p = ModelParams(HurstPair(0.7), a=0.9, b=0.0, T=2.0)
         g = build_grid(16, 2.0)
         rng = np.random.default_rng(12)
         for shape in ((17,), (3, 5, 17)):
             values = rng.standard_normal(shape).cumsum(axis=-1)
             before = values.copy()
-            X = wick_euler_paths(p, g, values)
+            X = wick_euler_paths(0.9, 0.7, g, values)
             assert X.shape == shape
-            np.testing.assert_array_equal(X, _euler_columns(p, g, values))
+            np.testing.assert_array_equal(X, _euler_columns(0.9, 0.7, g, values))
             np.testing.assert_array_equal(values, before)
 
     def test_path_length_must_match_grid(self):
         # too long would leave unwritten entries, too short would index past
         # the end; both are refused by name
-        p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
         g = build_grid(4, 1.0)
         for n_nodes in (9, 3):
             with pytest.raises(ValueError, match="5 nodes"):
-                wick_euler_paths(p, g, np.zeros((2, n_nodes)))
+                wick_euler_paths(1.0, 0.3, g, np.zeros((2, n_nodes)))
         with pytest.raises(ValueError, match="5 nodes"):
-            wick_euler_paths(p, g, np.float64(0.0))
+            wick_euler_paths(1.0, 0.3, g, np.float64(0.0))
 
     def test_first_step_is_plain_euler(self):
         # the correction bracket vanishes at k = 0 exactly
         g = build_grid(4, 1.0)
-        p = ModelParams(HurstPair(0.7), a=1.3, b=0.0, T=1.0)
         values = np.array([0.0, 0.4, 0.1, -0.2, 0.3])
-        X = wick_euler_paths(p, g, values)
+        X = wick_euler_paths(1.3, 0.7, g, values)
         assert X[1] == 1.0 + 1.3 * 0.4
 
     def test_hand_rolled_recursion(self):
@@ -351,8 +341,7 @@ class TestWickEuler:
         c1 = 0.5**1.4 - 2.0 * 0.25**1.4
         assert c1 == pytest.approx(0.0917546, abs=1e-6)
         values = np.array([0.0, 0.2, 0.5, 0.4, 0.8])
-        p = ModelParams(HurstPair(alpha), a=a, b=0.0, T=1.0)
-        X = wick_euler_paths(p, g, values)
+        X = wick_euler_paths(a, alpha, g, values)
         x1 = 1.0 + a * 0.2
         x2 = x1 * (1.0 + a * 0.3 - 0.5 * a * a * c1)
         assert X[2] == pytest.approx(x2, rel=1e-13)
@@ -360,49 +349,42 @@ class TestWickEuler:
     def test_brownian_case_has_no_correction(self):
         # at alpha = 1/2 the bracket is identically zero
         g = build_grid(8, 1.0)
-        p = ModelParams(HurstPair(0.5), a=1.1, b=0.0, T=1.0)
         values = np.concatenate([[0.0], np.cumsum(np.full(8, 0.1))])
-        X = wick_euler_paths(p, g, values)
+        X = wick_euler_paths(1.1, 0.5, g, values)
         plain = np.cumprod(np.concatenate([[1.0], 1.0 + 1.1 * np.diff(values)]))
         np.testing.assert_allclose(X, plain, rtol=1e-13)
 
     def test_batched_paths(self):
         g = build_grid(8, 1.0)
-        p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
         fac = factor_covariance(0.3, g)
         (path,), _ = sample_fbm_batch(fac, 1, RngStreamSpec(5))
-        single = wick_euler_paths(p, g, path)
-        batch = wick_euler_paths(p, g, np.stack([path, 2.0 * path]))
+        single = wick_euler_paths(1.0, 0.3, g, path)
+        batch = wick_euler_paths(1.0, 0.3, g, np.stack([path, 2.0 * path]))
         np.testing.assert_allclose(batch[0], single, rtol=1e-14)
-
-    def test_drift_rejected(self):
-        p = ModelParams(HurstPair(0.3), a=1.0, b=0.5, T=1.0)
-        with pytest.raises(ValueError):
-            wick_euler_paths(p, build_grid(4, 1.0), np.zeros(5))
 
     def test_writes_into_a_node_major_out(self):
         # euler-study's layout: paths and trajectories are transposes of
         # (nodes, paths) arrays, and coarse grids read strided node rows
-        p = ModelParams(HurstPair(0.7), a=1.2, b=0.0, T=1.0)
         nodes = np.random.default_rng(13).standard_normal((129, 300)).cumsum(axis=0)
         paths = np.full((129, 300), np.nan)
         for n in (8, 128):
             g = build_grid(n, 1.0)
             sub = nodes.T[:, :: 128 // n]
             out = paths[:n + 1].T
-            X = wick_euler_paths(p, g, sub, out=out)
+            X = wick_euler_paths(1.2, 0.7, g, sub, out=out)
             assert X is out
-            np.testing.assert_array_equal(X, _euler_columns(p, g, sub))
+            np.testing.assert_array_equal(X, _euler_columns(1.2, 0.7, g, sub))
         with pytest.raises(ValueError, match="out of shape"):
-            wick_euler_paths(p, build_grid(8, 1.0), nodes.T[:, ::16], out=paths[:8].T)
+            wick_euler_paths(
+                1.2, 0.7, build_grid(8, 1.0), nodes.T[:, ::16], out=paths[:8].T
+            )
 
     def test_grid_mismatch_rejected(self):
-        p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
         values, _ = sample_fbm_batch(
             factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(1)
         )
         with pytest.raises(ValueError, match="do not end in the grid"):
-            wick_euler_paths(p, build_grid(4, 1.0), values)
+            wick_euler_paths(1.0, 0.3, build_grid(4, 1.0), values)
 
 
 class TestDiscreteMultipleIntegrals:
@@ -410,7 +392,7 @@ class TestDiscreteMultipleIntegrals:
         # indicator kernel at Hurst 1/2: sum of increments = B_T
         g = build_grid(8, 1.0)
         (values,), (noise,) = sample_fbm_batch(factor_covariance(0.5, g), 1, RngStreamSpec(3))
-        tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, g, HurstPair(0.5))
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, g, 0.5)
         val = offdiagonal_contraction(tensor, noise)
         assert val == pytest.approx(values[-1], rel=1e-10)
 
@@ -418,7 +400,7 @@ class TestDiscreteMultipleIntegrals:
         # sum over distinct pairs of dB_i dB_j = 2 (0.5)(-0.3) = -0.3
         g = build_grid(2, 1.0)
         noise = np.array([0.5, -0.3]) / math.sqrt(g.dt)  # increments 0.5, -0.3
-        tensor = pushed_kernel_tensor(lambda pts: 1.0, 2, g, HurstPair(0.5))
+        tensor = pushed_kernel_tensor(lambda pts: 1.0, 2, g, 0.5)
         val = offdiagonal_contraction(tensor, noise)
         assert val == pytest.approx(-0.3, rel=1e-12)
 
@@ -429,9 +411,9 @@ class TestDiscreteMultipleIntegrals:
         m_cells, R, dt = 8, 10_000, 1.0 / 8.0
         rng = np.random.default_rng(20240811)
         xi = rng.standard_normal((R, m_cells))
-        g1 = pushed_kernel_tensor(lambda c: 1.0, 1, build_grid(8, 1.0), HurstPair(0.5))
-        g2 = pushed_kernel_tensor(lambda c: 1.0, 2, build_grid(8, 1.0), HurstPair(0.5))
-        g3 = pushed_kernel_tensor(lambda c: 1.0, 3, build_grid(8, 1.0), HurstPair(0.5))
+        g1 = pushed_kernel_tensor(lambda c: 1.0, 1, build_grid(8, 1.0), 0.5)
+        g2 = pushed_kernel_tensor(lambda c: 1.0, 2, build_grid(8, 1.0), 0.5)
+        g3 = pushed_kernel_tensor(lambda c: 1.0, 3, build_grid(8, 1.0), 0.5)
         I = {
             1: offdiagonal_contraction(g1, xi),
             2: offdiagonal_contraction(g2, xi),
@@ -453,7 +435,7 @@ class TestDiscreteMultipleIntegrals:
         R = 10_000
         rng = np.random.default_rng(20240812)
         xi = rng.standard_normal((R, 8))
-        g2 = pushed_kernel_tensor(lambda c: 1.0, 2, build_grid(8, 1.0), HurstPair(0.5))
+        g2 = pushed_kernel_tensor(lambda c: 1.0, 2, build_grid(8, 1.0), 0.5)
         vals = offdiagonal_contraction(g2, xi)
         se = vals.std(ddof=1) / math.sqrt(R)
         assert abs(vals.mean()) < 4.0 * se
@@ -461,7 +443,7 @@ class TestDiscreteMultipleIntegrals:
     def test_tensor_size_guard(self):
         g = build_grid2d(16, 16, 1.0)
         with pytest.raises(ValueError):
-            pushed_kernel_tensor(lambda c: 1.0, 3, g, HurstPair(0.5, 0.5))
+            pushed_kernel_tensor(lambda c: 1.0, 3, g, 0.5, 0.5)
 
 
 def _dense_chain_orders(a, b, grid, noise, N):
@@ -506,36 +488,36 @@ def _corner_second_moments(a, grid, N):
 class TestSheetSolver:
     def test_order_zero_is_deterministic_profile(self):
         g = build_grid2d(6, 5, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.4, T=1.0)
+        a, b = 1.0, 0.4
         noise = np.zeros((2, 6, 5))
-        orders = solve_sheet_chaos_batch(p, g, noise, 0)
+        orders = solve_sheet_chaos_batch(a, b, g, noise, 0)
         ref = h0_array(0.4 * np.multiply.outer(g.s, g.t))
         np.testing.assert_allclose(orders[0, 0], ref, rtol=1e-14)
 
     def test_driftless_zero_noise_is_one(self):
         g = build_grid2d(4, 4, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
-        orders = solve_sheet_chaos_batch(p, g, np.zeros((1, 4, 4)), 3)
+        a, b = 1.0, 0.0
+        orders = solve_sheet_chaos_batch(a, b, g, np.zeros((1, 4, 4)), 3)
         np.testing.assert_allclose(orders.sum(axis=0)[0], np.ones((5, 5)), atol=1e-14)
 
     def test_monte_carlo_mean_matches_deterministic_profile(self):
         # E X_z = h0(b s t): 1e4 replicas at the far corner, 4 standard errors
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.5, T=1.0)
+        a, b = 1.0, 0.5
         g = build_grid2d(8, 8, 1.0)
         R = 10_000
         noise = RngStreamSpec(20240813).generator().standard_normal((R, 8, 8))
-        orders = solve_sheet_chaos_batch(p, g, noise, 4)
+        orders = solve_sheet_chaos_batch(a, b, g, noise, 4)
         corner = orders.sum(axis=0)[:, -1, -1]
         se = corner.std(ddof=1) / math.sqrt(R)
         assert abs(corner.mean() - h0(0.5)) < 4.0 * se
 
     def test_chain_route_matches_generic_route(self):
         g = build_grid2d(3, 3, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.2, b=0.6, T=1.0)
+        a, b = 1.2, 0.6
         rng = np.random.default_rng(4)
         noise = rng.standard_normal((2, 3, 3))
-        fast = solve_sheet_chaos_batch(p, g, noise, 2)
-        slow = _sheet_orders_generic(p, g, noise, 2)
+        fast = solve_sheet_chaos_batch(a, b, g, noise, 2)
+        slow = _sheet_orders_generic(a, b, g, noise, 2)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     @pytest.mark.parametrize("n_s,n_t", [(4, 3), (3, 4)])
@@ -543,11 +525,11 @@ class TestSheetSolver:
         # offsets along s and t have different ranges and spacings here, and
         # T = 0.7 is not dyadic, so a swapped axis or offset cannot hide
         g = build_grid2d(n_s, n_t, 0.7)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.1, b=-1.3, T=0.7)
+        a, b = 1.1, -1.3
         rng = np.random.default_rng(8)
         noise = rng.standard_normal((3, n_s, n_t))
-        fast = solve_sheet_chaos_batch(p, g, noise, 3)
-        slow = _sheet_orders_generic(p, g, noise, 3)
+        fast = solve_sheet_chaos_batch(a, b, g, noise, 3)
+        slow = _sheet_orders_generic(a, b, g, noise, 3)
         for n in range(4):
             scale = np.max(np.abs(slow[n]))
             assert np.max(np.abs(fast[n] - slow[n])) <= 1e-12 * scale
@@ -555,19 +537,19 @@ class TestSheetSolver:
     def test_chain_cell_guard_refuses_before_allocating(self):
         # 65 x 64 cells is past the drifted route's 4096-cell guard
         g = build_grid2d(65, 64, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=-1.0, T=1.0)
+        a, b = 1.0, -1.0
         noise = np.zeros((1, 65, 64))
         for solve in (solve_sheet_chaos_batch, _summed_orders):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="grid too large"):
-                    solve(p, g, noise, 3)
+                    solve(a, b, g, noise, 3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
         with pytest.raises(ValueError, match="grid too large"):
-            check_sheet_solve(p, g, 3)
+            check_sheet_solve(b, g, 3)
 
     # with drift, 16 x 16 runs on two tiles of 8 t cells, 7 x 48 on four of
     # 12, and 5 x 37 on four of 10, the last one padded by three cells
@@ -577,16 +559,16 @@ class TestSheetSolver:
     @pytest.mark.parametrize("b", [0.0, -1.0, -1.3])
     def test_chain_route_matches_dense_oracle(self, n_s, n_t, T, b):
         g = build_grid2d(n_s, n_t, T)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.1, b=b, T=T)
+        a = 1.1
         noise = np.random.default_rng(9).standard_normal((5, n_s, n_t))
-        dense = _dense_chain_orders(p.a, b, g, noise, 4)
+        dense = _dense_chain_orders(a, b, g, noise, 4)
         for N in range(5):
-            orders = solve_sheet_chaos_batch(p, g, noise, N)
+            orders = solve_sheet_chaos_batch(a, b, g, noise, N)
             assert orders.shape == (N + 1, 5, n_s + 1, n_t + 1)
             for n in range(N + 1):
                 scale = np.max(np.abs(dense[n]))
                 assert np.max(np.abs(orders[n] - dense[n])) <= 1e-12 * scale
-            total = _summed_orders(p, g, noise, N)
+            total = _summed_orders(a, b, g, noise, N)
             ref = dense[: N + 1].sum(axis=0)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(total - ref)) <= 1e-12 * scale
@@ -598,29 +580,27 @@ class TestSheetSolver:
         # four tiles each; BLAS trmm on a square whose side is not a multiple
         # of 8 (588 at grid 48) moved bits with the number of replicas
         g = build_grid2d(n_s, n_t, 3.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=0.05, b=-1.0, T=3.0)
+        a, b = 0.05, -1.0
         noise = np.random.default_rng(15).standard_normal((40, n_s, n_t))
-        whole = _summed_orders(p, g, noise, 3)
+        whole = _summed_orders(a, b, g, noise, 3)
         blocks = [(r0, noise[r0:r0 + 7]) for r0 in range(0, 40, 7)]
-        parts = [t for _, t in solve_sheet_chaos_total_blocks(p, g, blocks, 3)]
+        parts = [t for _, t in solve_sheet_chaos_total_blocks(a, b, g, blocks, 3)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     @pytest.mark.parametrize("b", [0.0, -1.0])
     def test_zero_replicas_give_empty_solutions(self, b):
         g = build_grid2d(6, 30, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=b, T=1.0)
+        a = 1.0
         noise = np.zeros((0, 6, 30))
-        assert solve_sheet_chaos_batch(p, g, noise, 3).shape == (4, 0, 7, 31)
-        assert _summed_orders(p, g, noise, 3).shape == (0, 7, 31)
+        assert solve_sheet_chaos_batch(a, b, g, noise, 3).shape == (4, 0, 7, 31)
+        assert _summed_orders(a, b, g, noise, 3).shape == (0, 7, 31)
 
     def test_orders_are_continuous_at_zero_drift(self):
         # b = 0 applies the chain kernels as prefix sums and b = +-1e-12
         # builds them and applies them by trmm; every order must agree
         g = build_grid2d(8, 8, 1.0)
         noise = np.random.default_rng(13).standard_normal((50, 8, 8))
-        solve = lambda b: solve_sheet_chaos_batch(
-            ModelParams(HurstPair(0.5, 0.5), a=1.3, b=b, T=1.0), g, noise, 4
-        )
+        solve = lambda b: solve_sheet_chaos_batch(1.3, b, g, noise, 4)
         driftless = solve(0.0)
         for b in (1e-12, -1e-12):
             drifted = solve(b)
@@ -635,14 +615,14 @@ class TestSheetSolver:
         # copied trmm operand breaks the bound
         R, n = 4000, 16
         g = build_grid2d(n, n, 3.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=0.05, b=-1.0, T=3.0)
+        a, b = 0.05, -1.0
         noise = np.random.default_rng(11).standard_normal((R, n, n))
         cells, nodes = n * n, (n + 1) * (n + 1)
         bound = 8 * (2 * R * nodes + cells * cells)
-        _summed_orders(p, g, noise[:1], 3)  # loads BLAS trmm
+        _summed_orders(a, b, g, noise[:1], 3)  # loads BLAS trmm
         tracemalloc.start()
         try:
-            _summed_orders(p, g, noise, 3)
+            _summed_orders(a, b, g, noise, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,13 +631,13 @@ class TestSheetSolver:
     def test_driftless_chain_route_matches_generic_route(self):
         # order 4 takes three prefix-sum chain steps; the tensor oracle makes
         # cells**4 kernel calls per node, so it runs on six cells
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.5, b=0.0, T=1.0)
+        a, b = 1.5, 0.0
         rng = np.random.default_rng(5)
         for n_s, n_t in ((3, 2), (2, 3)):
             g = build_grid2d(n_s, n_t, 1.0)
             noise = rng.standard_normal((2, n_s, n_t))
-            fast = solve_sheet_chaos_batch(p, g, noise, 4)
-            slow = _sheet_orders_generic(p, g, noise, 4)
+            fast = solve_sheet_chaos_batch(a, b, g, noise, 4)
+            slow = _sheet_orders_generic(a, b, g, noise, 4)
             assert np.max(np.abs(slow[4])) > 1e-2  # order 4 is not void here
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
@@ -668,10 +648,10 @@ class TestSheetSolver:
         # enumerated here chain by chain, no prefix sums
         n_s = n_t = 6
         g = build_grid2d(n_s, n_t, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.3, b=0.0, T=1.0)
+        a, b = 1.3, 0.0
         noise = np.random.default_rng(12).standard_normal((3, n_s, n_t))
-        check_sheet_solve(p, g, 5)
-        orders = solve_sheet_chaos_batch(p, g, noise, 5)
+        check_sheet_solve(b, g, 5)
+        orders = solve_sheet_chaos_batch(a, b, g, noise, 5)
         dW = math.sqrt(g.cell_area) * noise
         brute = np.zeros_like(orders)
         brute[0] = 1.0
@@ -684,7 +664,7 @@ class TestSheetSolver:
                 # subset is a chain iff its t indices never decrease
                 subsets = subsets[np.all(np.diff(subsets[..., 1], axis=1) >= 0, axis=1)]
                 rest = dW[:, subsets[..., 0], subsets[..., 1]].prod(axis=2).sum(axis=1)
-                brute[n][:, i + 1:, j + 1:] += (p.a**n * dW[:, i, j] * rest)[:, None, None]
+                brute[n][:, i + 1:, j + 1:] += (a**n * dW[:, i, j] * rest)[:, None, None]
         for n in range(6):
             scale = np.max(np.abs(brute[n]))
             assert np.max(np.abs(orders[n] - brute[n])) <= 1e-12 * scale, n
@@ -695,10 +675,10 @@ class TestSheetSolver:
         # 14 standard errors high at orders 3 and 4
         a, T, n, R, chunk = 1.3, 1.5, 16, 20_000, 2000
         g = build_grid2d(n, n, T)
-        p = ModelParams(HurstPair(0.5, 0.5), a=a, b=0.0, T=T)
+        b = 0.0
         rng = np.random.default_rng(20240814)
         corner = np.concatenate([
-            solve_sheet_chaos_batch(p, g, rng.standard_normal((chunk, n, n)), 4)[1:, :, -1, -1]
+            solve_sheet_chaos_batch(a, b, g, rng.standard_normal((chunk, n, n)), 4)[1:, :, -1, -1]
             for _ in range(R // chunk)
         ], axis=1)
         sq = corner**2
@@ -724,17 +704,17 @@ class TestSheetSolver:
         # 65 x 64 cells is past the drifted route's 4096-cell guard, while the
         # driftless chain kernels are prefix sums over replica arrays
         g = build_grid2d(65, 64, 1.0)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
+        a, b = 1.0, 0.0
         R, N = 8, 3
         noise = np.random.default_rng(14).standard_normal((R, 65, 64))
         replica = 8 * R * 66 * 65
-        check_sheet_solve(p, g, N)
+        check_sheet_solve(b, g, N)
         # the stacked orders, or the running sum and the surface, plus
         # working arrays (7.9 and 3.9 replica arrays measured)
         for solve, arrays in ((solve_sheet_chaos_batch, N + 6), (_summed_orders, 5)):
             tracemalloc.start()
             try:
-                out = solve(p, g, noise, N)
+                out = solve(a, b, g, noise, N)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -743,31 +723,25 @@ class TestSheetSolver:
 
     def test_validation(self):
         g = build_grid2d(4, 4, 1.0)
-        line = ModelParams(HurstPair(0.5), a=1.0, b=0.0, T=1.0)
         with pytest.raises(ValueError):
-            solve_sheet_chaos_batch(line, g, np.zeros((1, 4, 4)), 2)
-        p = ModelParams(HurstPair(0.5, 0.5), a=1.0, b=0.0, T=1.0)
-        with pytest.raises(ValueError):
-            solve_sheet_chaos_batch(p, g, np.zeros((4, 4)), 2)
+            solve_sheet_chaos_batch(1.0, 0.0, g, np.zeros((4, 4)), 2)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5)])
     @pytest.mark.parametrize("b", [0.0, -1.0])
-    def test_other_hurst_pairs_are_refused_before_the_noise_is_read(self, alpha, beta, b):
-        # only the Brownian sheet has the chain recursion; the noise here has
-        # the wrong shape and the blocks must not be drawn from
+    def test_negative_order_is_refused_before_the_noise_is_read(self, b):
+        # the noise here has the wrong shape and the blocks must not be
+        # drawn from
         g = build_grid2d(4, 4, 1.0)
-        p = ModelParams(HurstPair(alpha, beta), a=1.0, b=b, T=1.0)
 
         def blocks():
             raise AssertionError("noise read")
             yield
 
-        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
-            check_sheet_solve(p, g, 2)
-        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
-            solve_sheet_chaos_batch(p, g, np.zeros(3), 2)
-        with pytest.raises(ValueError, match=r"Hurst \(0.5, 0.5\)"):
-            next(solve_sheet_chaos_total_blocks(p, g, blocks(), 2))
+        with pytest.raises(ValueError, match="truncation"):
+            check_sheet_solve(b, g, -1)
+        with pytest.raises(ValueError, match="truncation"):
+            solve_sheet_chaos_batch(1.0, b, g, np.zeros(3), -1)
+        with pytest.raises(ValueError, match="truncation"):
+            next(solve_sheet_chaos_total_blocks(1.0, b, g, blocks(), -1))
 
 
 class TestPicard:
@@ -801,8 +775,7 @@ class TestPicard:
 
 class TestChaosNormDecay:
     def test_noise_free_case(self):
-        p = ModelParams(HurstPair(0.3), a=0.0, b=0.0, T=1.0)
-        out = chaos_norm_decay(p, 4)
+        out = chaos_norm_decay(0.0, 0.3, 1.0, 4)
         assert np.all(out[1:] == 0.0)
         assert out[0] > 0.0
 
@@ -810,17 +783,10 @@ class TestChaosNormDecay:
         # order-1 norm is |a| Q / 2 with Q the squared kernel integral,
         # and Q equals T^{2 alpha} by calibration
         for alpha in (0.3, 0.7):
-            p = ModelParams(HurstPair(alpha), a=1.4, b=0.0, T=1.0)
-            out = chaos_norm_decay(p, 1)
+            out = chaos_norm_decay(1.4, alpha, 1.0, 1)
             assert out[1] == pytest.approx(1.4 / 2.0, rel=1e-12)
 
     def test_ratios_eventually_contract(self):
-        p = ModelParams(HurstPair(0.3), a=1.0, b=0.0, T=1.0)
-        out = chaos_norm_decay(p, 6)
+        out = chaos_norm_decay(1.0, 0.3, 1.0, 6)
         ratios = out[1:] / out[:-1]
         assert np.all(ratios[3:] < 1.0)
-
-    def test_sheet_params_rejected(self):
-        p = ModelParams(HurstPair(0.3, 0.4), a=1.0, b=0.0, T=1.0)
-        with pytest.raises(ValueError):
-            chaos_norm_decay(p, 3)

@@ -32,13 +32,7 @@ from fracsde.chaos import chaos_total_1d, exact_solution_1d, wick_euler_paths
 from fracsde.fields import factor_covariance, sample_fbm_batch, sample_sheet_batch
 from fracsde.quad import gauss_legendre_01
 from fracsde.special import volterra_kernel
-from fracsde.model import (
-    HurstPair,
-    ModelParams,
-    RngStreamSpec,
-    build_grid,
-    chunk_moments,
-)
+from fracsde.model import RngStreamSpec, build_grid, chunk_moments
 
 try:
     import resource
@@ -775,13 +769,12 @@ def _one_shot_euler_study(s: RunSettings) -> list:
     n_fine = experiments._EULER_STEPS[-1]
     maps = []
     for alpha in experiments._EULER_ALPHAS:
-        p = ModelParams(HurstPair(alpha), s.a, 0.0, s.T)
         parts = []
         for _, values in _line_chunks(s, alpha, n_fine):
             limit = exact_solution_1d(s.a, 0.0, alpha, s.T, values[:, -1])
             parts.append([
                 chunk_moments((wick_euler_paths(
-                    p, build_grid(n, s.T), values[:, :: n_fine // n]
+                    s.a, alpha, build_grid(n, s.T), values[:, :: n_fine // n]
                 )[:, -1] - limit) ** 2)
                 for n in experiments._EULER_STEPS
             ])
@@ -1121,6 +1114,10 @@ class TestStatisticalHonesty:
         # the product variance overflows, so every standard error is inf
         ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e300",
          "--samples", "100"],
+        # every product and standard error underflows to 0, which leaves a
+        # covariance gap of about 1e-180 with no spread to measure it by
+        ["simulate", "--alpha", "0.3", "--grid-n", "8", "--T", "1e-300",
+         "--samples", "100"],
         # the chaos sum overflows, in the calling thread and in the pool's
         # worker threads, which do not inherit an np.errstate
         ["exact-vs-chaos", "--a", "1e80", "--samples", "100"],
@@ -1136,7 +1133,7 @@ class TestStatisticalHonesty:
          "--samples", "100"],
     ], ids=["eps0.01", "eps1e-200", "girsanovT", "euler", "simulate",
             "girsanovT1e300", "eulerT1e300", "girsanovT1e-300", "eulerT1e-100",
-            "simulateLine", "chaos",
+            "simulateLine", "simulateLineT1e-300", "chaos",
             "chaosThreads2", "operatorT1e-300", "operatorT1e300",
             "operatorAlpha0.6T1e300", "chaosB800", "chaosT1e8"])
     def test_overflow_fails_its_metric_without_a_traceback(self, argv, tmp_path,

@@ -217,7 +217,7 @@ class TestSheetSampling:
                 raise AssertionError("computed a product before checking shapes")
 
         fs, ft = (
-            CovarianceFactor(f.alpha, f.grid, f.lower_triangular.view(NoProducts))
+            CovarianceFactor(f.grid, f.lower_triangular.view(NoProducts))
             for f in (factor_covariance(0.3, build_grid(4, 1.0)),
                       factor_covariance(0.7, build_grid(6, 1.0)))
         )

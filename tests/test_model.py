@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from fracsde.model import (
     Grid2D,
-    HurstOutOfRange,
-    HurstPair,
     InvalidGrid,
-    ModelParams,
     MonteCarloResult,
     NonPositiveHorizon,
     RngStreamSpec,
@@ -24,21 +21,13 @@ def _from_samples(samples) -> MonteCarloResult:
     return combine_moments([chunk_moments(samples)])
 
 
-def test_hurst_boundary_rejected():
-    with pytest.raises(HurstOutOfRange):
-        HurstPair(1.0)
-    with pytest.raises(HurstOutOfRange):
-        HurstPair(0.3, 0.0)
-
-
 def test_nonpositive_horizon_rejected():
-    with pytest.raises(NonPositiveHorizon):
-        ModelParams(HurstPair(0.3), 1.0, 0.0, 0.0)
-
-
-def test_sheet_flag():
-    assert not HurstPair(0.3).is_sheet
-    assert HurstPair(0.3, 0.7).is_sheet
+    # the grids are the only carriers of T, so they refuse a bad one
+    for T in (0.0, -1.0):
+        with pytest.raises(NonPositiveHorizon):
+            build_grid(4, T)
+        with pytest.raises(NonPositiveHorizon):
+            build_grid2d(4, 4, T)
 
 
 def test_build_grid_examples():

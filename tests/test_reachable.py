@@ -10,6 +10,10 @@ does not reach fails.  Reference code that tests compare against lives in
 with ``getattr``, are roots of the walk too, so they and everything they
 use are kept.
 
+The same walk runs over ``tests/oracles.py``, from the names the test
+modules import with ``from oracles import ...``: an oracle that no test
+reaches fails too.
+
 Like ``tests/test_imports_used.py`` it reads sources with ``ast`` and
 imports nothing.
 """
@@ -19,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracsde"
 TRACER = ROOT / "perfbench" / "tracer.py"
+TESTS = ROOT / "tests"
 
 
 def layer_functions() -> list[tuple[str, str]]:
@@ -108,6 +113,16 @@ def command_roots(sources: dict[str, str]) -> list[tuple[str, str]]:
     return roots
 
 
+def oracle_roots() -> list[tuple[str, str]]:
+    """``("oracles", name)`` for each name a test module imports from it."""
+    roots = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                roots += [("oracles", alias.name) for alias in node.names]
+    return roots
+
+
 def test_the_walk_sees_what_it_should():
     sources = {
         "cli": "from .a import run as go\n"
@@ -139,4 +154,11 @@ def test_every_extra_root_is_defined():
 def test_every_definition_is_reached():
     sources = package_sources()
     roots = command_roots(sources) + layer_functions()
+    assert unreachable(sources, roots) == []
+
+
+def test_every_oracle_is_reached():
+    sources = {"oracles": (TESTS / "oracles.py").read_text()}
+    roots = oracle_roots()
+    assert roots, "no test imports from oracles"
     assert unreachable(sources, roots) == []
