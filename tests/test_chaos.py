@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracsde.chaos as chaos_module
+import fracsde.cli as cli_module
 
 from fracsde.chaos import (
     chaos_norm_decay,
@@ -742,6 +743,30 @@ class TestSheetSolver:
             solve_sheet_chaos_batch(1.0, b, g, np.zeros(3), -1)
         with pytest.raises(ValueError, match="truncation"):
             next(solve_sheet_chaos_total_blocks(1.0, b, g, blocks(), -1))
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5)])
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_other_hurst_pairs_are_refused_before_the_noise_is_read(
+        self, alpha, beta, b, tmp_path, monkeypatch, capsys
+    ):
+        # only the Brownian sheet has the chain recursion, so the solvers
+        # take no Hurst pair; negativity, the command that runs them with
+        # drift b = -a, refuses one as flags and as config keys before it
+        # runs, and so before any noise is drawn
+        def run(settings):
+            raise AssertionError("noise read")
+
+        monkeypatch.setitem(cli_module._COMMANDS, "negativity", run)
+        argv = ["negativity", "--a", str(-b), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main(argv + ["--alpha", str(alpha), "--beta", str(beta)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(f"alpha = {alpha}\nbeta = {beta}\n")
+        assert cli_module.main(argv + ["--config", str(cfg)]) == 2
+        assert "negativity does not read setting 'alpha'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestPicard:

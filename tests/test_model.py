@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracsde.fields import factor_covariance
+from fracsde.operators import check_regime
 from fracsde.model import (
     Grid2D,
     InvalidGrid,
@@ -19,6 +21,15 @@ from fracsde.model import (
 def _from_samples(samples) -> MonteCarloResult:
     """The estimate of one chunk of samples, as the commands reduce it."""
     return combine_moments([chunk_moments(samples)])
+
+
+def test_hurst_boundary_rejected():
+    # an exponent enters through the covariance factor (the line, and each
+    # axis of the sheet) and, for the sheet pair, the inverse-kernel regime
+    with pytest.raises(ValueError, match="not in"):
+        factor_covariance(1.0, build_grid(4, 1.0))
+    with pytest.raises(ValueError, match="not in"):
+        check_regime(0.3, 0.0)
 
 
 def test_nonpositive_horizon_rejected():
