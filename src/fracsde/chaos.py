@@ -548,11 +548,17 @@ def solve_sheet_chaos_total_blocks(a: float, b: float, grid: Grid2D, blocks, N: 
     linear, so the chain route sums each block's levels into one summed
     weight array and reads it out through the node kernel as soon as the
     block's recursion ends.  With drift both kernels sit in one tile
-    array (``_chain_kernels``), built once for all blocks; so that array
-    and a few of one block's arrays are live at a time, whatever the
-    replica count.  The levels and the summed weights are tiled, the
-    noise is read tile by tile from ``z``, and the readout is added into
-    ``total`` once.
+    array (``_chain_kernels``), built once for all blocks.  The levels and
+    the summed weights are tiled, the noise is read tile by tile from
+    ``z``, and the readout is added into ``total`` once.
+
+    Live at a time, whatever the replica count: the kernel tile array,
+    the trmm operand buffer of ``_apply_tiles`` and three of one block's
+    arrays: the noise ``z``, the recursion's level and the summed weights,
+    with ``total`` taking the level's place once the recursion ends.  No
+    block's solution outlives its block here, so a caller must drop each
+    ``total`` (and any view of it) before it asks for the next block, or
+    two blocks' solutions are live at once.
     """
     check_sheet_solve(b, grid, N)
     bt, step, readout = _chain_apply(b, grid)
@@ -569,6 +575,7 @@ def solve_sheet_chaos_total_blocks(a: float, b: float, grid: Grid2D, blocks, N: 
         _untile(S, total[:, 1:, 1:], add=True)
         del S
         yield r0, total
+        del total  # so no block's solution outlives its block
 
 
 # ----------------------------------------------------------------------------

@@ -88,13 +88,15 @@ _CHUNK_REPLICAS = 4096
 # (64 replicas at grid 64): one 2 MB block stays in a per-core L2 cache
 # while it is drawn and read.
 _NOISE_BLOCK_VALUES = 2**18
-# Values per block of negativity's noise (227 replicas at grid 48).  Each
+# Values per block of negativity's noise (113 replicas at grid 48).  Each
 # block applies the chain kernels three times, in ten trmm calls each at
-# grid 48 (four t-tiles), and each call packs its tile's triangle, so
-# larger blocks than the others spread that cost.  At grid 48 (2000
-# replicas, one thread, three sets of 10 interleaved runs) 2**18 took 3-6%
-# longer in the median than 2**19, and peaked 9 MB lower (83 against 92 MB).
-_CHAIN_BLOCK_VALUES = 2**19
+# grid 48 (four t-tiles), and each call has a fixed cost, so smaller blocks
+# pay it more often: one apply took 10.3 ms on 113 replicas and 19.3 ms on
+# 227.  At grid 48 (2000 replicas, one thread, five interleaved runs) 2**18
+# took the same command time as 2**19 in the median and peaked 9 MB lower
+# (79.5 against 88.2 MB); the sheet-chain benchmark reads about 5% fewer
+# replicas per second.
+_CHAIN_BLOCK_VALUES = 2**18
 
 
 class _ChunkBuffers(threading.local):
@@ -291,10 +293,13 @@ def _map_chunks(work: Callable, total: int, threads: int) -> list:
 def _within_4se(
     name: str, result: MonteCarloResult, target: float, of: str, **detail
 ) -> MetricResult:
-    """Pass iff the estimate lies within 4 standard errors of ``target``."""
-    gap = abs(result.estimate - target)
+    """Pass iff the estimate lies within 4 standard errors of ``target``.
+
+    A standard error that is not finite bounds nothing, so it fails.
+    """
+    gap, se = abs(result.estimate - target), result.std_error
     # degenerate spread (a = 0 cases) falls back to near-exact agreement
-    passed = gap < 1e-12 if result.std_error == 0.0 else gap <= 4.0 * result.std_error
+    passed = gap < 1e-12 if se == 0.0 else math.isfinite(se) and gap <= 4.0 * se
     return MetricResult(
         name=name,
         value=result.estimate,
@@ -594,6 +599,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
             # total.sum(axis=0), whatever the block size
             for row in total:
                 surface += row
+            del total, row  # row views total: drop both before the next block
         return count, all_neg, surface
 
     parts = _map_chunks(work, settings.samples, settings.threads)

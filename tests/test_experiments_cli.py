@@ -696,6 +696,16 @@ class TestNegativityBlocks:
         outs = self._outputs(monkeypatch, tmp_path, argv, 32, (7, 300))
         assert all(o == outs[0] for o in outs[1:])
 
+    def test_block_size_does_not_move_results_at_the_benchmark_grid(
+        self, monkeypatch, tmp_path
+    ):
+        # grid 48 runs on four tiles of 12 t cells, in squares of 592 rows;
+        # blocks of 113 and 227 replicas divide 240 into 3 and 2 blocks
+        argv = ["negativity", "--T", "3", "--grid-n", "48", "--epsilon", "0.05",
+                "--samples", "240", "--seed", "5"]
+        outs = self._outputs(monkeypatch, tmp_path, argv, 48, (113, 227))
+        assert all(o == outs[0] for o in outs[1:])
+
     def test_step_kernel_is_built_once_a_chunk(self, monkeypatch, tmp_path):
         # one array holds both chain kernels; one build per chunk, however
         # many blocks the chunk draws
@@ -718,16 +728,20 @@ class TestNegativityBlocks:
 
     def test_chunk_holds_one_kernel_and_a_few_blocks(self):
         # grid 32: the kernel tiles (3 tiles of 11 t cells, each a square of
-        # 368 rows) take 3.2 MB and a block of 512 replicas 4.2 MB; a
-        # cells x cells kernel (8.4 MB) in their place breaks the bound, and
-        # so does a chunk-wide array of 2000 replicas' summed weights (16.4
-        # MB).  The peak must not grow with the replica count: 4000
-        # replicas, still one chunk, stay within one block of 2000
+        # 368 rows) take 3.2 MB and a block of 256 replicas 2.1 MB.  A block
+        # holds three arrays at once (noise, level, summed weights, then
+        # the solution in place of the level), about 3.5 blocks with the
+        # trmm buffer; a block's solution kept alive while the next one is
+        # solved adds a fourth and breaks the bound, and so do a cells x
+        # cells kernel (8.4 MB) in place of the tiles and a chunk-wide
+        # array of 2000 replicas' summed weights (16.9 MB).  The peak must
+        # not grow with the replica count: 4000 replicas, still one chunk,
+        # stay within one block of 2000
         settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
         cmd_negativity(replace(settings, samples=10))  # imports and caches
         tiles, block = 3 * 368 * 368, 8 * experiments._CHAIN_BLOCK_VALUES
         peak = self._peak(settings)
-        assert peak <= 8 * tiles + 5 * block, peak / 1e6
+        assert peak <= 8 * tiles + 4 * block, peak / 1e6
         more = self._peak(replace(settings, samples=4000))
         assert more <= peak + block, (peak / 1e6, more / 1e6)
 
@@ -1166,6 +1180,17 @@ class TestStatisticalHonesty:
         for alpha in ("0.3", "0.7"):
             assert metrics[f"euler_alpha_{alpha}"]["value"] is None
             assert metrics[f"euler_alpha_{alpha}"]["passed"] is False
+
+    def test_non_finite_standard_error_fails_its_metric(self, tmp_path):
+        # at T = 1e100 the corner variance (about 1.6e200) is finite, but
+        # its standard error overflows: "gap <= 4 * inf" bounds nothing
+        argv = ["simulate", "--alpha", "0.3", "--beta", "0.7", "--grid-n", "8",
+                "--samples", "10", "--T", "1e100", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        corner = {m["name"]: m for m in report["metrics"]}["corner_variance"]
+        assert math.isfinite(corner["value"]) and corner["std_error"] is None
+        assert corner["passed"] is False
 
     def test_euler_verdicts_name_the_trend(self):
         report = experiments.cmd_euler_study(RunSettings(a=0.25, samples=2000))
