@@ -18,6 +18,8 @@ profile close the loop for the convergence and negativity studies.
 The commands run ``chaos_total_1d``, ``wick_euler_paths`` and
 ``solve_sheet_chaos_total_blocks``; ``chaos_sum_1d`` and
 ``solve_sheet_chaos_batch`` keep every order, for the tests to compare.
+The solvers size no blocks, bar the trmm buffer of the drifted chain
+route: the commands in ``experiments`` cut every row and noise block.
 """
 from __future__ import annotations
 
@@ -61,17 +63,6 @@ _TILE_BUFFER_VALUES = 2**18
 # right-hand columns at sides 362-364 and 588, and none at any multiple of
 # 8 from 8 to 1296, at 1 and 2 threads.
 _TRMM_ALIGN = 8
-# Values per buffer in one block of chaos_total_1d (252 rows at 65 nodes).
-# A block's two buffers, its rows of the output and x, take 0.26 MB.  On
-# 4096 paths x 65 nodes at N = 20 (one thread, Xeon with 2 MB L2 per core)
-# a call took 13.8, 10.7, 9.4, 8.7, 8.2 and 9.7 ms at 2**12 to 2**17; the
-# whole exact-vs-chaos run could not tell 2**14 from 2**15 or 2**16.
-# exact-vs-chaos cuts each chunk into row blocks of this size too, and runs
-# the sum, the exact solution and their gap on one block while it is in
-# cache; block-sized temporaries are reused from the heap, where freed
-# chunk-sized ones went back to the OS and faulted in again (75k minor
-# faults in a 100k-replica run, about 1k with blocks and chunk buffers).
-_CHAOS_BLOCK_VALUES = 2**14
 
 
 # ----------------------------------------------------------------------------
@@ -114,7 +105,7 @@ def chaos_sum_1d(
 
     This is the per-order oracle of the tests: no command runs it.  The
     commands want only the sum, which ``chaos_total_1d`` evaluates as one
-    polynomial in a B_t from two cache-sized buffers; it agrees with the
+    polynomial in a B_t without storing the orders; it agrees with the
     sum over this array's leading axis to rounding.
 
     The orders come from the variance-scaled Hermite recurrence
@@ -139,7 +130,6 @@ def chaos_sum_1d(
     return orders
 
 
-@lru_cache(maxsize=4096)
 def _horner_coefficients(y: float, e0: float, truncation: int) -> tuple[float, ...]:
     """c_j = e0 E_{(N-j)//2}(y) / j! for j = 0..N; E_m(y) = sum_{i<=m} y^i / i!.
 
@@ -193,37 +183,27 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
         c_j = e^{bt} E_{(N-j)//2}(y) / j!,  y = -a^2 t^{2 alpha} / 2,
 
     with E_m the exponential series cut after y^m.  The coefficients live
-    on the shape of ``t``, each exactly rounded; they are memoised per node
-    (``_horner_coefficients``) and their table per time grid
-    (``_horner_table``), so calls on row blocks of one chunk pay for the
-    table once.  Blocks of leading rows run Horner's rule in place
-    in the output, two array passes per order, against one block-sized
-    buffer of x; inputs with fewer than two dimensions run as one row.  The
-    sum agrees with ``chaos_sum_1d(...).sum(axis=0)`` to rounding, not bit
-    for bit, and no bit depends on the block size.
+    on the shape of ``t``, each exactly rounded; their table is cached per
+    time grid (``_horner_table``), so calls on row blocks of one chunk pay
+    for it once.  Horner's rule runs in place in the output, two array
+    passes per order, against one buffer of x, over the whole broadcast
+    shape: a caller that wants cache-sized work passes row blocks, as
+    ``exact-vs-chaos`` does.  The sum agrees with
+    ``chaos_sum_1d(...).sum(axis=0)`` to rounding, not bit for bit; every
+    value is elementwise, so no bit depends on how a caller blocks its rows.
     """
     B, live, a2var, e0 = _chaos_inputs(a, b, alpha, t, B_t, truncation)
-    shape = np.broadcast_shapes(B.shape, live.shape)
-    full = (1,) * (2 - len(shape)) + shape
     table = _horner_table(a2var.tobytes(), e0.tobytes(), truncation).reshape(
-        (truncation + 1,) + (1,) * (len(full) - live.ndim) + live.shape
+        (truncation + 1,) + live.shape
     )
-    table = np.broadcast_to(table, (truncation + 1,) + full)
-    B = np.broadcast_to(B, full)
     # zeroing a at t = 0 leaves only order 0 there
-    a_live = np.broadcast_to(np.where(live, a, 0.0), full)
-    total = np.empty(full)
-    rows = max(1, _CHAOS_BLOCK_VALUES // max(1, math.prod(full[1:])))
-    x = np.empty((min(rows, full[0]),) + full[1:])
-    for r0 in range(0, full[0], rows):
-        block = total[r0:r0 + rows]
-        xb = x[:len(block)]
-        np.multiply(B[r0:r0 + rows], a_live[r0:r0 + rows], out=xb)
-        np.copyto(block, table[truncation, r0:r0 + rows])
-        for j in range(truncation - 1, -1, -1):
-            block *= xb
-            block += table[j, r0:r0 + rows]
-    return total.reshape(shape)[()]
+    x = B * np.where(live, a, 0.0)
+    total = np.empty(x.shape)
+    np.copyto(total, table[truncation])
+    for j in range(truncation - 1, -1, -1):
+        total *= x
+        total += table[j]
+    return total[()]
 
 
 # ----------------------------------------------------------------------------

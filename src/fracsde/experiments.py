@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chaos import (
-    _CHAOS_BLOCK_VALUES,
     chaos_norm_decay,
     chaos_total_1d,
     check_sheet_solve,
@@ -84,19 +83,28 @@ __all__ = [
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
 
-# Values per block of the sheet noise of girsanov-check and sheet simulate
-# (64 replicas at grid 64): one 2 MB block stays in a per-core L2 cache
-# while it is drawn and read.
+# Values per row block of exact-vs-chaos (252 rows at 65 nodes), which
+# runs the chaos sum, the exact solution and their gap on one block while
+# it is in cache.  A block's chaos sum and its buffer of x take 0.26 MB.
+# On 4096 paths x 65 nodes at N = 20 (one thread, Xeon with 2 MB L2 per
+# core) the sum took 13.8, 10.7, 9.4, 8.7, 8.2 and 9.7 ms in blocks of
+# 2**12 to 2**17 values; the whole exact-vs-chaos run could not tell 2**14
+# from 2**15 or 2**16.  Block-sized temporaries are reused from the heap,
+# where freed chunk-sized ones went back to the OS and faulted in again
+# (75k minor faults in a 100k-replica run, about 1k with blocks and chunk
+# buffers).
+_CHAOS_BLOCK_VALUES = 2**14
+# Values per block of the sheet noise of all three sheet commands.
+# girsanov-check and sheet simulate (64 replicas at grid 64): one 2 MB
+# block stays in a per-core L2 cache while it is drawn and read.
+# negativity (113 replicas at grid 48): each block applies the chain
+# kernels three times, in ten trmm calls each at grid 48 (four t-tiles),
+# and each call has a fixed cost, so smaller blocks pay it more often: one
+# apply took 10.3 ms on 113 replicas and 19.3 ms on 227.  At grid 48 (2000
+# replicas, one thread, five interleaved runs) 2**18 took the same command
+# time as 2**19 in the median and peaked 9 MB lower (79.5 against 88.2
+# MB); the sheet-chain benchmark reads about 5% fewer replicas per second.
 _NOISE_BLOCK_VALUES = 2**18
-# Values per block of negativity's noise (113 replicas at grid 48).  Each
-# block applies the chain kernels three times, in ten trmm calls each at
-# grid 48 (four t-tiles), and each call has a fixed cost, so smaller blocks
-# pay it more often: one apply took 10.3 ms on 113 replicas and 19.3 ms on
-# 227.  At grid 48 (2000 replicas, one thread, five interleaved runs) 2**18
-# took the same command time as 2**19 in the median and peaked 9 MB lower
-# (79.5 against 88.2 MB); the sheet-chain benchmark reads about 5% fewer
-# replicas per second.
-_CHAIN_BLOCK_VALUES = 2**18
 
 
 class _ChunkBuffers(threading.local):
@@ -122,15 +130,16 @@ class _ChunkBuffers(threading.local):
         return tuple(self.view(k, shape) for k, shape in enumerate(shapes))
 
 
-def _noise_blocks(seed: int, idx: int, count: int, n: int, values: int):
+def _noise_blocks(seed: int, idx: int, count: int, n: int):
     """Yield ``(r0, z)``: chunk ``idx``'s ``count`` n x n standard normal
     matrices, drawn in stream order into one reused buffer of about
-    ``values`` values, ``z`` holding replicas ``r0 .. r0 + len(z) - 1``.
+    ``_NOISE_BLOCK_VALUES`` values, ``z`` holding replicas
+    ``r0 .. r0 + len(z) - 1``.
     The draws are those of one ``standard_normal((count, n, n))`` call on
     the chunk's stream.  All three sheet commands (girsanov-check, sheet
     simulate, negativity) draw their noise here."""
     rng = RngStreamSpec(seed, idx).generator()
-    rows = max(1, values // (n * n))
+    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
     buf = np.empty((min(rows, count), n, n))
     for r0 in range(0, count, rows):
         z = buf[:count - r0]
@@ -377,13 +386,14 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     mean of X_T against its closed-form value e^{bT} (4 standard errors).
     A chunk samples into its thread's reused buffers and evaluates both
     solutions on cache-sized row blocks (``_CHAOS_BLOCK_VALUES``); a nan
-    anywhere makes the sup-node error nan, so the metric fails.
+    anywhere makes the sup-node error nan, so the metric fails.  A target
+    e^{bT} past the double range, inf or underflowed to 0, fails too.
     """
     t0 = time.perf_counter()
     a, b = settings.a, settings.b
     N = 20 if settings.truncation is None else settings.truncation
     grid = build_grid(settings.grid_n, settings.T)
-    factor = factor_covariance(settings.alpha, grid)
+    L = factor_covariance(settings.alpha, grid)
 
     n = grid.n_steps
     buffers = _ChunkBuffers(n + 1, n)
@@ -391,7 +401,7 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
 
     def work(idx: int, count: int):
         values, z = buffers.take((count, n + 1), (count, n))
-        sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+        sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
         terminal = np.empty(count)
         sup = 0.0
         for r0 in range(0, count, rows):
@@ -406,8 +416,8 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     parts = _map_chunks(work, settings.samples, settings.threads)
     sup_err = float(np.max([p_[0] for p_ in parts]))
     mean_T = combine_moments([p_[1] for p_ in parts])
-    try:
-        target = math.exp(b * settings.T)
+    try:  # 0 from an underflow would match underflowed paths: nan fails
+        target = math.exp(b * settings.T) or math.nan
     except OverflowError:  # fails its metric and is written as null
         target = math.inf
 
@@ -455,16 +465,16 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
     buffers = _ChunkBuffers(n_fine + 1, n_fine + 1)
 
     for alpha in _EULER_ALPHAS:
-        factor = factor_covariance(alpha, fine)
+        L = factor_covariance(alpha, fine)
 
-        def work(idx: int, count: int, alpha=alpha, factor=factor):
+        def work(idx: int, count: int, alpha=alpha, L=L):
             # node-major: the scheme's step-major loop reads contiguous rows.
             # The noise is dead once sampled into the nodes, before the
             # scheme first writes its trajectories, so the two share an array
             nodes, paths = buffers.take((n_fine + 1, count), (n_fine + 1, count))
             z = buffers.view(1, (count, n_fine))
             values = nodes.T
-            sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+            sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
             limit = exact_solution_1d(a, 0.0, alpha, T, values[:, -1])
             out = []
             for n in _EULER_STEPS:
@@ -591,7 +601,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     check_sheet_solve(-a, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
-        blocks = _noise_blocks(settings.seed, idx, count, grid.n_s, _CHAIN_BLOCK_VALUES)
+        blocks = _noise_blocks(settings.seed, idx, count, grid.n_s)
         all_neg, surface = 0, np.zeros(limit.shape)
         for _, total in solve_sheet_chaos_total_blocks(noise, -a, grid, blocks, N):
             all_neg += int(np.all(total[:, mask] < 0.0, axis=1).sum())
@@ -705,8 +715,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
 
     # tilting functional: xi = a' Z b reproduces E[W_{s,t} xi] = s t at nodes
     line = build_grid(n, T)
-    Ls = factor_covariance(alpha, line).lower_triangular
-    Lt = factor_covariance(beta, line).lower_triangular
+    Ls = factor_covariance(alpha, line)
+    Lt = factor_covariance(beta, line)
     avec = _solve_lower(Ls, line.points[1:])
     bvec = _solve_lower(Lt, line.points[1:])
     grid_norm_sq = float(avec @ avec) * float(bvec @ bvec)
@@ -727,7 +737,7 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
 
     def work(idx: int, count: int):
         w_s, xi_s = np.empty((count, n)), np.empty((count, n))
-        for r0, z in _noise_blocks(settings.seed, idx, count, n, _NOISE_BLOCK_VALUES):
+        for r0, z in _noise_blocks(settings.seed, idx, count, n):
             np.matmul(row_s, z, out=w_s[r0:r0 + len(z)])
             np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
         w_tt = w_s @ row_t
@@ -878,7 +888,7 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
     from scipy.special import ndtr, stdtrit
 
     grid = build_grid(settings.grid_n, settings.T)
-    factor = factor_covariance(settings.alpha, grid)
+    L = factor_covariance(settings.alpha, grid)
 
     n = grid.n_steps
     buffers = _ChunkBuffers(n + 1, n + 1)
@@ -888,7 +898,7 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
         # are written, so the two share an array
         values, sq = buffers.take((count, n + 1), (count, n + 1))
         z = buffers.view(1, (count, n))
-        sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+        sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
         # the buffer is reused by the next chunk
         first = values[0].copy() if idx == 0 else None
         # (B_s B_u)^2 = B_s^2 B_u^2, so the product-estimator variance needs
@@ -961,17 +971,17 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     grid = build_grid2d(n, n, settings.T)
     alpha, beta = settings.alpha, settings.beta
     line = build_grid(n, settings.T)
-    factor_s = factor_covariance(alpha, line)
-    factor_t = factor_covariance(beta, line)
+    Ls = factor_covariance(alpha, line)
+    Lt = factor_covariance(beta, line)
     half_s, half_t = grid.n_s // 2, grid.n_t // 2
 
     def work(idx: int, count: int):
         corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
         values = first = None
-        for r0, z in _noise_blocks(settings.seed, idx, count, n, _NOISE_BLOCK_VALUES):
+        for r0, z in _noise_blocks(settings.seed, idx, count, n):
             if values is None:  # the first block is the largest
                 values = np.empty((len(z), n + 1, n + 1))
-            v = sample_sheet_batch(factor_s, factor_t, z, values[:len(z)])
+            v = sample_sheet_batch(Ls, Lt, z, values[:len(z)])
             out = slice(r0, r0 + len(z))
             corner[out] = v[:, -1, -1]
             inc_a[out] = v[:, half_s, half_t]

@@ -7,15 +7,15 @@ matrix normal V = L_s Z L_t' with Z iid standard normal has exactly the right
 law.  (The tests keep a second, independent route as their oracle: the
 motion expressed through its Volterra kernel acting on white noise.)
 
-Both samplers hand back, or take, the standard-normal draws behind each
-field: the discrete Skorohod machinery integrates against that noise, not
-against the field increments.  ``sample_fbm_batch`` draws its noise;
+``factor_covariance`` returns the lower Cholesky factor itself, a plain
+(n, n) array, and both samplers read their cell counts from its side.
+Both hand back, or take, the standard-normal draws behind each field: the
+discrete Skorohod machinery integrates against that noise, not against
+the field increments.  ``sample_fbm_batch`` draws its noise;
 ``sample_sheet_batch`` maps noise its caller drew, so sheet ``simulate``
-draws it a cache-sized block of replicas at a time.
+sizes its blocks of replicas itself.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .model import RngStreamSpec, TimeGrid
 
 __all__ = [
     "NotPositiveDefinite",
-    "CovarianceFactor",
     "cov_fbm",
     "fbm_covariance",
     "factor_covariance",
@@ -55,14 +54,6 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
     return cov_fbm(alpha, t[:, None], t[None, :])
 
 
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """Lower Cholesky factor of the exact fBm covariance on grid.points[1:]."""
-
-    grid: TimeGrid
-    lower_triangular: np.ndarray
-
-
 def _cholesky_guarded(alpha: float, t: np.ndarray) -> np.ndarray:
     # near-singular but formally positive matrices (very fine grids, alpha
     # near 1) are rejected when a pivot's square collapses below 1e-13 of
@@ -81,19 +72,21 @@ def _cholesky_guarded(alpha: float, t: np.ndarray) -> np.ndarray:
     return L
 
 
-def factor_covariance(alpha: float, grid: TimeGrid) -> CovarianceFactor:
-    """Factor the exact covariance on the positive grid points."""
-    L = _cholesky_guarded(alpha, grid.points[1:])
-    return CovarianceFactor(grid=grid, lower_triangular=L)
+def factor_covariance(alpha: float, grid: TimeGrid) -> np.ndarray:
+    """Lower Cholesky factor L, (n, n), of the exact covariance on the
+    grid's n positive points."""
+    return _cholesky_guarded(alpha, grid.points[1:])
 
 
 def sample_fbm_batch(
-    factor: CovarianceFactor,
+    L: np.ndarray,
     n_replicas: int,
     rng_spec: RngStreamSpec,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, noise) for many replicas at once: shapes (R, n+1), (R, n).
+
+    ``L`` is the (n, n) factor of ``factor_covariance``.
 
     ``out=(values, noise)`` fills those float arrays instead of fresh ones
     and returns them, with the same bits; a wrong shape, a dtype other than
@@ -105,7 +98,7 @@ def sample_fbm_batch(
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    n = factor.grid.n_steps
+    n = len(L)
     shapes = (n_replicas, n + 1), (n_replicas, n)
     if out is None:
         values, z = np.empty(shapes[0]), np.empty(shapes[1])
@@ -119,26 +112,24 @@ def sample_fbm_batch(
             )
     rng_spec.generator().standard_normal(out=z)
     values[:, 0] = 0.0
-    np.matmul(z, factor.lower_triangular.T, out=values[:, 1:])
+    np.matmul(z, L.T, out=values[:, 1:])
     return values, z
 
 
-
-
 def sample_sheet_batch(
-    factor_s: CovarianceFactor,
-    factor_t: CovarianceFactor,
+    Ls: np.ndarray,
+    Lt: np.ndarray,
     z: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Write the sheets V = L_s Z L_t' of noise ``z`` (R, n_s, n_t) into
     ``out`` (R, n_s+1, n_t+1), zero on the axes, and return ``out``.
 
-    n_s and n_t are the cell counts of the factors' grids; a wrong shape
-    raises ``ValueError`` before any product.  Each replica is its own pair
-    of matrix products, so no bit depends on how replicas are blocked.
+    ``Ls`` and ``Lt`` are the two axes' factors (``factor_covariance``),
+    of sides n_s and n_t; a wrong shape raises ``ValueError`` before any
+    product.  Each replica is its own pair of matrix products, so no bit
+    depends on how replicas are blocked.
     """
-    Ls, Lt = factor_s.lower_triangular, factor_t.lower_triangular
     cells = (len(Ls), len(Lt))
     if z.ndim != 3 or z.shape[1:] != cells:
         raise ValueError(f"noise of shape {z.shape} is not (replicas, {cells[0]}, {cells[1]})")

@@ -10,6 +10,7 @@ import pytest
 
 import fracsde.chaos as chaos_module
 import fracsde.cli as cli_module
+import fracsde.experiments as experiments_module
 
 from fracsde.chaos import (
     chaos_norm_decay,
@@ -21,7 +22,6 @@ from fracsde.chaos import (
     solve_sheet_chaos_batch,
     solve_sheet_chaos_total_blocks,
     wick_euler_paths,
-    _CHAOS_BLOCK_VALUES,
 )
 from fracsde.fields import factor_covariance, sample_fbm_batch
 from fracsde.model import RngStreamSpec, build_grid, build_grid2d
@@ -166,8 +166,8 @@ class TestExactAndChaosSum1D:
                     assert np.all(err <= 1e-12 * scale)
 
 
-# one block of chaos_total_1d at 65 nodes, in rows
-_BLOCK = _CHAOS_BLOCK_VALUES // 65
+# the row block exact-vs-chaos passes to chaos_total_1d at 65 nodes
+_BLOCK = experiments_module._CHAOS_BLOCK_VALUES // 65
 
 
 def _assert_matches_orders(got, a, b, alpha, t, B, N):
@@ -216,14 +216,6 @@ class TestChaosTotal1D:
         assert got.shape == (300, 9)
         _assert_matches_orders(got, 0.8, -0.3, 0.4, t, B, 20)
 
-    def test_block_size_does_not_move_bits(self, monkeypatch):
-        t = np.linspace(0.0, 1.0, 65)
-        B = np.random.default_rng(9).standard_normal((1000, 65)) * t**0.7
-        ref = chaos_total_1d(1.3, 0.5, 0.7, t, B, 28)
-        for values in (1, 65, 4 * 65 + 7, 2**13, 2**20):
-            monkeypatch.setattr(chaos_module, "_CHAOS_BLOCK_VALUES", values)
-            np.testing.assert_array_equal(chaos_total_1d(1.3, 0.5, 0.7, t, B, 28), ref)
-
     def test_exactly_rounded_coefficients_hold_the_tolerance(self):
         # exact-vs-chaos at alpha 0.7, a 0.5, T 10, b 1, N 60: float partial
         # sums of the coefficients' exponential series read 1.5e-7 here,
@@ -265,19 +257,6 @@ class TestChaosTotal1D:
         # the shared table is read-only
         table = chaos_module._horner_table(np.ones(3).tobytes(), np.ones(3).tobytes(), 4)
         assert table.shape == (5, 3) and not table.flags.writeable
-
-    def test_holds_blocks_not_orders(self):
-        # the 29 stacked orders of this chunk take 62 MB; the running total
-        # holds its output and one block's buffers
-        t = np.linspace(0.0, 1.0, 65)
-        B = np.random.default_rng(4).standard_normal((4096, 65))
-        tracemalloc.start()
-        try:
-            total = chaos_total_1d(1.0, 0.5, 0.3, t, B, 28)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * total.nbytes
 
 
 def _euler_columns(a, alpha, grid, values):

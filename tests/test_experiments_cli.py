@@ -673,7 +673,7 @@ class TestNegativityBlocks:
         ``rows_list``, at 1 and 2 threads."""
         outs = []
         for rows in rows_list:
-            monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", rows * n * n)
+            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * n * n)
             for threads in ("1", "2"):
                 out = tmp_path / f"rows{rows}_threads{threads}"
                 assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
@@ -713,7 +713,7 @@ class TestNegativityBlocks:
         make = chaos._chain_kernels
         monkeypatch.setattr(chaos, "_chain_kernels", lambda b, grid: (
             built.append(b) or make(b, grid)))
-        monkeypatch.setattr(experiments, "_CHAIN_BLOCK_VALUES", 7 * 8 * 8)
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", 7 * 8 * 8)
         assert main(self._ARGV + ["--out", str(tmp_path)]) == 0
         assert built == [-1.0, -1.0]
 
@@ -739,7 +739,7 @@ class TestNegativityBlocks:
         # stay within one block of 2000
         settings = RunSettings(T=3.0, grid_n=32, epsilon=0.05, samples=2000)
         cmd_negativity(replace(settings, samples=10))  # imports and caches
-        tiles, block = 3 * 368 * 368, 8 * experiments._CHAIN_BLOCK_VALUES
+        tiles, block = 3 * 368 * 368, 8 * experiments._NOISE_BLOCK_VALUES
         peak = self._peak(settings)
         assert peak <= 8 * tiles + 4 * block, peak / 1e6
         more = self._peak(replace(settings, samples=4000))
@@ -846,15 +846,18 @@ class TestLineChunkBuffers:
             assert sup == max(part[0] for part in want[0])
 
     @pytest.mark.parametrize("name, model, nodes", [
+        ("exact-vs-chaos", dict(alpha=0.3, grid_n=64, truncation=28), 65),
         ("euler-study", dict(a=0.25), 129),
         ("simulate", dict(alpha=0.25, grid_n=64), 65),
-    ], ids=["euler-study", "simulate"])
+    ], ids=["exact-vs-chaos", "euler-study", "simulate"])
     def test_noise_shares_an_array_with_the_outputs(self, name, model, nodes):
         # one 4096-replica chunk holds two arrays of `nodes` values a
         # replica: the noise is dead before the scheme's trajectories (or
-        # the squares) are written, so it lives in their array.  A third
-        # chunk-sized array breaks the bound; the slack of half an array
-        # covers the moments and the report's tables
+        # the squares) are written, so it lives in their array, and
+        # exact-vs-chaos keeps its paths and noise but sums the chaos on
+        # row blocks, never on the whole chunk.  A third chunk-sized array
+        # breaks the bound; the slack of half an array covers the moments,
+        # a row block's temporaries and the report's tables
         command = self.COMMANDS[name][0]
         settings = RunSettings(samples=4096, **model)
         command(replace(settings, samples=10))  # imports and caches
@@ -890,6 +893,21 @@ class TestLineChunkBuffers:
         _, first = next(_line_chunks(settings, 0.25, 8))
         _, rows = report.tables["sample_path"]
         assert [row[1] for row in rows] == first[0].tolist()
+
+    def test_chaos_block_size_does_not_move_bits(self, monkeypatch, tmp_path):
+        # two chunks (4096 and 300) at 65 nodes; row blocks of 1 row (from
+        # 1 and from 65 values), of 4 and of 126 rows, and one block a chunk
+        # give the same report and table bytes
+        argv = ["exact-vs-chaos", "--alpha", "0.7", "--a", "1.3", "--grid-n", "64",
+                "--truncation", "28", "--samples", str(4096 + 300), "--seed", "9"]
+        outs = []
+        for values in (1, 65, 4 * 65 + 7, 2**13, 2**20):
+            monkeypatch.setattr(experiments, "_CHAOS_BLOCK_VALUES", values)
+            out = tmp_path / str(values)
+            assert main(argv + ["--out", str(out)]) == 0
+            report = _strip_wall(json.loads((out / "report.json").read_text()))
+            outs.append((report, (out / "exact_vs_chaos.csv").read_bytes()))
+        assert all(o == outs[0] for o in outs[1:])
 
     def test_coefficient_table_is_assembled_once(self):
         chaos._horner_table.cache_clear()
@@ -1021,7 +1039,7 @@ class TestGirsanovTilt:
     def test_tilt_vector_reproduces_the_grid_points(self, alpha, n):
         # E[W_{s,t} xi] = s t needs L a = t at every positive grid point
         line = build_grid(n, 3.0)
-        L = factor_covariance(alpha, line).lower_triangular
+        L = factor_covariance(alpha, line)
         t = line.points[1:]
         a = experiments._solve_lower(L, t)
         assert np.max(np.abs(L @ a - t) / t) < 1e-13
@@ -1180,6 +1198,17 @@ class TestStatisticalHonesty:
         for alpha in ("0.3", "0.7"):
             assert metrics[f"euler_alpha_{alpha}"]["value"] is None
             assert metrics[f"euler_alpha_{alpha}"]["passed"] is False
+
+    def test_underflowing_target_fails_its_metric(self, tmp_path):
+        # e^{bT} underflows to 0 at b = -800, and so does every X_T: a
+        # mean of 0 with no spread would match a target of 0 exactly
+        argv = ["exact-vs-chaos", "--alpha", "0.7", "--grid-n", "8",
+                "--samples", "10", "--b", "-800", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        mean = {m["name"]: m for m in report["metrics"]}["terminal_mean"]
+        assert mean["value"] == 0.0 and mean["std_error"] == 0.0
+        assert mean["target"] is None and mean["passed"] is False
 
     def test_non_finite_standard_error_fails_its_metric(self, tmp_path):
         # at T = 1e100 the corner variance (about 1.6e200) is finite, but

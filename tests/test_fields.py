@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracsde.fields import (
-    CovarianceFactor,
     NotPositiveDefinite,
     _cholesky_guarded,
     cov_fbm,
@@ -78,19 +77,19 @@ class TestCovariance:
 class TestCholeskyFactor:
     def test_single_point_grid(self):
         f = factor_covariance(0.35, build_grid(1, 1.0))
-        assert f.lower_triangular.shape == (1, 1)
-        assert f.lower_triangular[0, 0] == pytest.approx(1.0)  # R(1,1) = 1
+        assert f.shape == (1, 1)
+        assert f[0, 0] == pytest.approx(1.0)  # R(1,1) = 1
 
     def test_two_point_hand_factor_brownian(self):
         # R = [[.5,.5],[.5,1]]; L = [[sqrt(.5),0],[sqrt(.5),sqrt(.5)]]
         f = factor_covariance(0.5, build_grid(2, 1.0))
         r = math.sqrt(0.5)
-        np.testing.assert_allclose(f.lower_triangular, [[r, 0.0], [r, r]], atol=1e-12)
+        np.testing.assert_allclose(f, [[r, 0.0], [r, r]], atol=1e-12)
 
     def test_factor_reproduces_covariance(self):
         for alpha in (0.3, 0.7):
             g = build_grid(16, 2.0)
-            L = factor_covariance(alpha, g).lower_triangular
+            L = factor_covariance(alpha, g)
             np.testing.assert_allclose(
                 L @ L.T, fbm_covariance(alpha, g.points[1:]), atol=1e-10
             )
@@ -112,7 +111,7 @@ class TestPathSampling:
     def test_values_are_factor_times_noise(self):
         fac = factor_covariance(0.6, build_grid(8, 1.0))
         (values,), (z,) = sample_fbm_batch(fac, 1, RngStreamSpec(11))
-        np.testing.assert_allclose(values[1:], fac.lower_triangular @ z, atol=1e-14)
+        np.testing.assert_allclose(values[1:], fac @ z, atol=1e-14)
 
     def test_determinism(self):
         fac = factor_covariance(0.3, build_grid(8, 1.0))
@@ -136,7 +135,7 @@ class TestPathSampling:
         # the sampler as first written: one draw of (rows, n), one product
         z_ref = spec.generator().standard_normal((rows, n))
         np.testing.assert_array_equal(z, z_ref)
-        np.testing.assert_array_equal(values[:, 1:], z_ref @ fac.lower_triangular.T)
+        np.testing.assert_array_equal(values[:, 1:], z_ref @ fac.T)
         assert np.all(values[:, 0] == 0.0)
         for order in ("C", "F"):
             out = (np.full((rows, n + 1), np.nan, order=order), np.full((rows, n), np.nan))
@@ -217,9 +216,8 @@ class TestSheetSampling:
                 raise AssertionError("computed a product before checking shapes")
 
         fs, ft = (
-            CovarianceFactor(f.grid, f.lower_triangular.view(NoProducts))
-            for f in (factor_covariance(0.3, build_grid(4, 1.0)),
-                      factor_covariance(0.7, build_grid(6, 1.0)))
+            factor_covariance(alpha, build_grid(n, 1.0)).view(NoProducts)
+            for alpha, n in ((0.3, 4), (0.7, 6))
         )
         bad = [
             # one sheet's noise broadcasts into the products and the buffer
