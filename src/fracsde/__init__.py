@@ -59,6 +59,7 @@ from .chaos import (
     deterministic_sheet_solution,
     exact_solution_1d,
     solve_sheet_chaos_total_blocks,
+    wick_euler_factors,
     wick_euler_paths,
 )
 from .experiments import ExperimentReport, RunSettings

@@ -15,9 +15,10 @@ reads and a grid, the only carrier of the horizon T.
 The Wick-corrected Euler scheme and the closed-form deterministic sheet
 profile close the loop for the convergence and negativity studies.
 
-The commands run ``chaos_total_1d``, ``wick_euler_paths`` and
+The commands run ``chaos_total_1d``, ``wick_euler_factors`` and
 ``solve_sheet_chaos_total_blocks``; ``chaos_sum_1d`` and
-``solve_sheet_chaos_batch`` keep every order, for the tests to compare.
+``solve_sheet_chaos_batch`` keep every order, and ``wick_euler_paths``
+every step, for the tests to compare.
 The solvers size no blocks, bar the trmm buffer of the drifted chain
 route: the commands in ``experiments`` cut every row and noise block.
 """
@@ -37,6 +38,7 @@ __all__ = [
     "exact_solution_1d",
     "chaos_sum_1d",
     "chaos_total_1d",
+    "wick_euler_factors",
     "wick_euler_paths",
     "chaos_norm_decay",
     "solve_sheet_chaos_batch",
@@ -210,18 +212,20 @@ def chaos_total_1d(a: float, b: float, alpha: float, t, B_t, truncation: int):
 # Wick-corrected Euler scheme
 # ----------------------------------------------------------------------------
 
-def wick_euler_paths(
+def wick_euler_factors(
     a: float, alpha: float, grid: TimeGrid, values: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scheme trajectories for an array of sampled paths (..., n_steps+1).
+    """The scheme's step factors for an array of sampled paths (..., n_steps+1).
 
-    The scheme is stated for the driftless equation, so it takes no drift.
-    The correction bracket t_{k+1}^{2a} - t_k^{2a} - dt^{2a} vanishes at
-    k = 0, so the first step is plain Euler for every alpha and grid.  The
-    scheme runs step-major, one row of paths per step; rows are contiguous
-    when ``values`` (and ``out``, which receives the trajectories if given,
-    in the shape of ``values``) are transposes of node-major arrays.
+    Step k multiplies X_k by 1 + a (B_{k+1} - B_k) - a^2 c_k / 2, with the
+    correction bracket c_k = t_{k+1}^{2 alpha} - t_k^{2 alpha} - dt^{2 alpha};
+    X_0 = 1.  The bracket vanishes at k = 0, so the first step is plain
+    Euler for every alpha and grid.  The scheme is stated for the driftless
+    equation, so it takes no drift.  The factors come back step-major,
+    (n_steps, ...), in ``out`` if given: the terminal value X_T is their
+    product over axis 0 in step order (``np.multiply.reduce``), the bits of
+    the step-by-step recursion.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (grid.n_steps + 1,):
@@ -229,26 +233,54 @@ def wick_euler_paths(
             f"paths of shape {values.shape} do not end in the grid's "
             f"{grid.n_steps + 1} nodes"
         )
+    V = np.moveaxis(values, -1, 0)
+    shape = (grid.n_steps,) + V.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out of shape {out.shape} is not {shape}")
+    np.subtract(V[1:], V[:-1], out=out)
+    out *= a
+    out += 1.0
+    out -= _wick_corrections(a, alpha, grid).reshape((-1,) + (1,) * (V.ndim - 1))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _wick_corrections(a: float, alpha: float, grid: TimeGrid) -> np.ndarray:
+    """Read-only a^2 c_k / 2 of every step k of ``grid``, cached per grid
+    object (``TimeGrid`` hashes by identity) for callers that run the
+    scheme block by block."""
     t = grid.points
     # float64 powers: on a grid past the double range the bracket reads
-    # inf or nan and the paths follow, where a float power would raise
+    # inf or nan and the factors follow, where a float power would raise
     with np.errstate(over="ignore", invalid="ignore"):
         dt_power = np.float64(grid.dt) ** (2.0 * alpha)
         c = t[1:] ** (2.0 * alpha) - t[:-1] ** (2.0 * alpha) - dt_power
-    V = np.moveaxis(values, -1, 0)
+        corrections = 0.5 * a * a * c
+    corrections.setflags(write=False)
+    return corrections
+
+
+def wick_euler_paths(
+    a: float, alpha: float, grid: TimeGrid, values: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scheme trajectories for an array of sampled paths (..., n_steps+1):
+    the running products of ``wick_euler_factors``.
+
+    ``out``, if given, receives the trajectories in the shape of ``values``.
+    No command runs it: ``euler-study`` reads only X_T, the full product.
+    """
+    values = np.asarray(values, dtype=float)
     if out is None:
-        out = np.moveaxis(np.empty(V.shape), 0, -1)
+        out = np.empty(values.shape)
     elif out.shape != values.shape:
         raise ValueError(f"out of shape {out.shape} is not {values.shape}")
+    factors = wick_euler_factors(a, alpha, grid, values)
     X = np.moveaxis(out, -1, 0)
     X[0, ...] = 1.0
-    step = np.empty(V.shape[1:])
-    for k in range(grid.n_steps):
-        np.subtract(V[k + 1, ...], V[k, ...], out=step)
-        step *= a
-        step += 1.0
-        step -= 0.5 * a * a * c[k]
-        np.multiply(X[k, ...], step, out=X[k + 1, ...])
+    np.multiply.accumulate(factors, axis=0, out=X[1:])
     return out
 
 

@@ -31,7 +31,7 @@ from .chaos import (
     deterministic_sheet_solution,
     exact_solution_1d,
     solve_sheet_chaos_total_blocks,
-    wick_euler_paths,
+    wick_euler_factors,
 )
 from .fields import (
     cov_fbm,
@@ -83,17 +83,35 @@ __all__ = [
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
 
-# Values per row block of exact-vs-chaos (252 rows at 65 nodes), which
-# runs the chaos sum, the exact solution and their gap on one block while
-# it is in cache.  A block's chaos sum and its buffer of x take 0.26 MB.
-# On 4096 paths x 65 nodes at N = 20 (one thread, Xeon with 2 MB L2 per
-# core) the sum took 13.8, 10.7, 9.4, 8.7, 8.2 and 9.7 ms in blocks of
-# 2**12 to 2**17 values; the whole exact-vs-chaos run could not tell 2**14
-# from 2**15 or 2**16.  Block-sized temporaries are reused from the heap,
-# where freed chunk-sized ones went back to the OS and faulted in again
-# (75k minor faults in a 100k-replica run, about 1k with blocks and chunk
-# buffers).
+# Values per row block of exact-vs-chaos (248 rows at 65 nodes), which
+# samples its paths, sums the chaos and takes the exact solution and their
+# gap on one block while it is in cache.  A block's chaos sum and its
+# buffer of x take 0.26 MB.  On 4096 paths x 65 nodes at N = 20 (one
+# thread, Xeon with 2 MB L2 per core) the sum took 13.8, 10.7, 9.4, 8.7,
+# 8.2 and 9.7 ms in blocks of 2**12 to 2**17 values; the whole
+# exact-vs-chaos run could not tell 2**14 from 2**15 or 2**16.
+# Block-sized temporaries are reused from the heap, where freed chunk-sized
+# ones went back to the OS and faulted in again (75k minor faults in a
+# 100k-replica run, about 1k with blocks).
 _CHAOS_BLOCK_VALUES = 2**14
+# Values per row block of euler-study (504 rows at 129 nodes): a block's
+# paths, and the step factors that take its noise's array, stay in a
+# per-core L2 cache across the five step counts.  Each block pays a fixed
+# cost per step count; in 30 interleaved 20000-path runs (one thread) the
+# command took 0.96 of its step-loop time at 2**16 and 1.01 at 2**15.
+_EULER_BLOCK_VALUES = 2**16
+# The row blocks of the line samplers (_row_blocks).  OpenBLAS 0.3.31
+# (Haswell kernels, one thread) gave each block's GEMM by L the bits of one
+# GEMM over the whole chunk when every block started at a multiple of 8
+# rows and a tail of at most 192 rows joined the block before it: every
+# count from 1 to 4096 in blocks of 248, 256 and 512 rows, at 64 nodes
+# row-major and 128 nodes node-major.  Without the join a lone tail moved
+# bits: up to 18 rows long row-major at 64 nodes, and of any length up to
+# 191 that is not a multiple of 8 node-major at 128 nodes; blocks of 16
+# rows moved bits at 64 nodes.  At two BLAS threads the row-major blocks
+# kept the bits and the node-major ones did not.
+_GEMM_ALIGN = 8
+_GEMM_TAIL_ROWS = 192
 # Values per block of the sheet noise of all three sheet commands.
 # girsanov-check and sheet simulate (64 replicas at grid 64): one 2 MB
 # block stays in a per-core L2 cache while it is drawn and read.
@@ -145,6 +163,40 @@ def _noise_blocks(seed: int, idx: int, count: int, n: int):
         z = buf[:count - r0]
         rng.standard_normal(out=z)
         yield r0, z
+
+
+def _row_blocks(count: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) blocks of ``count`` rows, ``rows`` at a time.
+
+    ``rows`` is rounded down to a multiple of 8 and raised to more than
+    192, and a tail of at most 192 rows joins the block before it, so that
+    each block's GEMM keeps the bits of one GEMM over all the rows.
+    """
+    rows = max(rows // _GEMM_ALIGN, _GEMM_TAIL_ROWS // _GEMM_ALIGN + 1) * _GEMM_ALIGN
+    blocks = [(r0, min(r0 + rows, count)) for r0 in range(0, count, rows)]
+    if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] <= _GEMM_TAIL_ROWS:
+        blocks[-2:] = [(blocks[-2][0], count)]
+    return blocks
+
+
+def _path_blocks(L: np.ndarray, seed: int, idx: int, count: int, values: int,
+                 node_major: bool = False):
+    """Yield ``(r0, paths, z)``: chunk ``idx``'s ``count`` fBm paths and
+    their noise, sampled by ``fields.sample_fbm_batch`` in row blocks of
+    about ``values`` values (``_row_blocks``) into two reused buffers;
+    ``paths`` (rows, n+1) holds replicas ``r0 .. r0 + len(paths) - 1``, as
+    the transpose of an (n+1, rows) array if ``node_major``.  The draws and
+    the paths are those of one call over the chunk."""
+    n = len(L)
+    rng = RngStreamSpec(seed, idx).generator()
+    blocks = _row_blocks(count, values // (n + 1))
+    most = max(stop - start for start, stop in blocks)
+    z = np.empty((most, n))
+    paths = np.empty((n + 1, most)).T if node_major else np.empty((most, n + 1))
+    for start, stop in blocks:
+        k = stop - start
+        yield (start, *sample_fbm_batch(L, k, rng, out=(paths[:k], z[:k])))
+
 
 # Depth of the negativity window: the limit surface must sit below -delta.
 NEGATIVITY_DELTA = 0.1
@@ -304,11 +356,15 @@ def _within_4se(
 ) -> MetricResult:
     """Pass iff the estimate lies within 4 standard errors of ``target``.
 
-    A standard error that is not finite bounds nothing, so it fails.
+    A standard error that is not finite bounds nothing, so it fails.  A zero
+    spread (the a = 0 cases) asks for agreement to 1e-12 of |target|, so a
+    spread that underflowed, or a target of 0, leaves nothing to pass on.
     """
     gap, se = abs(result.estimate - target), result.std_error
-    # degenerate spread (a = 0 cases) falls back to near-exact agreement
-    passed = gap < 1e-12 if se == 0.0 else math.isfinite(se) and gap <= 4.0 * se
+    if se == 0.0:
+        passed = gap < 1e-12 * abs(target)
+    else:
+        passed = math.isfinite(se) and gap <= 4.0 * se
     return MetricResult(
         name=name,
         value=result.estimate,
@@ -384,8 +440,9 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     Two metrics: the sup-node error of the truncated sum over all sampled
     paths (tolerance 1e-8 at the default truncation) and the Monte Carlo
     mean of X_T against its closed-form value e^{bT} (4 standard errors).
-    A chunk samples into its thread's reused buffers and evaluates both
-    solutions on cache-sized row blocks (``_CHAOS_BLOCK_VALUES``); a nan
+    A chunk samples its paths, and evaluates both solutions on them, one
+    cache-sized row block at a time (``_CHAOS_BLOCK_VALUES``,
+    ``_path_blocks``), so it holds no chunk-sized array of paths; a nan
     anywhere makes the sup-node error nan, so the metric fails.  A target
     e^{bT} past the double range, inf or underflowed to 0, fails too.
     """
@@ -395,22 +452,16 @@ def cmd_exact_vs_chaos(settings: RunSettings) -> ExperimentReport:
     grid = build_grid(settings.grid_n, settings.T)
     L = factor_covariance(settings.alpha, grid)
 
-    n = grid.n_steps
-    buffers = _ChunkBuffers(n + 1, n)
-    rows = max(1, _CHAOS_BLOCK_VALUES // (n + 1))
-
     def work(idx: int, count: int):
-        values, z = buffers.take((count, n + 1), (count, n))
-        sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
         terminal = np.empty(count)
         sup = 0.0
-        for r0 in range(0, count, rows):
-            block = values[r0:r0 + rows]
+        blocks = _path_blocks(L, settings.seed, idx, count, _CHAOS_BLOCK_VALUES)
+        for r0, block, _ in blocks:
             chaos = chaos_total_1d(a, b, settings.alpha, grid.points, block, N)
             exact = exact_solution_1d(a, b, settings.alpha, grid.points, block)
             # np.maximum keeps a nan, where max() would drop it
             sup = np.maximum(sup, np.max(np.abs(chaos - exact)))
-            terminal[r0:r0 + rows] = exact[:, -1]
+            terminal[r0:r0 + len(block)] = exact[:, -1]
         return sup, chunk_moments(terminal)
 
     parts = _map_chunks(work, settings.samples, settings.threads)
@@ -450,40 +501,47 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
 
     All step counts share paths sampled on the finest grid (coarser grids
     read every 2^k-th node), so the trend across n is a coupled comparison.
-    A chunk samples node-major into its thread's reused buffers, so the
-    scheme's step-major loop reads and writes contiguous rows; the noise
-    and the scheme's trajectories share one of them.
+    The study reads only the scheme's terminal value, the product of its
+    step factors (``wick_euler_factors``).  A chunk samples its paths
+    node-major, one cache-sized row block at a time (``_EULER_BLOCK_VALUES``,
+    ``_path_blocks``), and each step count's factors of a block take the
+    array of the block's noise, dead once sampled into the paths; the chunk
+    holds no chunk-sized array of paths.
     The convergence verdict per Hurst exponent is err(128) < err(8) / 2;
-    the threshold case alpha = 1/2 is reported, not asserted.  The Hurst
-    exponents and step counts are fixed, and the scheme is driftless.
+    the threshold case alpha = 1/2 is reported, not asserted.  Errors carry
+    a signal only above the rounding floor of a 128-step product,
+    err(8) > (128 eps)^2 E[X_T^2]; below it, or when err(8) is not finite,
+    every verdict reads NO-SIGNAL and the asserted two fail on a nan value.
+    The Hurst exponents and step counts are fixed, and the scheme is
+    driftless.
     """
     t0 = time.perf_counter()
     n_fine = _EULER_STEPS[-1]
     a, T = settings.a, settings.T
-    fine = build_grid(n_fine, T)
+    grids = {n: build_grid(n, T) for n in _EULER_STEPS}
     errors: dict[float, dict[int, MonteCarloResult]] = {}
-    buffers = _ChunkBuffers(n_fine + 1, n_fine + 1)
 
     for alpha in _EULER_ALPHAS:
-        L = factor_covariance(alpha, fine)
+        L = factor_covariance(alpha, grids[n_fine])
 
         def work(idx: int, count: int, alpha=alpha, L=L):
-            # node-major: the scheme's step-major loop reads contiguous rows.
-            # The noise is dead once sampled into the nodes, before the
-            # scheme first writes its trajectories, so the two share an array
-            nodes, paths = buffers.take((n_fine + 1, count), (n_fine + 1, count))
-            z = buffers.view(1, (count, n_fine))
-            values = nodes.T
-            sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
-            limit = exact_solution_1d(a, 0.0, alpha, T, values[:, -1])
-            out = []
-            for n in _EULER_STEPS:
-                x_hat = wick_euler_paths(
-                    a, alpha, build_grid(n, T), values[:, :: n_fine // n],
-                    out=paths[:n + 1].T,
-                )[:, -1]
-                out.append(chunk_moments((x_hat - limit) ** 2))
-            return out
+            # the scheme's X_T at each step count, then the paths' B_T
+            ends = np.empty((len(_EULER_STEPS) + 1, count))
+            blocks = _path_blocks(L, settings.seed, idx, count, _EULER_BLOCK_VALUES,
+                                  node_major=True)
+            for r0, values, z in blocks:
+                out = slice(r0, r0 + len(values))
+                for j, n in enumerate(_EULER_STEPS):
+                    factors = wick_euler_factors(
+                        a, alpha, grids[n], values[:, :: n_fine // n],
+                        out=z.reshape(n_fine, len(z))[:n],
+                    )
+                    np.multiply.reduce(factors, axis=0, out=ends[j, out])
+                ends[-1, out] = values[:, -1]
+            sq = ends[:-1]
+            sq -= exact_solution_1d(a, 0.0, alpha, T, ends[-1])
+            np.square(sq, out=sq)
+            return [chunk_moments(row) for row in sq]
 
         parts = _map_chunks(work, settings.samples, settings.threads)
         errors[alpha] = {
@@ -500,9 +558,14 @@ def cmd_euler_study(settings: RunSettings) -> ExperimentReport:
             rows.append((alpha, n, r.estimate, r.std_error))
         coarse, finest = per_n[_EULER_STEPS[0]], per_n[_EULER_STEPS[-1]]
         halved = finest.estimate < 0.5 * coarse.estimate
-        # errors that underflow to 0 or overflow carry no trend: an asserted
-        # verdict then fails on a nan value, written as null
-        signal = 0.0 < coarse.estimate < math.inf
+        # each of the 128 factors rounds X_T by about eps, so rounding alone
+        # leaves errors of (128 eps)^2 E[X_T^2], E[X_T^2] = e^{a^2 T^{2 alpha}}.
+        # Errors at or below that floor, or past the double range, carry no
+        # trend, and an asserted verdict then fails on a nan value
+        with np.errstate(over="ignore"):
+            scale = np.exp(np.float64(a) * a * np.float64(T) ** (2.0 * alpha))
+        floor = float((n_fine * np.finfo(float).eps) ** 2 * scale)
+        signal = floor < coarse.estimate < math.inf
         if not signal:
             verdict = "NO-SIGNAL"
         else:
@@ -898,7 +961,8 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
         # are written, so the two share an array
         values, sq = buffers.take((count, n + 1), (count, n + 1))
         z = buffers.view(1, (count, n))
-        sample_fbm_batch(L, count, RngStreamSpec(settings.seed, idx), out=(values, z))
+        rng = RngStreamSpec(settings.seed, idx).generator()
+        sample_fbm_batch(L, count, rng, out=(values, z))
         # the buffer is reused by the next chunk
         first = values[0].copy() if idx == 0 else None
         # (B_s B_u)^2 = B_s^2 B_u^2, so the product-estimator variance needs

@@ -11,15 +11,16 @@ motion expressed through its Volterra kernel acting on white noise.)
 (n, n) array, and both samplers read their cell counts from its side.
 Both hand back, or take, the standard-normal draws behind each field: the
 discrete Skorohod machinery integrates against that noise, not against
-the field increments.  ``sample_fbm_batch`` draws its noise;
-``sample_sheet_batch`` maps noise its caller drew, so sheet ``simulate``
-sizes its blocks of replicas itself.
+the field increments.  ``sample_fbm_batch`` draws its noise from the
+generator it is given, so a caller can sample a chunk's stream block by
+block; ``sample_sheet_batch`` maps noise its caller drew, so sheet
+``simulate`` sizes its blocks of replicas itself.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import RngStreamSpec, TimeGrid
+from .model import TimeGrid
 
 __all__ = [
     "NotPositiveDefinite",
@@ -81,20 +82,25 @@ def factor_covariance(alpha: float, grid: TimeGrid) -> np.ndarray:
 def sample_fbm_batch(
     L: np.ndarray,
     n_replicas: int,
-    rng_spec: RngStreamSpec,
+    rng: np.random.Generator,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, noise) for many replicas at once: shapes (R, n+1), (R, n).
 
-    ``L`` is the (n, n) factor of ``factor_covariance``.
+    ``L`` is the (n, n) factor of ``factor_covariance``; the noise is the
+    next R x n standard normals of ``rng``, so successive calls on one
+    generator draw successive row blocks of one stream.
 
     ``out=(values, noise)`` fills those float arrays instead of fresh ones
     and returns them, with the same bits; a wrong shape, a dtype other than
     float64 or non-C-contiguous noise (the draws fill it in memory order)
     raises ``ValueError`` before any draw.  ``values`` may have either
     memory order: node-major callers pass the transpose of an (n+1, R)
-    array.  The product is one GEMM over all R rows; split into blocks of
-    a few rows, the BLAS kernel rounds differently.
+    array.  The product is one GEMM over the R rows.  A row block's GEMM
+    gives the rows of one GEMM over the whole batch, bit for bit, when the
+    block starts at a multiple of 8 rows and holds more than 192 (measured
+    on OpenBLAS 0.3.31, one thread; see ``experiments._row_blocks``);
+    shorter blocks round differently.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -110,7 +116,7 @@ def sample_fbm_batch(
             raise ValueError(
                 f"out must be float64 arrays of shapes {shapes}, the noise C-contiguous"
             )
-    rng_spec.generator().standard_normal(out=z)
+    rng.standard_normal(out=z)
     values[:, 0] = 0.0
     np.matmul(z, L.T, out=values[:, 1:])
     return values, z

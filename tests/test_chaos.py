@@ -21,6 +21,7 @@ from fracsde.chaos import (
     exact_solution_1d,
     solve_sheet_chaos_batch,
     solve_sheet_chaos_total_blocks,
+    wick_euler_factors,
     wick_euler_paths,
 )
 from fracsde.fields import factor_covariance, sample_fbm_batch
@@ -221,7 +222,8 @@ class TestChaosTotal1D:
         # sums of the coefficients' exponential series read 1.5e-7 here,
         # the recurrence 5.6e-9
         grid = build_grid(32, 10.0)
-        values, _ = sample_fbm_batch(factor_covariance(0.7, grid), 1000, RngStreamSpec(5, 0))
+        values, _ = sample_fbm_batch(factor_covariance(0.7, grid), 1000,
+                                     RngStreamSpec(5, 0).generator())
         got = chaos_total_1d(0.5, 1.0, 0.7, grid.points, values, 60)
         exact = exact_solution_1d(0.5, 1.0, 0.7, grid.points, values)
         assert np.max(np.abs(got - exact)) < 1e-8
@@ -337,7 +339,7 @@ class TestWickEuler:
     def test_batched_paths(self):
         g = build_grid(8, 1.0)
         fac = factor_covariance(0.3, g)
-        (path,), _ = sample_fbm_batch(fac, 1, RngStreamSpec(5))
+        (path,), _ = sample_fbm_batch(fac, 1, RngStreamSpec(5).generator())
         single = wick_euler_paths(1.0, 0.3, g, path)
         batch = wick_euler_paths(1.0, 0.3, g, np.stack([path, 2.0 * path]))
         np.testing.assert_allclose(batch[0], single, rtol=1e-14)
@@ -359,9 +361,25 @@ class TestWickEuler:
                 1.2, 0.7, build_grid(8, 1.0), nodes.T[:, ::16], out=paths[:8].T
             )
 
+    def test_factors_multiply_to_the_terminal_value(self):
+        # euler-study's route: node-major blocks, strided node rows, the
+        # factors written step-major into a buffer, X_T their product
+        nodes = np.random.default_rng(14).standard_normal((129, 300)).cumsum(axis=0)
+        buf = np.full((128, 300), np.nan)
+        for alpha in (0.3, 0.5, 0.7):
+            for n in (8, 16, 32, 64, 128):
+                g = build_grid(n, 1.0)
+                sub = nodes.T[:, :: 128 // n]
+                factors = wick_euler_factors(1.2, alpha, g, sub, out=buf[:n])
+                assert np.shares_memory(factors, buf)
+                x_T = np.multiply.reduce(factors, axis=0)
+                np.testing.assert_array_equal(x_T, _euler_columns(1.2, alpha, g, sub)[:, -1])
+        with pytest.raises(ValueError, match="out of shape"):
+            wick_euler_factors(1.2, 0.7, build_grid(8, 1.0), nodes.T[:, ::16], out=buf[:9])
+
     def test_grid_mismatch_rejected(self):
         values, _ = sample_fbm_batch(
-            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(1)
+            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(1).generator()
         )
         with pytest.raises(ValueError, match="do not end in the grid"):
             wick_euler_paths(1.0, 0.3, build_grid(4, 1.0), values)
@@ -371,7 +389,8 @@ class TestDiscreteMultipleIntegrals:
     def test_order_one_telescopes_to_terminal_value(self):
         # indicator kernel at Hurst 1/2: sum of increments = B_T
         g = build_grid(8, 1.0)
-        (values,), (noise,) = sample_fbm_batch(factor_covariance(0.5, g), 1, RngStreamSpec(3))
+        (values,), (noise,) = sample_fbm_batch(factor_covariance(0.5, g), 1,
+                                               RngStreamSpec(3).generator())
         tensor = pushed_kernel_tensor(lambda pts: 1.0, 1, g, 0.5)
         val = offdiagonal_contraction(tensor, noise)
         assert val == pytest.approx(values[-1], rel=1e-10)

@@ -762,7 +762,43 @@ def _line_chunks(settings: RunSettings, alpha: float, n: int):
     """(chunk index, fresh values) of the sampler's default call, one a chunk."""
     factor = factor_covariance(alpha, build_grid(n, settings.T))
     for idx, count in experiments._chunk_layout(settings.samples):
-        yield idx, sample_fbm_batch(factor, count, RngStreamSpec(settings.seed, idx))[0]
+        rng = RngStreamSpec(settings.seed, idx).generator()
+        yield idx, sample_fbm_batch(factor, count, rng)[0]
+
+
+def _row_block_mismatches(n: int, values: int, node_major: bool) -> list[int]:
+    """Chunk sizes at which ``experiments._row_blocks`` (blocks of about
+    ``values`` values of n+1 nodes) gives a block a GEMM by L whose bits
+    differ from its rows of one GEMM over the chunk.  The sizes leave every
+    last block the blocking can: a lone tail of each length above 192
+    rows, a full block joined by a tail of each length up to 192, and a
+    full block; then a whole 4096-replica chunk.  Each product is written
+    where the command writes it: the chunk's into an array of the chunk,
+    a block's into the prefix of an array of the largest block."""
+    L = factor_covariance(0.3, build_grid(n, 1.0))
+    rows = experiments._row_blocks(4096, values // (n + 1))[0][1]
+    tail = experiments._GEMM_TAIL_ROWS
+    z = np.random.default_rng(0).standard_normal((4096, n))
+    flat = np.empty((2, 4096 * (n + 1)))
+
+    def product(z, most, k):
+        # the transpose of an (n+1, most) array, or a (most, n+1) one
+        shape = (n + 1, most) if node_major else (most, n + 1)
+        out = flat[k][:math.prod(shape)].reshape(shape)
+        out = out.T if node_major else out
+        return np.matmul(z, L.T, out=out[:len(z), 1:])
+
+    counts = [*range(rows + tail + 1, 2 * rows), *range(2 * rows, 2 * rows + tail + 1),
+              4096]
+    bad = []
+    for count in counts:
+        blocks = experiments._row_blocks(count, values // (n + 1))
+        most = max(stop - start for start, stop in blocks)
+        whole = product(z[:count], count, 0)
+        if not all(np.array_equal(product(z[start:stop], most, 1), whole[start:stop])
+                   for start, stop in blocks):
+            bad.append(count)
+    return bad
 
 
 def _one_shot_exact_vs_chaos(s: RunSettings) -> list:
@@ -845,19 +881,20 @@ class TestLineChunkBuffers:
             sup = {m.name: m for m in report.metrics}["sup_node_error"].value
             assert sup == max(part[0] for part in want[0])
 
-    @pytest.mark.parametrize("name, model, nodes", [
-        ("exact-vs-chaos", dict(alpha=0.3, grid_n=64, truncation=28), 65),
-        ("euler-study", dict(a=0.25), 129),
-        ("simulate", dict(alpha=0.25, grid_n=64), 65),
+    @pytest.mark.parametrize("name, model, nodes, arrays", [
+        ("exact-vs-chaos", dict(alpha=0.3, grid_n=64, truncation=28), 65, 0.75),
+        ("euler-study", dict(a=0.25), 129, 0.75),
+        ("simulate", dict(alpha=0.25, grid_n=64), 65, 2.5),
     ], ids=["exact-vs-chaos", "euler-study", "simulate"])
-    def test_noise_shares_an_array_with_the_outputs(self, name, model, nodes):
-        # one 4096-replica chunk holds two arrays of `nodes` values a
-        # replica: the noise is dead before the scheme's trajectories (or
-        # the squares) are written, so it lives in their array, and
-        # exact-vs-chaos keeps its paths and noise but sums the chaos on
-        # row blocks, never on the whole chunk.  A third chunk-sized array
-        # breaks the bound; the slack of half an array covers the moments,
-        # a row block's temporaries and the report's tables
+    def test_noise_shares_an_array_with_the_outputs(self, name, model, nodes, arrays):
+        # the peak of one 4096-replica chunk, in arrays of `nodes` values a
+        # replica.  exact-vs-chaos and euler-study sample, and work on, row
+        # blocks of a few hundred paths: no chunk-sized array of paths or
+        # noise, and a quarter of an array of slack covers the blocks, the
+        # chunk's moments and the report's tables (they peak at 0.58 and
+        # 0.39).  Line simulate keeps two chunk-sized arrays: its noise is
+        # dead before the squares are written, so it lives in their array,
+        # and the slack of half an array covers the moments and the tables
         command = self.COMMANDS[name][0]
         settings = RunSettings(samples=4096, **model)
         command(replace(settings, samples=10))  # imports and caches
@@ -868,7 +905,26 @@ class TestLineChunkBuffers:
         finally:
             tracemalloc.stop()
         array = 4096 * nodes * 8
-        assert peak < 2.5 * array, (peak / 1e6, array / 1e6)
+        assert peak < arrays * array, (peak / 1e6, array / 1e6)
+
+    def test_row_blocks_keep_the_one_shot_bits(self):
+        # the rule of experiments._row_blocks, in a fresh interpreter at one
+        # BLAS thread, where the battery and the benchmark run (at two, the
+        # node-major blocks move bits): exact-vs-chaos samples 65 nodes
+        # row-major, at its block size and at the floor of 200 rows that a
+        # smaller block size is raised to, and euler-study 129 node-major
+        cases = [(64, experiments._CHAOS_BLOCK_VALUES, False), (64, 1, False),
+                 (128, experiments._EULER_BLOCK_VALUES, True)]
+        out = _fresh_python(
+            "-c",
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_experiments_cli import _row_block_mismatches as mismatches\n"
+            f"print([mismatches(*case) for case in {cases!r}])",
+            OPENBLAS_NUM_THREADS="1",
+        )
+        assert out.stdout.strip() == repr([[]] * len(cases))
+        assert [experiments._row_blocks(4096, v // (n + 1))[0][1]
+                for n, v, _ in cases] == [248, 200, 504]
 
     def test_non_finite_chunks_are_written_as_null(self, monkeypatch, tmp_path):
         # at a = 1e80 every chunk's error is nan; a Python max() over row
@@ -1199,6 +1255,26 @@ class TestStatisticalHonesty:
             assert metrics[f"euler_alpha_{alpha}"]["value"] is None
             assert metrics[f"euler_alpha_{alpha}"]["passed"] is False
 
+    @pytest.mark.parametrize("a, signal", [("1e-8", False), ("1e-7", False),
+                                           ("1e-6", True)])
+    def test_euler_errors_at_the_rounding_floor_carry_no_signal(self, a, signal,
+                                                                tmp_path):
+        # each factor of a 128-step product rounds X_T by about eps, so
+        # errors up to (128 eps)^2 E[X_T^2], about 8e-28, are rounding noise:
+        # err(8) reads at most 2.6e-29 at a = 1e-7, and at least 1.1e-26 at
+        # a = 1e-6.  At a = 1e-8 alpha 0.3 used to pass on rounding noise
+        code = main(["euler-study", "--a", a, "--samples", "10", "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        metrics = {m["name"]: m for m in report["metrics"]}
+        verdicts = {m["detail"]["verdict"] for m in metrics.values()}
+        if signal:
+            assert "NO-SIGNAL" not in verdicts
+            return
+        assert code == 1 and verdicts == {"NO-SIGNAL"}
+        for alpha in ("0.3", "0.7"):
+            assert metrics[f"euler_alpha_{alpha}"]["value"] is None
+            assert metrics[f"euler_alpha_{alpha}"]["passed"] is False
+
     def test_underflowing_target_fails_its_metric(self, tmp_path):
         # e^{bT} underflows to 0 at b = -800, and so does every X_T: a
         # mean of 0 with no spread would match a target of 0 exactly
@@ -1220,6 +1296,26 @@ class TestStatisticalHonesty:
         corner = {m["name"]: m for m in report["metrics"]}["corner_variance"]
         assert math.isfinite(corner["value"]) and corner["std_error"] is None
         assert corner["passed"] is False
+
+    def test_zero_spread_is_judged_relative_to_the_target(self, tmp_path):
+        # at T = 1e-100 the sheet's fourth moments underflow and both
+        # standard errors read 0: the corner variance, 1.6 times its target
+        # 1e-200, and the increment covariance, 3.7e-203 against -1.9e-202,
+        # used to pass on an absolute gap below 1e-12
+        argv = ["simulate", "--alpha", "0.3", "--beta", "0.7", "--grid-n", "8",
+                "--samples", "10", "--T", "1e-100", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        for metric in report["metrics"]:
+            assert metric["std_error"] == 0.0 and metric["passed"] is False
+        # a zero spread that matches its target still passes: girsanov's
+        # density is exactly 1 when epsilon is huge
+        argv = ["girsanov-check", "--alpha", "0.3", "--beta", "0.3", "--grid-n", "8",
+                "--samples", "10", "--epsilon", "1e300", "--out", str(tmp_path)]
+        main(argv)
+        report = json.loads((tmp_path / "report.json").read_text())
+        density = {m["name"]: m for m in report["metrics"]}["density_mean"]
+        assert density["std_error"] == 0.0 and density["passed"] is True
 
     def test_euler_verdicts_name_the_trend(self):
         report = experiments.cmd_euler_study(RunSettings(a=0.25, samples=2000))

@@ -102,7 +102,7 @@ class TestCholeskyFactor:
 class TestPathSampling:
     def test_field_structure(self):
         values, z = sample_fbm_batch(
-            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(7)
+            factor_covariance(0.3, build_grid(8, 1.0)), 1, RngStreamSpec(7).generator()
         )
         assert values[0, 0] == 0.0
         assert values.shape == (1, 9)
@@ -110,20 +110,20 @@ class TestPathSampling:
 
     def test_values_are_factor_times_noise(self):
         fac = factor_covariance(0.6, build_grid(8, 1.0))
-        (values,), (z,) = sample_fbm_batch(fac, 1, RngStreamSpec(11))
+        (values,), (z,) = sample_fbm_batch(fac, 1, RngStreamSpec(11).generator())
         np.testing.assert_allclose(values[1:], fac @ z, atol=1e-14)
 
     def test_determinism(self):
         fac = factor_covariance(0.3, build_grid(8, 1.0))
-        a = sample_fbm_batch(fac, 1, RngStreamSpec(42))
-        b = sample_fbm_batch(fac, 1, RngStreamSpec(42))
+        a = sample_fbm_batch(fac, 1, RngStreamSpec(42).generator())
+        b = sample_fbm_batch(fac, 1, RngStreamSpec(42).generator())
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_batch_validation(self):
         fac = factor_covariance(0.3, build_grid(4, 1.0))
         with pytest.raises(ValueError):
-            sample_fbm_batch(fac, 0, RngStreamSpec(1))
+            sample_fbm_batch(fac, 0, RngStreamSpec(1).generator())
 
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("rows", [1, 7, 4096])
@@ -131,7 +131,7 @@ class TestPathSampling:
         # node-major (F-ordered) values are what euler-study passes
         fac = factor_covariance(0.3, build_grid(n, 1.0))
         spec = RngStreamSpec(9, 2)
-        values, z = sample_fbm_batch(fac, rows, spec)
+        values, z = sample_fbm_batch(fac, rows, spec.generator())
         # the sampler as first written: one draw of (rows, n), one product
         z_ref = spec.generator().standard_normal((rows, n))
         np.testing.assert_array_equal(z, z_ref)
@@ -139,14 +139,23 @@ class TestPathSampling:
         assert np.all(values[:, 0] == 0.0)
         for order in ("C", "F"):
             out = (np.full((rows, n + 1), np.nan, order=order), np.full((rows, n), np.nan))
-            got = sample_fbm_batch(fac, rows, spec, out=out)
+            got = sample_fbm_batch(fac, rows, spec.generator(), out=out)
             assert got[0] is out[0] and got[1] is out[1]
             np.testing.assert_array_equal(got[0], values)
             np.testing.assert_array_equal(got[1], z)
 
+    def test_successive_calls_draw_one_stream(self):
+        # exact-vs-chaos and euler-study sample a chunk block by block from
+        # its one generator: the noise is that of one call over all rows
+        fac = factor_covariance(0.3, build_grid(8, 1.0))
+        _, whole = sample_fbm_batch(fac, 10, RngStreamSpec(9, 2).generator())
+        rng = RngStreamSpec(9, 2).generator()
+        blocks = [sample_fbm_batch(fac, rows, rng)[1] for rows in (3, 6, 1)]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
     def test_batch_buffers_are_checked_before_any_draw(self):
         class NoDraws:
-            def generator(self):
+            def standard_normal(self, *args, **kwargs):
                 raise AssertionError("drew before checking the buffers")
 
         fac = factor_covariance(0.3, build_grid(8, 1.0))
@@ -164,7 +173,7 @@ class TestPathSampling:
         # Var B_T = T^{2 alpha}; 2e4 replicas, 4 standard errors
         alpha, T, R = 0.3, 1.5, 20_000
         fac = factor_covariance(alpha, build_grid(16, T))
-        values, _ = sample_fbm_batch(fac, R, RngStreamSpec(20240806))
+        values, _ = sample_fbm_batch(fac, R, RngStreamSpec(20240806).generator())
         x = values[:, -1]
         target = T ** (2 * alpha)
         sq = x**2
@@ -174,7 +183,7 @@ class TestPathSampling:
     def test_midpoint_terminal_covariance_monte_carlo(self):
         alpha, R = 0.7, 20_000
         fac = factor_covariance(alpha, build_grid(16, 1.0))
-        values, _ = sample_fbm_batch(fac, R, RngStreamSpec(20240807))
+        values, _ = sample_fbm_batch(fac, R, RngStreamSpec(20240807).generator())
         prod = values[:, 8] * values[:, -1]
         se = prod.std(ddof=1) / math.sqrt(R)
         assert abs(prod.mean() - cov_fbm(alpha, 0.5, 1.0)) < 4.0 * se
