@@ -112,9 +112,21 @@ _EULER_BLOCK_VALUES = 2**16
 # kept the bits and the node-major ones did not.
 _GEMM_ALIGN = 8
 _GEMM_TAIL_ROWS = 192
-# Values per block of the sheet noise of all three sheet commands.
-# girsanov-check and sheet simulate (64 replicas at grid 64): one 2 MB
-# block stays in a per-core L2 cache while it is drawn and read.
+# girsanov-check contracts each noise block to two matrix-vector products
+# (_noise_blocks, _row_blocks).  OpenBLAS 0.3.31 (Haswell kernels, one and
+# two threads) gave each block's gemv the bits of one gemv over the whole
+# chunk when every block was a multiple of 8 rows and a 1-row tail joined
+# the block before it: every count from 1 to 4096 in blocks of 64 rows at
+# 64 cells, 112 at 48, 1024 at 16, 4096 at 8 and 24 at 100 (and 16 at 128
+# at one thread; at two, the chunk's own gemv moves bits there).  numpy
+# sends a 1-row product to a dot product, which sums in another order;
+# without the join a lone 1-row tail moved bits at 25 to 186 of the counts,
+# and blocks of 113 rows at 48 cells, 163 at 40 or 26 at 100 moved them at
+# nearly every count.
+_GEMV_TAIL_ROWS = 1
+# Values per block of the sheet noise of negativity and girsanov-check.
+# girsanov-check (64 replicas at grid 64): one 2 MB block stays in a
+# per-core L2 cache while it is drawn and read.
 # negativity (113 replicas at grid 48): each block applies the chain
 # kernels three times, in ten trmm calls each at grid 48 (four t-tiles),
 # and each call has a fixed cost, so smaller blocks pay it more often: one
@@ -123,6 +135,14 @@ _GEMM_TAIL_ROWS = 192
 # time as 2**19 in the median and peaked 9 MB lower (79.5 against 88.2
 # MB); the sheet-chain benchmark reads about 5% fewer replicas per second.
 _NOISE_BLOCK_VALUES = 2**18
+# Values per block of sheet simulate, counted over the three arrays a block
+# holds at once: its noise, the products L_s Z and its sheets (81 replicas,
+# 0.5 MB, at grid 16), so that all three stay in a per-core L2 cache.  At
+# grid 16 (50000 replicas, two threads, one BLAS thread, five runs each)
+# the command added 0.75, 0.88, 1.5 and 2.7 MB to the peak RSS at 2**14 to
+# 2**17, against 15.0 MB for blocks of 2**18 noise values (three 2 MB
+# arrays); its time read 0.15-0.17 s in the median at every size.
+_SHEET_BLOCK_VALUES = 2**16
 
 
 class _ChunkBuffers(threading.local):
@@ -148,33 +168,36 @@ class _ChunkBuffers(threading.local):
         return tuple(self.view(k, shape) for k, shape in enumerate(shapes))
 
 
-def _noise_blocks(seed: int, idx: int, count: int, n: int):
-    """Yield ``(r0, z)``: chunk ``idx``'s ``count`` n x n standard normal
-    matrices, drawn in stream order into one reused buffer of about
-    ``_NOISE_BLOCK_VALUES`` values, ``z`` holding replicas
+def _noise_blocks(seed: int, idx: int, n: int, blocks: list[tuple[int, int]]):
+    """Yield ``(r0, z)``: chunk ``idx``'s n x n standard normal matrices,
+    drawn in stream order into one reused buffer a block of ``blocks``
+    (``_row_blocks``) at a time, ``z`` holding replicas
     ``r0 .. r0 + len(z) - 1``.
     The draws are those of one ``standard_normal((count, n, n))`` call on
     the chunk's stream.  All three sheet commands (girsanov-check, sheet
     simulate, negativity) draw their noise here."""
     rng = RngStreamSpec(seed, idx).generator()
-    rows = max(1, _NOISE_BLOCK_VALUES // (n * n))
-    buf = np.empty((min(rows, count), n, n))
-    for r0 in range(0, count, rows):
-        z = buf[:count - r0]
+    buf = np.empty((max(stop - start for start, stop in blocks), n, n))
+    for start, stop in blocks:
+        z = buf[:stop - start]
         rng.standard_normal(out=z)
-        yield r0, z
+        yield start, z
 
 
-def _row_blocks(count: int, rows: int) -> list[tuple[int, int]]:
+def _row_blocks(count: int, rows: int, align: int = _GEMM_ALIGN,
+                tail: int = _GEMM_TAIL_ROWS) -> list[tuple[int, int]]:
     """(start, stop) blocks of ``count`` rows, ``rows`` at a time.
 
-    ``rows`` is rounded down to a multiple of 8 and raised to more than
-    192, and a tail of at most 192 rows joins the block before it, so that
-    each block's GEMM keeps the bits of one GEMM over all the rows.
+    ``rows`` is rounded down to a multiple of ``align`` and raised to more
+    than ``tail``, and a last block of at most ``tail`` rows joins the
+    block before it.  The defaults keep each block's GEMM by L the bits of
+    one GEMM over all the rows; girsanov-check's gemv needs a tail of
+    ``_GEMV_TAIL_ROWS``, and blocks whose replicas are each their own
+    products need ``align=1, tail=0``.
     """
-    rows = max(rows // _GEMM_ALIGN, _GEMM_TAIL_ROWS // _GEMM_ALIGN + 1) * _GEMM_ALIGN
+    rows = max(rows // align, tail // align + 1) * align
     blocks = [(r0, min(r0 + rows, count)) for r0 in range(0, count, rows)]
-    if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] <= _GEMM_TAIL_ROWS:
+    if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] <= tail:
         blocks[-2:] = [(blocks[-2][0], count)]
     return blocks
 
@@ -356,12 +379,14 @@ def _within_4se(
 ) -> MetricResult:
     """Pass iff the estimate lies within 4 standard errors of ``target``.
 
-    A standard error that is not finite bounds nothing, so it fails.  A zero
-    spread (the a = 0 cases) asks for agreement to 1e-12 of |target|, so a
+    A standard error that is not finite bounds nothing, so it fails.  A
+    spread no larger than the rounding of the estimate, eps |estimate|,
+    counts as none (the a = 0 cases, where every path is e^{bT} and only
+    the chunk sums round) and asks for agreement to 1e-12 of |target|, so a
     spread that underflowed, or a target of 0, leaves nothing to pass on.
     """
     gap, se = abs(result.estimate - target), result.std_error
-    if se == 0.0:
+    if se <= np.finfo(float).eps * abs(result.estimate):
         passed = gap < 1e-12 * abs(target)
     else:
         passed = math.isfinite(se) and gap <= 4.0 * se
@@ -664,7 +689,8 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
     check_sheet_solve(-a, grid, N)  # refuse an oversized grid before drawing
 
     def work(idx: int, count: int):
-        blocks = _noise_blocks(settings.seed, idx, count, grid.n_s)
+        blocks = _noise_blocks(settings.seed, idx, grid.n_s, _row_blocks(
+            count, _NOISE_BLOCK_VALUES // grid.n_s**2, align=1, tail=0))
         all_neg, surface = 0, np.zeros(limit.shape)
         for _, total in solve_sheet_chaos_total_blocks(noise, -a, grid, blocks, N):
             all_neg += int(np.all(total[:, mask] < 0.0, axis=1).sum())
@@ -760,11 +786,12 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     reads only two linear functionals of it: the far-corner value
     W_TT = row_s' Z row_t and the tilt xi = a' Z b.  A chunk draws its
     noise into one reused buffer, a cache-sized block of replicas at a
-    time, in the order of the chunk's stream.  Each block keeps only the
-    first contractions row_s' Z and a' Z.  The second (with row_t and b)
-    runs once over the whole chunk: a matrix-vector product rounds
-    differently with its row count, and one product per chunk keeps every
-    result independent of the block size.
+    time, in the order of the chunk's stream.  Each block is contracted to
+    row_s' Z and a' Z, and those at once with row_t and b, so a chunk holds
+    two block-sized buffers and its W_TT and xi.  A matrix-vector product
+    rounds a row by where it falls in the product; blocks of a multiple of
+    8 rows, with a 1-row tail joined to the block before it
+    (``_GEMV_TAIL_ROWS``), keep the bits of one product over the chunk.
     """
     t0 = time.perf_counter()
     if settings.beta is None:
@@ -798,13 +825,19 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
         log_mean_quad = ((np.float64(T) ** (2 * alpha + 2 * beta) - quad_norm_sq)
                          / np.float64(2.0 * eps * eps))
 
+    rows = _NOISE_BLOCK_VALUES // (n * n)
+
     def work(idx: int, count: int):
-        w_s, xi_s = np.empty((count, n)), np.empty((count, n))
-        for r0, z in _noise_blocks(settings.seed, idx, count, n):
-            np.matmul(row_s, z, out=w_s[r0:r0 + len(z)])
-            np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
-        w_tt = w_s @ row_t
-        xi = xi_s @ bvec
+        blocks = _row_blocks(count, rows, tail=_GEMV_TAIL_ROWS)
+        most = max(stop - start for start, stop in blocks)
+        w_s, xi_s = np.empty((most, n)), np.empty((most, n))
+        w_tt, xi = np.empty(count), np.empty(count)
+        for r0, z in _noise_blocks(settings.seed, idx, n, blocks):
+            k = len(z)
+            np.matmul(row_s, z, out=w_s[:k])
+            np.matmul(avec, z, out=xi_s[:k])
+            np.matmul(w_s[:k], row_t, out=w_tt[r0:r0 + k])
+            np.matmul(xi_s[:k], bvec, out=xi[r0:r0 + k])
         dens_grid = np.exp(girsanov_log_density(eps, xi, grid_norm_sq))
         dens_quad = np.exp(girsanov_log_density(eps, w_tt, quad_norm_sq))
         shifted = dens_grid * (w_tt - T * T / eps)
@@ -1019,12 +1052,14 @@ def _simulate_line(settings: RunSettings) -> ExperimentReport:
 def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     """Sheet replicas V = L_s Z L_t', mapped by ``fields.sample_sheet_batch``.
 
-    A chunk draws its noise into one reused buffer, a cache-sized block of
-    replicas at a time, in the order of the chunk's stream; the sampler
-    maps each block into one reused buffer of sheets, and the chunk keeps
-    only each replica's far corner and two rectangle increments (and the
-    first sheet).  Each replica's sheet is its own pair of matrix products,
-    so no bit depends on the block size.
+    A chunk draws its noise into one reused buffer, a block of replicas at
+    a time, in the order of the chunk's stream; the sampler maps each block
+    into one reused buffer of sheets.  A block's noise, its products L_s Z
+    and its sheets take ``_SHEET_BLOCK_VALUES`` values together, so the
+    three stay in a per-core L2 cache.  The chunk keeps only each
+    replica's far corner and two rectangle increments (and the first
+    sheet).  Each replica's sheet is its own pair of matrix products, so no
+    bit depends on the block size.
     """
     t0 = time.perf_counter()
     n = settings.grid_n
@@ -1038,13 +1073,14 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
     Ls = factor_covariance(alpha, line)
     Lt = factor_covariance(beta, line)
     half_s, half_t = grid.n_s // 2, grid.n_t // 2
+    rows = _SHEET_BLOCK_VALUES // (2 * n * n + (n + 1) ** 2)
 
     def work(idx: int, count: int):
         corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
-        values = first = None
-        for r0, z in _noise_blocks(settings.seed, idx, count, n):
-            if values is None:  # the first block is the largest
-                values = np.empty((len(z), n + 1, n + 1))
+        blocks = _row_blocks(count, rows, align=1, tail=0)
+        values = np.empty((blocks[0][1], n + 1, n + 1))  # the first is the largest
+        first = None
+        for r0, z in _noise_blocks(settings.seed, idx, n, blocks):
             v = sample_sheet_batch(Ls, Lt, z, values[:len(z)])
             out = slice(r0, r0 + len(z))
             corner[out] = v[:, -1, -1]

@@ -841,6 +841,58 @@ def _one_shot_simulate(s: RunSettings) -> list:
     return [parts]
 
 
+def _gemv_block_mismatches(n: int) -> list[int]:
+    """Chunk sizes from 1 to 4096 at which girsanov-check's blocks of n x n
+    noise give a block's gemv bits that differ from its rows of one gemv
+    over the chunk's first contractions.  A block's contractions are written
+    where the command writes them, at the head of one array.  Every block
+    but a count's last is a full block of the same rows at every count, so
+    its gemv is taken once."""
+    rng = np.random.default_rng(0)
+    w, x = rng.standard_normal((4096, n)), rng.standard_normal(n)
+    rows = experiments._NOISE_BLOCK_VALUES // (n * n)
+    head = np.empty((4096, n))
+
+    def block_gemv(start, stop, out):
+        head[:stop - start] = w[start:stop]
+        np.matmul(head[:stop - start], x, out=out[start:stop])
+
+    step = experiments._row_blocks(4096, rows, tail=experiments._GEMV_TAIL_ROWS)[0][1]
+    got = np.empty(4096)
+    for start in range(0, 4096 - step + 1, step):
+        block_gemv(start, start + step, got)
+    full = got.copy()
+    bad = []
+    for count in range(1, 4097):
+        start, stop = experiments._row_blocks(
+            count, rows, tail=experiments._GEMV_TAIL_ROWS)[-1]
+        got[:start] = full[:start]
+        block_gemv(start, stop, got)
+        if not np.array_equal(got[:count], w[:count] @ x):
+            bad.append(count)
+    return bad
+
+
+def _one_shot_girsanov(s: RunSettings) -> list:
+    # each chunk's xi and W_TT as first written: one gemv over the chunk's
+    # first contractions, in the order girsanov_log_density reads them
+    n = s.grid_n
+    line = build_grid(n, s.T)
+    Ls, Lt = factor_covariance(s.alpha, line), factor_covariance(s.beta, line)
+    avec = experiments._solve_lower(Ls, line.points[1:])
+    bvec = experiments._solve_lower(Lt, line.points[1:])
+    out = []
+    for idx, count in experiments._chunk_layout(s.samples):
+        rng = RngStreamSpec(s.seed, idx).generator()
+        w_s, xi_s = np.empty((count, n)), np.empty((count, n))
+        for r0 in range(0, count, 64):
+            z = rng.standard_normal((min(64, count - r0), n, n))
+            np.matmul(Ls[-1, :], z, out=w_s[r0:r0 + len(z)])
+            np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
+        out += [xi_s @ bvec, w_s @ Lt[-1, :]]
+    return out
+
+
 class TestLineChunkBuffers:
     """The line commands' chunks run on reused per-thread buffers and row
     blocks; every chunk result keeps the bits of the one-shot chunk work."""
@@ -1034,6 +1086,9 @@ class TestSimulateStatistics:
 
 
 class TestSimulateSheetBlocks:
+    # values a replica holds in a block at grid 8: noise, L_s Z and sheet
+    VALUES = 2 * 8 * 8 + 9 * 9
+
     def test_blocks_reproduce_the_field_sampler(self, monkeypatch):
         # two chunks, the second ragged (301); blocks of 1 and 7 replicas
         # and one block a chunk give the same report, and its first sheet
@@ -1043,7 +1098,7 @@ class TestSimulateSheetBlocks:
                                seed=5)
         reports = []
         for rows in (1, 7, 4096):
-            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+            monkeypatch.setattr(experiments, "_SHEET_BLOCK_VALUES", rows * self.VALUES)
             reports.append(cmd_simulate(settings))
         payloads = [_strip_wall(r.to_dict()) for r in reports]
         assert payloads[0] == payloads[1] == payloads[2]
@@ -1062,7 +1117,7 @@ class TestSimulateSheetBlocks:
         # simulate that bypassed it would leave that layer reading 0
         settings = RunSettings(alpha=0.3, beta=0.7, grid_n=8, samples=4096 + 301,
                                seed=5)
-        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", 7 * 8 * 8)
+        monkeypatch.setattr(experiments, "_SHEET_BLOCK_VALUES", 7 * self.VALUES)
         plain = _strip_wall(cmd_simulate(settings).to_dict())
         replicas = []
         sampler = experiments.sample_sheet_batch
@@ -1077,7 +1132,10 @@ class TestSimulateSheetBlocks:
         assert max(replicas) == 7
 
     def test_holds_blocks_not_the_chunk(self):
-        # one 4096-replica chunk of grid-32 noise takes 33.5 MB
+        # one 4096-replica chunk of grid-32 noise takes 33.5 MB.  A block of
+        # 20 replicas holds its noise, L_s Z and its sheets in 0.5 MB, and
+        # the count-long outputs and the table take 0.15 MB more; blocks of
+        # 256 replicas (2 MB of noise, three such arrays) would peak at 6.6 MB
         settings = RunSettings(alpha=0.3, beta=0.7, grid_n=32, samples=4096)
         cmd_simulate(replace(settings, samples=10))  # imports and caches
         tracemalloc.start()
@@ -1086,7 +1144,7 @@ class TestSimulateSheetBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 1.5e6, peak / 1e6
 
 
 class TestGirsanovTilt:
@@ -1103,8 +1161,9 @@ class TestGirsanovTilt:
 
 class TestGirsanovNoiseBlocks:
     def test_block_size_does_not_move_results(self, monkeypatch):
-        # two chunks, the second ragged (301); blocks of 3 replicas leave a
-        # ragged block in each chunk, and 4096 per block is one block a chunk
+        # two chunks, the second ragged (301); blocks of 3 replicas round up
+        # to 8 and leave a ragged block of 5 in the second chunk, and 4096
+        # per block is one block a chunk
         settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=8,
                                samples=4096 + 301, seed=5)
         payloads = []
@@ -1114,7 +1173,9 @@ class TestGirsanovNoiseBlocks:
         assert payloads[0] == payloads[1]
 
     def test_holds_blocks_not_the_chunk(self):
-        # one 4096-replica chunk of grid-32 noise takes 33.5 MB
+        # one 4096-replica chunk of grid-32 noise takes 33.5 MB; a block of
+        # 256 replicas takes 2.1 MB; keeping the whole chunk's two first
+        # contractions (1 MB each) would peak at 4.4 MB
         settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=32,
                                samples=4096)
         cmd_girsanov_check(replace(settings, samples=10))  # imports and caches
@@ -1124,7 +1185,55 @@ class TestGirsanovNoiseBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3e6, peak / 1e6
+
+    @pytest.mark.parametrize("n", [64, 48])
+    def test_block_gemv_keeps_the_chunk_bits(self, n):
+        # the rule of _GEMV_TAIL_ROWS at the blocks the command cuts: 64 rows
+        # at grid 64 and 112 (113 rounded down to a multiple of 8) at grid 48
+        rows = experiments._NOISE_BLOCK_VALUES // (n * n)
+        blocks = experiments._row_blocks(4096, rows, tail=experiments._GEMV_TAIL_ROWS)
+        assert blocks[0][1] == {64: 64, 48: 112}[n]
+        assert _gemv_block_mismatches(n) == []
+
+    def test_one_row_tail_keeps_the_one_shot_bits(self, monkeypatch):
+        # grid 64, two chunks; the second (65) ends in a 1-row block that
+        # joins the block before it.  The report reads the noise only
+        # through each chunk's xi and W_TT, so they must keep the bits of
+        # one gemv over the chunk's first contractions
+        settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=64,
+                               samples=4096 + 65, seed=5)
+        seen = []
+        density = experiments.girsanov_log_density
+        monkeypatch.setattr(experiments, "girsanov_log_density", lambda eps, x, norm: (
+            seen.append(x.copy()) or density(eps, x, norm)))
+        assert cmd_girsanov_check(settings).passed
+        _same_bits(seen, _one_shot_girsanov(settings))
+
+
+class TestSheetFieldsBlasThreads:
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # the sheet-fields commands at grid 64 on two chunks (4096 and 65),
+        # in fresh interpreters at one and two BLAS threads
+        common = ["--grid-n", "64", "--samples", str(4096 + 65), "--seed", "5",
+                  "--threads", "2"]
+        argvs = {"simulate": ["simulate", "--alpha", "0.3", "--beta", "0.7", *common],
+                 "girsanov": ["girsanov-check", "--alpha", "0.3", "--beta", "0.3",
+                              "--epsilon", "1", *common]}
+        outs = []
+        for blas in ("1", "2"):
+            runs = {name: [*argv, "--out", str(tmp_path / blas / name)]
+                    for name, argv in argvs.items()}
+            _fresh_python("-c", "from fracsde.cli import main\n"
+                          f"for argv in {list(runs.values())!r}: main(argv)",
+                          OPENBLAS_NUM_THREADS=blas)
+            for name in runs:
+                out = tmp_path / blas / name
+                report = _strip_wall(json.loads((out / "report.json").read_text()))
+                report["parameters"].pop("threads")
+                outs.append((report, {p.name: p.read_bytes()
+                                      for p in sorted(out.glob("*.csv"))}))
+        assert outs[:2] == outs[2:]
 
 
 class TestStatisticalHonesty:
@@ -1316,6 +1425,18 @@ class TestStatisticalHonesty:
         report = json.loads((tmp_path / "report.json").read_text())
         density = {m["name"]: m for m in report["metrics"]}["density_mean"]
         assert density["std_error"] == 0.0 and density["passed"] is True
+
+    def test_rounding_spread_counts_as_none(self, tmp_path):
+        # at a = 0 every path is e^{bT}: only the chunk mean rounds, leaving
+        # a standard error of 2e-17 against a gap of 7e-16 to the target, so
+        # only the zero-spread rule can pass it
+        argv = ["exact-vs-chaos", "--a", "0", "--b", "0.5", "--grid-n", "8",
+                "--samples", "1000", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        mean = {m["name"]: m for m in report["metrics"]}["terminal_mean"]
+        assert mean["value"] != mean["target"]
+        assert 0.0 < mean["std_error"] <= np.finfo(float).eps * mean["value"]
 
     def test_euler_verdicts_name_the_trend(self):
         report = experiments.cmd_euler_study(RunSettings(a=0.25, samples=2000))
