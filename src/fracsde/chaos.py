@@ -61,7 +61,7 @@ _TILE_T_CELLS = 12
 # batches are applied in row blocks.
 _TILE_BUFFER_VALUES = 2**18
 # Side of each kernel tile's square, a multiple of this.  OpenBLAS 0.3.31
-# (Haswell kernels) gave a trmm whose bits moved with the number of
+# (SkylakeX kernels) gave a trmm whose bits moved with the number of
 # right-hand columns at sides 362-364 and 588, and none at any multiple of
 # 8 from 8 to 1296, at 1 and 2 threads.
 _TRMM_ALIGN = 8

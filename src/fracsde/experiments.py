@@ -16,7 +16,6 @@ and the run's seed; an experiment passes iff all its metrics pass.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -92,7 +91,7 @@ _CHUNK_REPLICAS = 4096
 # exact-vs-chaos run could not tell 2**14 from 2**15 or 2**16.
 # Block-sized temporaries are reused from the heap, where freed chunk-sized
 # ones went back to the OS and faulted in again (75k minor faults in a
-# 100k-replica run, about 1k with blocks).
+# 100k-replica run, about 1k with blocks).  Line simulate shares it.
 _CHAOS_BLOCK_VALUES = 2**14
 # Values per row block of euler-study (504 rows at 129 nodes): a block's
 # paths, and the step factors that take its noise's array, stay in a
@@ -101,7 +100,7 @@ _CHAOS_BLOCK_VALUES = 2**14
 # command took 0.96 of its step-loop time at 2**16 and 1.01 at 2**15.
 _EULER_BLOCK_VALUES = 2**16
 # The row blocks of the line samplers (_row_blocks).  OpenBLAS 0.3.31
-# (Haswell kernels, one thread) gave each block's GEMM by L the bits of one
+# (SkylakeX kernels, one thread) gave each block's GEMM by L the bits of one
 # GEMM over the whole chunk when every block started at a multiple of 8
 # rows and a tail of at most 192 rows joined the block before it: every
 # count from 1 to 4096 in blocks of 248, 256 and 512 rows, at 64 nodes
@@ -113,7 +112,7 @@ _EULER_BLOCK_VALUES = 2**16
 _GEMM_ALIGN = 8
 _GEMM_TAIL_ROWS = 192
 # girsanov-check contracts each noise block to two matrix-vector products
-# (_noise_blocks, _row_blocks).  OpenBLAS 0.3.31 (Haswell kernels, one and
+# (_noise_blocks, _row_blocks).  OpenBLAS 0.3.31 (SkylakeX kernels, one and
 # two threads) gave each block's gemv the bits of one gemv over the whole
 # chunk when every block was a multiple of 8 rows and a 1-row tail joined
 # the block before it: every count from 1 to 4096 in blocks of 64 rows at
@@ -143,29 +142,6 @@ _NOISE_BLOCK_VALUES = 2**18
 # 2**17, against 15.0 MB for blocks of 2**18 noise values (three 2 MB
 # arrays); its time read 0.15-0.17 s in the median at every size.
 _SHEET_BLOCK_VALUES = 2**16
-
-
-class _ChunkBuffers(threading.local):
-    """Float arrays reused by every chunk a thread runs, one set per thread.
-
-    ``take(*shapes)`` returns C-contiguous arrays of those shapes, the k-th
-    a prefix view of the thread's k-th flat array, so a chunk allocates
-    nothing chunk-sized; ``view(k, shape)`` returns one more view of flat
-    array k.  Two views may share one flat array only when their lifetimes
-    within a chunk do not overlap: the first is dead before the second is
-    written.  Each flat array holds ``_CHUNK_REPLICAS`` times the size
-    given for one replica; pages are touched only as chunks use them.  The
-    arrays live as long as the object, so keep it local to a command.
-    """
-
-    def __init__(self, *per_replica: int) -> None:
-        self.flat = [np.empty(_CHUNK_REPLICAS * size) for size in per_replica]
-
-    def view(self, k: int, shape: tuple[int, ...]) -> np.ndarray:
-        return self.flat[k][:math.prod(shape)].reshape(shape)
-
-    def take(self, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        return tuple(self.view(k, shape) for k, shape in enumerate(shapes))
 
 
 def _noise_blocks(seed: int, idx: int, n: int, blocks: list[tuple[int, int]]):
@@ -980,28 +956,32 @@ def cmd_simulate(settings: RunSettings) -> ExperimentReport:
 
 
 def _simulate_line(settings: RunSettings) -> ExperimentReport:
+    """Line paths sampled in row blocks, their Gram matrices summed.
+
+    A chunk samples its paths one cache-sized row block at a time
+    (``_CHAOS_BLOCK_VALUES``, ``_path_blocks``) and adds each block's Gram
+    matrices of values and of squared values to its two sums, so it holds
+    no chunk-sized array.  The sums' last bits depend on the block size.
+    """
     t0 = time.perf_counter()
     from scipy.special import ndtr, stdtrit
 
     grid = build_grid(settings.grid_n, settings.T)
     L = factor_covariance(settings.alpha, grid)
 
-    n = grid.n_steps
-    buffers = _ChunkBuffers(n + 1, n + 1)
-
     def work(idx: int, count: int):
-        # the noise is dead once sampled into the values, before the squares
-        # are written, so the two share an array
-        values, sq = buffers.take((count, n + 1), (count, n + 1))
-        z = buffers.view(1, (count, n))
-        rng = RngStreamSpec(settings.seed, idx).generator()
-        sample_fbm_batch(L, count, rng, out=(values, z))
-        # the buffer is reused by the next chunk
-        first = values[0].copy() if idx == 0 else None
-        # (B_s B_u)^2 = B_s^2 B_u^2, so the product-estimator variance needs
-        # only the elementwise-squared Gram matrix
-        np.square(values, out=sq)
-        return count, values.T @ values, sq.T @ sq, first
+        cross, sq = np.zeros((2, len(L) + 1, len(L) + 1))
+        first = None
+        for r0, values, _ in _path_blocks(L, settings.seed, idx, count,
+                                          _CHAOS_BLOCK_VALUES):
+            if idx == 0 and r0 == 0:
+                first = values[0].copy()
+            cross += values.T @ values
+            # (B_s B_u)^2 = B_s^2 B_u^2, so the product-estimator variance
+            # needs only the Gram matrix of the squares, taken in place
+            np.square(values, out=values)
+            sq += values.T @ values
+        return count, cross, sq, first
 
     parts = _map_chunks(work, settings.samples, settings.threads)
     n = sum(p_[0] for p_ in parts)

@@ -99,8 +99,8 @@ def sample_fbm_batch(
     array.  The product is one GEMM over the R rows.  A row block's GEMM
     gives the rows of one GEMM over the whole batch, bit for bit, when the
     block starts at a multiple of 8 rows and holds more than 192 (measured
-    on OpenBLAS 0.3.31, one thread; see ``experiments._row_blocks``);
-    shorter blocks round differently.
+    on OpenBLAS 0.3.31, SkylakeX kernels, one thread; see
+    ``experiments._row_blocks``); shorter blocks round differently.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")

@@ -833,11 +833,20 @@ def _one_shot_euler_study(s: RunSettings) -> list:
 
 
 def _one_shot_simulate(s: RunSettings) -> list:
+    # each chunk's paths sampled at once, their Grams summed over the
+    # command's row blocks
+    n = s.grid_n
     parts = []
-    for idx, values in _line_chunks(s, s.alpha, s.grid_n):
-        sq = values**2
-        parts.append((len(values), values.T @ values, sq.T @ sq,
-                      values[0] if idx == 0 else None))
+    for idx, values in _line_chunks(s, s.alpha, n):
+        cross, sq = np.zeros((2, n + 1, n + 1))
+        for start, stop in experiments._row_blocks(
+                len(values), experiments._CHAOS_BLOCK_VALUES // (n + 1)):
+            v, w = values[start:stop], values[start:stop] ** 2
+            cross += v.T @ v
+            # numpy sends a Gram of one array to syrk, as in the command; a
+            # product of two equal arrays is a GEMM and rounds differently
+            sq += w.T @ w
+        parts.append((len(values), cross, sq, values[0] if idx == 0 else None))
     return [parts]
 
 
@@ -893,9 +902,10 @@ def _one_shot_girsanov(s: RunSettings) -> list:
     return out
 
 
-class TestLineChunkBuffers:
-    """The line commands' chunks run on reused per-thread buffers and row
-    blocks; every chunk result keeps the bits of the one-shot chunk work."""
+class TestLineRowBlocks:
+    """The line commands sample and work on row blocks of their chunks;
+    every chunk result keeps the bits of the chunk's paths sampled at once
+    (line simulate: with its Grams summed over the same row blocks)."""
 
     COMMANDS = {
         "exact-vs-chaos": (experiments.cmd_exact_vs_chaos, _one_shot_exact_vs_chaos,
@@ -936,17 +946,14 @@ class TestLineChunkBuffers:
     @pytest.mark.parametrize("name, model, nodes, arrays", [
         ("exact-vs-chaos", dict(alpha=0.3, grid_n=64, truncation=28), 65, 0.75),
         ("euler-study", dict(a=0.25), 129, 0.75),
-        ("simulate", dict(alpha=0.25, grid_n=64), 65, 2.5),
+        ("simulate", dict(alpha=0.25, grid_n=64), 65, 0.75),
     ], ids=["exact-vs-chaos", "euler-study", "simulate"])
     def test_noise_shares_an_array_with_the_outputs(self, name, model, nodes, arrays):
         # the peak of one 4096-replica chunk, in arrays of `nodes` values a
-        # replica.  exact-vs-chaos and euler-study sample, and work on, row
-        # blocks of a few hundred paths: no chunk-sized array of paths or
-        # noise, and a quarter of an array of slack covers the blocks, the
-        # chunk's moments and the report's tables (they peak at 0.58 and
-        # 0.39).  Line simulate keeps two chunk-sized arrays: its noise is
-        # dead before the squares are written, so it lives in their array,
-        # and the slack of half an array covers the moments and the tables
+        # replica.  The three line commands sample, and work on, row blocks
+        # of a few hundred paths: no chunk-sized array of paths or noise,
+        # and the slack covers the blocks, the chunk's moments or Grams and
+        # the report's tables (they peak at 0.58, 0.39 and 0.26)
         command = self.COMMANDS[name][0]
         settings = RunSettings(samples=4096, **model)
         command(replace(settings, samples=10))  # imports and caches
@@ -1025,15 +1032,17 @@ class TestLineChunkBuffers:
         assert chaos._horner_table.cache_info().misses == 1
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
-    def test_chunks_do_not_fault_in_fresh_pages(self):
+    @pytest.mark.parametrize("name", ["exact-vs-chaos", "simulate"])
+    def test_chunks_do_not_fault_in_fresh_pages(self, name):
         # Linux-specific in practice: ru_minflt counts minor page faults.
         # The one-shot chunk work freed its chunk-sized arrays, and glibc
-        # handed their pages back, about 3000 faults a chunk at grid 64; the
-        # reused buffers fault in about 1000 pages once per command
-        settings = RunSettings(alpha=0.3, grid_n=64, truncation=28, samples=8 * 4096)
-        experiments.cmd_exact_vs_chaos(replace(settings, samples=10))  # caches
+        # handed their pages back, about 3000 faults a chunk at grid 64;
+        # block-sized buffers are reused from the heap
+        command, _, model = self.COMMANDS[name]
+        settings = RunSettings(samples=8 * 4096, **{**model, "grid_n": 64})
+        command(replace(settings, samples=10))  # imports and caches
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        experiments.cmd_exact_vs_chaos(settings)
+        command(settings)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 8 * 3000 / 4, faults
 
