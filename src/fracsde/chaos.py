@@ -556,7 +556,10 @@ def solve_sheet_chaos_total_blocks(a: float, b: float, grid: Grid2D, blocks, N: 
 
     ``blocks`` yields ``(r0, z)``: ``z`` (R, n_s, n_t) holds replicas
     ``r0 .. r0 + R - 1`` and may be a reused buffer.  ``total`` is (R,
-    n_s+1, n_t+1); no bit of it depends on the blocking.  The readout is
+    n_s+1, n_t+1).  On OpenBLAS 0.3.31 with SkylakeX kernels no bit of it
+    depends on the blocking; under Haswell kernels the trmm rounds by the
+    block and ``test_summed_route_bits_do_not_move_with_the_block_size``
+    and ``TestNegativityBlocks`` fail (ROADMAP item 25).  The readout is
     linear, so the chain route sums each block's levels into one summed
     weight array and reads it out through the node kernel as soon as the
     block's recursion ends.  With drift both kernels sit in one tile

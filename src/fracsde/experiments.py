@@ -82,7 +82,7 @@ __all__ = [
 # count; never tie this to a config knob.
 _CHUNK_REPLICAS = 4096
 
-# Values per row block of exact-vs-chaos (248 rows at 65 nodes), which
+# Values per row block of exact-vs-chaos (252 rows at 65 nodes), which
 # samples its paths, sums the chaos and takes the exact solution and their
 # gap on one block while it is in cache.  A block's chaos sum and its
 # buffer of x take 0.26 MB.  On 4096 paths x 65 nodes at N = 20 (one
@@ -93,36 +93,12 @@ _CHUNK_REPLICAS = 4096
 # ones went back to the OS and faulted in again (75k minor faults in a
 # 100k-replica run, about 1k with blocks).  Line simulate shares it.
 _CHAOS_BLOCK_VALUES = 2**14
-# Values per row block of euler-study (504 rows at 129 nodes): a block's
+# Values per row block of euler-study (508 rows at 129 nodes): a block's
 # paths, and the step factors that take its noise's array, stay in a
 # per-core L2 cache across the five step counts.  Each block pays a fixed
 # cost per step count; in 30 interleaved 20000-path runs (one thread) the
 # command took 0.96 of its step-loop time at 2**16 and 1.01 at 2**15.
 _EULER_BLOCK_VALUES = 2**16
-# The row blocks of the line samplers (_row_blocks).  OpenBLAS 0.3.31
-# (SkylakeX kernels, one thread) gave each block's GEMM by L the bits of one
-# GEMM over the whole chunk when every block started at a multiple of 8
-# rows and a tail of at most 192 rows joined the block before it: every
-# count from 1 to 4096 in blocks of 248, 256 and 512 rows, at 64 nodes
-# row-major and 128 nodes node-major.  Without the join a lone tail moved
-# bits: up to 18 rows long row-major at 64 nodes, and of any length up to
-# 191 that is not a multiple of 8 node-major at 128 nodes; blocks of 16
-# rows moved bits at 64 nodes.  At two BLAS threads the row-major blocks
-# kept the bits and the node-major ones did not.
-_GEMM_ALIGN = 8
-_GEMM_TAIL_ROWS = 192
-# girsanov-check contracts each noise block to two matrix-vector products
-# (_noise_blocks, _row_blocks).  OpenBLAS 0.3.31 (SkylakeX kernels, one and
-# two threads) gave each block's gemv the bits of one gemv over the whole
-# chunk when every block was a multiple of 8 rows and a 1-row tail joined
-# the block before it: every count from 1 to 4096 in blocks of 64 rows at
-# 64 cells, 112 at 48, 1024 at 16, 4096 at 8 and 24 at 100 (and 16 at 128
-# at one thread; at two, the chunk's own gemv moves bits there).  numpy
-# sends a 1-row product to a dot product, which sums in another order;
-# without the join a lone 1-row tail moved bits at 25 to 186 of the counts,
-# and blocks of 113 rows at 48 cells, 163 at 40 or 26 at 100 moved them at
-# nearly every count.
-_GEMV_TAIL_ROWS = 1
 # Values per block of the sheet noise of negativity and girsanov-check.
 # girsanov-check (64 replicas at grid 64): one 2 MB block stays in a
 # per-core L2 cache while it is drawn and read.
@@ -153,29 +129,20 @@ def _noise_blocks(seed: int, idx: int, n: int, blocks: list[tuple[int, int]]):
     the chunk's stream.  All three sheet commands (girsanov-check, sheet
     simulate, negativity) draw their noise here."""
     rng = RngStreamSpec(seed, idx).generator()
-    buf = np.empty((max(stop - start for start, stop in blocks), n, n))
+    buf = np.empty((blocks[0][1], n, n))  # the first block is the largest
     for start, stop in blocks:
         z = buf[:stop - start]
         rng.standard_normal(out=z)
         yield start, z
 
 
-def _row_blocks(count: int, rows: int, align: int = _GEMM_ALIGN,
-                tail: int = _GEMM_TAIL_ROWS) -> list[tuple[int, int]]:
-    """(start, stop) blocks of ``count`` rows, ``rows`` at a time.
-
-    ``rows`` is rounded down to a multiple of ``align`` and raised to more
-    than ``tail``, and a last block of at most ``tail`` rows joins the
-    block before it.  The defaults keep each block's GEMM by L the bits of
-    one GEMM over all the rows; girsanov-check's gemv needs a tail of
-    ``_GEMV_TAIL_ROWS``, and blocks whose replicas are each their own
-    products need ``align=1, tail=0``.
-    """
-    rows = max(rows // align, tail // align + 1) * align
-    blocks = [(r0, min(r0 + rows, count)) for r0 in range(0, count, rows)]
-    if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] <= tail:
-        blocks[-2:] = [(blocks[-2][0], count)]
-    return blocks
+def _row_blocks(count: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) blocks of ``count`` rows, ``max(rows, 1)`` at a time,
+    the remainder last.  A command's blocks are part of its definition, as
+    its chunks are: a block's products round by the block's shape, so a
+    new block size is a stated change of output."""
+    rows = max(rows, 1)
+    return [(r0, min(r0 + rows, count)) for r0 in range(0, count, rows)]
 
 
 def _path_blocks(L: np.ndarray, seed: int, idx: int, count: int, values: int,
@@ -184,14 +151,14 @@ def _path_blocks(L: np.ndarray, seed: int, idx: int, count: int, values: int,
     their noise, sampled by ``fields.sample_fbm_batch`` in row blocks of
     about ``values`` values (``_row_blocks``) into two reused buffers;
     ``paths`` (rows, n+1) holds replicas ``r0 .. r0 + len(paths) - 1``, as
-    the transpose of an (n+1, rows) array if ``node_major``.  The draws and
-    the paths are those of one call over the chunk."""
+    the transpose of an (n+1, rows) array if ``node_major``.  The draws are
+    those of one call over the chunk; each block's paths are one GEMM by L
+    over its rows."""
     n = len(L)
     rng = RngStreamSpec(seed, idx).generator()
     blocks = _row_blocks(count, values // (n + 1))
-    most = max(stop - start for start, stop in blocks)
-    z = np.empty((most, n))
-    paths = np.empty((n + 1, most)).T if node_major else np.empty((most, n + 1))
+    z = np.empty((blocks[0][1], n))  # the first block is the largest
+    paths = np.empty((n + 1, len(z))).T if node_major else np.empty((len(z), n + 1))
     for start, stop in blocks:
         k = stop - start
         yield (start, *sample_fbm_batch(L, k, rng, out=(paths[:k], z[:k])))
@@ -666,7 +633,7 @@ def cmd_negativity(settings: RunSettings) -> ExperimentReport:
 
     def work(idx: int, count: int):
         blocks = _noise_blocks(settings.seed, idx, grid.n_s, _row_blocks(
-            count, _NOISE_BLOCK_VALUES // grid.n_s**2, align=1, tail=0))
+            count, _NOISE_BLOCK_VALUES // grid.n_s**2))
         all_neg, surface = 0, np.zeros(limit.shape)
         for _, total in solve_sheet_chaos_total_blocks(noise, -a, grid, blocks, N):
             all_neg += int(np.all(total[:, mask] < 0.0, axis=1).sum())
@@ -765,9 +732,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     time, in the order of the chunk's stream.  Each block is contracted to
     row_s' Z and a' Z, and those at once with row_t and b, so a chunk holds
     two block-sized buffers and its W_TT and xi.  A matrix-vector product
-    rounds a row by where it falls in the product; blocks of a multiple of
-    8 rows, with a 1-row tail joined to the block before it
-    (``_GEMV_TAIL_ROWS``), keep the bits of one product over the chunk.
+    rounds a row by where it falls in the product, so the block partition
+    (``_row_blocks``) is part of the results' bits.
     """
     t0 = time.perf_counter()
     if settings.beta is None:
@@ -804,9 +770,8 @@ def cmd_girsanov_check(settings: RunSettings) -> ExperimentReport:
     rows = _NOISE_BLOCK_VALUES // (n * n)
 
     def work(idx: int, count: int):
-        blocks = _row_blocks(count, rows, tail=_GEMV_TAIL_ROWS)
-        most = max(stop - start for start, stop in blocks)
-        w_s, xi_s = np.empty((most, n)), np.empty((most, n))
+        blocks = _row_blocks(count, rows)
+        w_s, xi_s = np.empty((2, blocks[0][1], n))  # the first block is the largest
         w_tt, xi = np.empty(count), np.empty(count)
         for r0, z in _noise_blocks(settings.seed, idx, n, blocks):
             k = len(z)
@@ -1057,7 +1022,7 @@ def _simulate_sheet(settings: RunSettings) -> ExperimentReport:
 
     def work(idx: int, count: int):
         corner, inc_a, inc_b = np.empty(count), np.empty(count), np.empty(count)
-        blocks = _row_blocks(count, rows, align=1, tail=0)
+        blocks = _row_blocks(count, rows)
         values = np.empty((blocks[0][1], n + 1, n + 1))  # the first is the largest
         first = None
         for r0, z in _noise_blocks(settings.seed, idx, n, blocks):

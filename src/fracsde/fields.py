@@ -92,15 +92,15 @@ def sample_fbm_batch(
     generator draw successive row blocks of one stream.
 
     ``out=(values, noise)`` fills those float arrays instead of fresh ones
-    and returns them, with the same bits; a wrong shape, a dtype other than
-    float64 or non-C-contiguous noise (the draws fill it in memory order)
-    raises ``ValueError`` before any draw.  ``values`` may have either
-    memory order: node-major callers pass the transpose of an (n+1, R)
-    array.  The product is one GEMM over the R rows.  A row block's GEMM
-    gives the rows of one GEMM over the whole batch, bit for bit, when the
-    block starts at a multiple of 8 rows and holds more than 192 (measured
-    on OpenBLAS 0.3.31, SkylakeX kernels, one thread; see
-    ``experiments._row_blocks``); shorter blocks round differently.
+    and returns them; a wrong shape, a dtype other than float64 or
+    non-C-contiguous noise (the draws fill it in memory order) raises
+    ``ValueError`` before any draw.  ``values`` may have either memory
+    order: node-major callers pass the transpose of an (n+1, R) array.
+    Either order gives the bits of fresh arrays on OpenBLAS 0.3.31 with
+    SkylakeX kernels; under Haswell kernels 7-row node-major buffers do not
+    (``test_batch_into_buffers_keeps_the_bits[7-64]`` and ``[7-128]`` fail,
+    ROADMAP item 25).  The product is one GEMM over the R rows, so its bits
+    depend on R: a chunk sampled in row blocks rounds by its blocks.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")

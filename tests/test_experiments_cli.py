@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import platform
 import re
 import subprocess
 import sys
@@ -758,56 +759,32 @@ def _same_bits(got, want) -> None:
         np.testing.assert_array_equal(got, want, strict=True)
 
 
-def _line_chunks(settings: RunSettings, alpha: float, n: int):
-    """(chunk index, fresh values) of the sampler's default call, one a chunk."""
+def _line_chunks(settings: RunSettings, alpha: float, n: int, values: int,
+                 node_major: bool = False):
+    """(chunk index, blocks) of each chunk: its paths sampled by
+    ``sample_fbm_batch`` in row blocks of about ``values`` values, the
+    remainder last, each block into fresh arrays (node-major: the transpose
+    of an (n+1, rows) array)."""
     factor = factor_covariance(alpha, build_grid(n, settings.T))
+    rows = max(values // (n + 1), 1)
     for idx, count in experiments._chunk_layout(settings.samples):
         rng = RngStreamSpec(settings.seed, idx).generator()
-        yield idx, sample_fbm_batch(factor, count, rng)[0]
+        blocks = []
+        for r0 in range(0, count, rows):
+            k = min(rows, count - r0)
+            paths = np.empty((n + 1, k)).T if node_major else np.empty((k, n + 1))
+            blocks.append(sample_fbm_batch(factor, k, rng, out=(paths, np.empty((k, n))))[0])
+        yield idx, blocks
 
 
-def _row_block_mismatches(n: int, values: int, node_major: bool) -> list[int]:
-    """Chunk sizes at which ``experiments._row_blocks`` (blocks of about
-    ``values`` values of n+1 nodes) gives a block a GEMM by L whose bits
-    differ from its rows of one GEMM over the chunk.  The sizes leave every
-    last block the blocking can: a lone tail of each length above 192
-    rows, a full block joined by a tail of each length up to 192, and a
-    full block; then a whole 4096-replica chunk.  Each product is written
-    where the command writes it: the chunk's into an array of the chunk,
-    a block's into the prefix of an array of the largest block."""
-    L = factor_covariance(0.3, build_grid(n, 1.0))
-    rows = experiments._row_blocks(4096, values // (n + 1))[0][1]
-    tail = experiments._GEMM_TAIL_ROWS
-    z = np.random.default_rng(0).standard_normal((4096, n))
-    flat = np.empty((2, 4096 * (n + 1)))
-
-    def product(z, most, k):
-        # the transpose of an (n+1, most) array, or a (most, n+1) one
-        shape = (n + 1, most) if node_major else (most, n + 1)
-        out = flat[k][:math.prod(shape)].reshape(shape)
-        out = out.T if node_major else out
-        return np.matmul(z, L.T, out=out[:len(z), 1:])
-
-    counts = [*range(rows + tail + 1, 2 * rows), *range(2 * rows, 2 * rows + tail + 1),
-              4096]
-    bad = []
-    for count in counts:
-        blocks = experiments._row_blocks(count, values // (n + 1))
-        most = max(stop - start for start, stop in blocks)
-        whole = product(z[:count], count, 0)
-        if not all(np.array_equal(product(z[start:stop], most, 1), whole[start:stop])
-                   for start, stop in blocks):
-            bad.append(count)
-    return bad
-
-
-def _one_shot_exact_vs_chaos(s: RunSettings) -> list:
+def _block_exact_vs_chaos(s: RunSettings) -> list:
     # the chunk work as first written: each chunk sums the chaos and the
     # exact solution over all its paths at once
     t = build_grid(s.grid_n, s.T).points
     N = 20 if s.truncation is None else s.truncation
     parts = []
-    for _, values in _line_chunks(s, s.alpha, s.grid_n):
+    for _, blocks in _line_chunks(s, s.alpha, s.grid_n, experiments._CHAOS_BLOCK_VALUES):
+        values = np.concatenate(blocks)
         with np.errstate(all="ignore"):
             chaos = chaos_total_1d(s.a, s.b, s.alpha, t, values, N)
             exact = exact_solution_1d(s.a, s.b, s.alpha, t, values)
@@ -815,12 +792,14 @@ def _one_shot_exact_vs_chaos(s: RunSettings) -> list:
     return [parts]
 
 
-def _one_shot_euler_study(s: RunSettings) -> list:
+def _block_euler_study(s: RunSettings) -> list:
     n_fine = experiments._EULER_STEPS[-1]
     maps = []
     for alpha in experiments._EULER_ALPHAS:
         parts = []
-        for _, values in _line_chunks(s, alpha, n_fine):
+        for _, blocks in _line_chunks(s, alpha, n_fine, experiments._EULER_BLOCK_VALUES,
+                                      node_major=True):
+            values = np.concatenate(blocks)
             limit = exact_solution_1d(s.a, 0.0, alpha, s.T, values[:, -1])
             parts.append([
                 chunk_moments((wick_euler_paths(
@@ -832,59 +811,26 @@ def _one_shot_euler_study(s: RunSettings) -> list:
     return maps
 
 
-def _one_shot_simulate(s: RunSettings) -> list:
-    # each chunk's paths sampled at once, their Grams summed over the
-    # command's row blocks
+def _block_simulate(s: RunSettings) -> list:
+    # each chunk's Grams summed over its row blocks
     n = s.grid_n
     parts = []
-    for idx, values in _line_chunks(s, s.alpha, n):
+    for idx, blocks in _line_chunks(s, s.alpha, n, experiments._CHAOS_BLOCK_VALUES):
         cross, sq = np.zeros((2, n + 1, n + 1))
-        for start, stop in experiments._row_blocks(
-                len(values), experiments._CHAOS_BLOCK_VALUES // (n + 1)):
-            v, w = values[start:stop], values[start:stop] ** 2
+        for v in blocks:
+            w = v ** 2
             cross += v.T @ v
             # numpy sends a Gram of one array to syrk, as in the command; a
             # product of two equal arrays is a GEMM and rounds differently
             sq += w.T @ w
-        parts.append((len(values), cross, sq, values[0] if idx == 0 else None))
+        parts.append((sum(map(len, blocks)), cross, sq, blocks[0][0] if idx == 0 else None))
     return [parts]
 
 
-def _gemv_block_mismatches(n: int) -> list[int]:
-    """Chunk sizes from 1 to 4096 at which girsanov-check's blocks of n x n
-    noise give a block's gemv bits that differ from its rows of one gemv
-    over the chunk's first contractions.  A block's contractions are written
-    where the command writes them, at the head of one array.  Every block
-    but a count's last is a full block of the same rows at every count, so
-    its gemv is taken once."""
-    rng = np.random.default_rng(0)
-    w, x = rng.standard_normal((4096, n)), rng.standard_normal(n)
-    rows = experiments._NOISE_BLOCK_VALUES // (n * n)
-    head = np.empty((4096, n))
-
-    def block_gemv(start, stop, out):
-        head[:stop - start] = w[start:stop]
-        np.matmul(head[:stop - start], x, out=out[start:stop])
-
-    step = experiments._row_blocks(4096, rows, tail=experiments._GEMV_TAIL_ROWS)[0][1]
-    got = np.empty(4096)
-    for start in range(0, 4096 - step + 1, step):
-        block_gemv(start, start + step, got)
-    full = got.copy()
-    bad = []
-    for count in range(1, 4097):
-        start, stop = experiments._row_blocks(
-            count, rows, tail=experiments._GEMV_TAIL_ROWS)[-1]
-        got[:start] = full[:start]
-        block_gemv(start, stop, got)
-        if not np.array_equal(got[:count], w[:count] @ x):
-            bad.append(count)
-    return bad
-
-
-def _one_shot_girsanov(s: RunSettings) -> list:
-    # each chunk's xi and W_TT as first written: one gemv over the chunk's
-    # first contractions, in the order girsanov_log_density reads them
+def _block_girsanov(s: RunSettings, rows: int) -> list:
+    # each chunk's xi and W_TT, in the order girsanov_log_density reads
+    # them: the noise drawn `rows` replicas at a time, and each block
+    # contracted to a' Z and row_s' Z, then each of those by one gemv
     n = s.grid_n
     line = build_grid(n, s.T)
     Ls, Lt = factor_covariance(s.alpha, line), factor_covariance(s.beta, line)
@@ -893,26 +839,44 @@ def _one_shot_girsanov(s: RunSettings) -> list:
     out = []
     for idx, count in experiments._chunk_layout(s.samples):
         rng = RngStreamSpec(s.seed, idx).generator()
-        w_s, xi_s = np.empty((count, n)), np.empty((count, n))
-        for r0 in range(0, count, 64):
-            z = rng.standard_normal((min(64, count - r0), n, n))
-            np.matmul(Ls[-1, :], z, out=w_s[r0:r0 + len(z)])
-            np.matmul(avec, z, out=xi_s[r0:r0 + len(z)])
-        out += [xi_s @ bvec, w_s @ Lt[-1, :]]
+        xi, w_tt = [], []
+        for r0 in range(0, count, rows):
+            z = rng.standard_normal((min(rows, count - r0), n, n))
+            xi.append((avec @ z) @ bvec)
+            w_tt.append((Ls[-1, :] @ z) @ Lt[-1, :])
+        out += [np.concatenate(xi), np.concatenate(w_tt)]
     return out
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("count, rows", [
+        (10, 3), (4096, 252), (4096, 508), (4096, 64), (301, 4096), (7, 7), (5, 0), (5, -3),
+    ])
+    def test_plain_blocks_cover_the_rows_in_order(self, count, rows):
+        blocks = experiments._row_blocks(count, rows)
+        starts, stops = zip(*blocks)
+        assert starts[0] == 0 and stops[-1] == count
+        assert list(starts[1:]) == list(stops[:-1])
+        # rows <= 0 gives 1-row blocks; no size is rounded, no tail joined
+        size = max(rows, 1)
+        assert all(stop - start == size for start, stop in blocks[:-1])
+        assert 0 < stops[-1] - starts[-1] <= size
+        if count <= size:
+            assert blocks == [(0, count)]
+
+
 class TestLineRowBlocks:
-    """The line commands sample and work on row blocks of their chunks;
-    every chunk result keeps the bits of the chunk's paths sampled at once
-    (line simulate: with its Grams summed over the same row blocks)."""
+    """The line commands sample and work on row blocks of their chunks
+    (``experiments._row_blocks``, part of each command's definition); every
+    chunk result keeps the bits of its paths sampled one block at a time
+    into fresh arrays."""
 
     COMMANDS = {
-        "exact-vs-chaos": (experiments.cmd_exact_vs_chaos, _one_shot_exact_vs_chaos,
+        "exact-vs-chaos": (experiments.cmd_exact_vs_chaos, _block_exact_vs_chaos,
                            dict(alpha=0.3, grid_n=64, truncation=28)),
-        "euler-study": (experiments.cmd_euler_study, _one_shot_euler_study,
+        "euler-study": (experiments.cmd_euler_study, _block_euler_study,
                         dict(a=0.25)),
-        "simulate": (cmd_simulate, _one_shot_simulate, dict(alpha=0.25, grid_n=8)),
+        "simulate": (cmd_simulate, _block_simulate, dict(alpha=0.25, grid_n=8)),
     }
 
     @staticmethod
@@ -931,13 +895,13 @@ class TestLineRowBlocks:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("ragged", [1, 7, 100])
     @pytest.mark.parametrize("name", list(COMMANDS))
-    def test_chunks_keep_the_one_shot_bits(self, name, ragged, threads, monkeypatch):
+    def test_chunks_keep_the_block_bits(self, name, ragged, threads, monkeypatch):
         # two full chunks and a ragged third, shorter than one row block
-        command, one_shot, model = self.COMMANDS[name]
+        command, reference, model = self.COMMANDS[name]
         settings = RunSettings(samples=2 * 4096 + ragged, seed=5, threads=threads,
                                **model)
         maps, report = self._chunk_results(monkeypatch, command, settings)
-        want = one_shot(settings)
+        want = reference(settings)
         _same_bits(maps, want)
         if name == "exact-vs-chaos":
             sup = {m.name: m for m in report.metrics}["sup_node_error"].value
@@ -966,25 +930,6 @@ class TestLineRowBlocks:
         array = 4096 * nodes * 8
         assert peak < arrays * array, (peak / 1e6, array / 1e6)
 
-    def test_row_blocks_keep_the_one_shot_bits(self):
-        # the rule of experiments._row_blocks, in a fresh interpreter at one
-        # BLAS thread, where the battery and the benchmark run (at two, the
-        # node-major blocks move bits): exact-vs-chaos samples 65 nodes
-        # row-major, at its block size and at the floor of 200 rows that a
-        # smaller block size is raised to, and euler-study 129 node-major
-        cases = [(64, experiments._CHAOS_BLOCK_VALUES, False), (64, 1, False),
-                 (128, experiments._EULER_BLOCK_VALUES, True)]
-        out = _fresh_python(
-            "-c",
-            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            "from test_experiments_cli import _row_block_mismatches as mismatches\n"
-            f"print([mismatches(*case) for case in {cases!r}])",
-            OPENBLAS_NUM_THREADS="1",
-        )
-        assert out.stdout.strip() == repr([[]] * len(cases))
-        assert [experiments._row_blocks(4096, v // (n + 1))[0][1]
-                for n, v, _ in cases] == [248, 200, 504]
-
     def test_non_finite_chunks_are_written_as_null(self, monkeypatch, tmp_path):
         # at a = 1e80 every chunk's error is nan; a Python max() over row
         # blocks would drop it
@@ -992,7 +937,7 @@ class TestLineRowBlocks:
         with np.errstate(all="ignore"):
             maps, _ = self._chunk_results(monkeypatch, experiments.cmd_exact_vs_chaos,
                                           settings)
-        want = _one_shot_exact_vs_chaos(settings)
+        want = _block_exact_vs_chaos(settings)
         assert all(np.isnan(part[0]) for part in want[0])
         _same_bits(maps, want)
         code = main(["exact-vs-chaos", "--alpha", "0.3", "--a", "1e80", "--samples",
@@ -1005,24 +950,23 @@ class TestLineRowBlocks:
     def test_first_path_is_not_overwritten_by_later_chunks(self):
         settings = RunSettings(alpha=0.25, grid_n=8, samples=3 * 4096, seed=5)
         report = cmd_simulate(settings)
-        _, first = next(_line_chunks(settings, 0.25, 8))
+        _, blocks = next(_line_chunks(settings, 0.25, 8, experiments._CHAOS_BLOCK_VALUES))
         _, rows = report.tables["sample_path"]
-        assert [row[1] for row in rows] == first[0].tolist()
+        assert [row[1] for row in rows] == blocks[0][0].tolist()
 
-    def test_chaos_block_size_does_not_move_bits(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("values", [1, 65, 4 * 65 + 7, 2**13, 2**20])
+    def test_chaos_block_size_does_not_move_bits(self, values, monkeypatch):
         # two chunks (4096 and 300) at 65 nodes; row blocks of 1 row (from
         # 1 and from 65 values), of 4 and of 126 rows, and one block a chunk
-        # give the same report and table bytes
-        argv = ["exact-vs-chaos", "--alpha", "0.7", "--a", "1.3", "--grid-n", "64",
-                "--truncation", "28", "--samples", str(4096 + 300), "--seed", "9"]
-        outs = []
-        for values in (1, 65, 4 * 65 + 7, 2**13, 2**20):
-            monkeypatch.setattr(experiments, "_CHAOS_BLOCK_VALUES", values)
-            out = tmp_path / str(values)
-            assert main(argv + ["--out", str(out)]) == 0
-            report = _strip_wall(json.loads((out / "report.json").read_text()))
-            outs.append((report, (out / "exact_vs_chaos.csv").read_bytes()))
-        assert all(o == outs[0] for o in outs[1:])
+        # each keep the bits of the paths sampled in blocks of that size
+        settings = RunSettings(alpha=0.7, a=1.3, grid_n=64, truncation=28,
+                               samples=4096 + 300, seed=9)
+        monkeypatch.setattr(experiments, "_CHAOS_BLOCK_VALUES", values)
+        maps, report = self._chunk_results(monkeypatch, experiments.cmd_exact_vs_chaos,
+                                           settings)
+        want = _block_exact_vs_chaos(settings)
+        _same_bits(maps, want)
+        assert report.passed
 
     def test_coefficient_table_is_assembled_once(self):
         chaos._horner_table.cache_clear()
@@ -1035,7 +979,7 @@ class TestLineRowBlocks:
     @pytest.mark.parametrize("name", ["exact-vs-chaos", "simulate"])
     def test_chunks_do_not_fault_in_fresh_pages(self, name):
         # Linux-specific in practice: ru_minflt counts minor page faults.
-        # The one-shot chunk work freed its chunk-sized arrays, and glibc
+        # The chunk work as first written freed its chunk-sized arrays, and glibc
         # handed their pages back, about 3000 faults a chunk at grid 64;
         # block-sized buffers are reused from the heap
         command, _, model = self.COMMANDS[name]
@@ -1169,17 +1113,25 @@ class TestGirsanovTilt:
 
 
 class TestGirsanovNoiseBlocks:
-    def test_block_size_does_not_move_results(self, monkeypatch):
-        # two chunks, the second ragged (301); blocks of 3 replicas round up
-        # to 8 and leave a ragged block of 5 in the second chunk, and 4096
-        # per block is one block a chunk
+    @staticmethod
+    def _densities(monkeypatch, settings) -> tuple[list, object]:
+        # the report reads the noise only through each chunk's xi and W_TT
+        seen = []
+        density = experiments.girsanov_log_density
+        monkeypatch.setattr(experiments, "girsanov_log_density", lambda eps, x, norm: (
+            seen.append(x.copy()) or density(eps, x, norm)))
+        return seen, cmd_girsanov_check(settings)
+
+    @pytest.mark.parametrize("rows", [3, 64, 4096])
+    def test_block_size_does_not_move_results(self, rows, monkeypatch):
+        # two chunks, the second ragged (301); blocks of 3 replicas leave a
+        # 1-row block in each chunk, and 4096 per block is one block a chunk
         settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=8,
                                samples=4096 + 301, seed=5)
-        payloads = []
-        for rows in (3, 4096):
-            monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
-            payloads.append(_strip_wall(cmd_girsanov_check(settings).to_dict()))
-        assert payloads[0] == payloads[1]
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK_VALUES", rows * 8 * 8)
+        seen, report = self._densities(monkeypatch, settings)
+        assert report.passed
+        _same_bits(seen, _block_girsanov(settings, rows))
 
     def test_holds_blocks_not_the_chunk(self):
         # one 4096-replica chunk of grid-32 noise takes 33.5 MB; a block of
@@ -1196,28 +1148,37 @@ class TestGirsanovNoiseBlocks:
             tracemalloc.stop()
         assert peak < 3e6, peak / 1e6
 
-    @pytest.mark.parametrize("n", [64, 48])
-    def test_block_gemv_keeps_the_chunk_bits(self, n):
-        # the rule of _GEMV_TAIL_ROWS at the blocks the command cuts: 64 rows
-        # at grid 64 and 112 (113 rounded down to a multiple of 8) at grid 48
-        rows = experiments._NOISE_BLOCK_VALUES // (n * n)
-        blocks = experiments._row_blocks(4096, rows, tail=experiments._GEMV_TAIL_ROWS)
-        assert blocks[0][1] == {64: 64, 48: 112}[n]
-        assert _gemv_block_mismatches(n) == []
-
-    def test_one_row_tail_keeps_the_one_shot_bits(self, monkeypatch):
-        # grid 64, two chunks; the second (65) ends in a 1-row block that
-        # joins the block before it.  The report reads the noise only
-        # through each chunk's xi and W_TT, so they must keep the bits of
-        # one gemv over the chunk's first contractions
+    def test_one_row_tail_keeps_the_block_bits(self, monkeypatch):
+        # grid 64, two chunks; the second (65) ends in a 1-row block, whose
+        # products numpy sends to dot products
         settings = RunSettings(alpha=0.3, beta=0.3, epsilon=1.0, grid_n=64,
                                samples=4096 + 65, seed=5)
-        seen = []
-        density = experiments.girsanov_log_density
-        monkeypatch.setattr(experiments, "girsanov_log_density", lambda eps, x, norm: (
-            seen.append(x.copy()) or density(eps, x, norm)))
-        assert cmd_girsanov_check(settings).passed
-        _same_bits(seen, _one_shot_girsanov(settings))
+        seen, report = self._densities(monkeypatch, settings)
+        assert report.passed
+        _same_bits(seen, _block_girsanov(
+            settings, experiments._NOISE_BLOCK_VALUES // (64 * 64)))
+
+
+class TestBlockBitsUnderAnotherKernel:
+    def test_line_and_girsanov_blocks_keep_their_bits_under_haswell(self):
+        # the block references round by the command's blocks, so they hold
+        # under another OpenBLAS kernel than the one the machine picks
+        machine = platform.machine()
+        if machine.lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"OpenBLAS core types are x86-64 kernels; this machine is {machine}")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+        tests = ["TestLineRowBlocks::test_chunks_keep_the_block_bits",
+                 "TestLineRowBlocks::test_chaos_block_size_does_not_move_bits",
+                 "TestGirsanovNoiseBlocks::test_block_size_does_not_move_results",
+                 "TestGirsanovNoiseBlocks::test_one_row_tail_keeps_the_block_bits"]
+        try:
+            _fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *(f"{__file__}::{test}" for test in tests),
+                          OPENBLAS_CORETYPE="Haswell")
+        except subprocess.CalledProcessError as failed:
+            pytest.fail(failed.stdout[-4000:])
 
 
 class TestSheetFieldsBlasThreads:
